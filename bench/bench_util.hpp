@@ -19,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,8 +29,6 @@
 #include "sim/sweeps.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
-#include "util/remote_pool.hpp"
-#include "util/rpc.hpp"
 #include "util/subprocess.hpp"
 #include "util/table.hpp"
 
@@ -145,26 +142,6 @@ inline sim::SweepOptions sweep_options_from(const util::Options& options,
 //                        exits 1 on its first attempt; a marker file next to
 //                        the unit CSV makes the retried attempt succeed
 //
-// Fleet orchestration (TCP worker agents instead of local processes):
-//   --fleet[=PORT]       listen for worker agents (0/absent value = an
-//                        ephemeral port, printed at startup) and run the
-//                        units over whoever connects
-//   --fleet-agents=N     additionally self-spawn N loopback agents — the
-//                        one-machine / CI form; implies --fleet
-//   --fleet-capacity=C   advertised capacity of self-spawned agents (def. 1)
-//   --straggler-factor=F speculative re-dispatch at F x median unit time
-//   --fleet-die-after=K  failure injection: the first self-spawned agent
-//                        drops its connection after K results
-//   --fleet-delay-ms=X   straggler injection: the first self-spawned agent
-//                        sleeps X ms before each unit
-//
-// Agent side (any fleet-aware harness binary doubles as the agent):
-//   --worker-agent=HOST:PORT   connect to a fleet driver and serve units
-//   --capacity=N               advertised concurrent units (def. cores)
-//   --agent-scratch=DIR        agent-local scratch for unit CSVs/logs
-//   --agent-die-after=K / --agent-delay-ms=X   injections (set by the
-//                              driver's --fleet-die-after/--fleet-delay-ms)
-//
 // Worker-side internal flags (set by the driver, never by hand):
 //   --run-unit=pb/pc/tb/tc --unit-out=F --unit-id=I --unit-tag=T
 
@@ -173,11 +150,7 @@ inline const std::vector<std::string>& orchestrate_keys() {
   static const std::vector<std::string> keys{
       "orchestrate", "units",    "split",    "max-attempts",
       "worker-timeout", "shard-dir", "resume", "keep-shards",
-      "run-unit",    "unit-out", "unit-id",  "unit-tag",
-      "fleet",       "fleet-agents", "fleet-capacity", "straggler-factor",
-      "fleet-die-after", "fleet-delay-ms",
-      "worker-agent", "capacity", "agent-scratch", "agent-die-after",
-      "agent-delay-ms"};
+      "run-unit",    "unit-out", "unit-id",  "unit-tag"};
   return keys;
 }
 
@@ -193,38 +166,6 @@ inline const std::vector<std::string>& driver_output_keys() {
 /// True when this invocation is an orchestration worker.
 inline bool is_worker(const util::Options& options) {
   return options.has("run-unit");
-}
-
-/// True when this invocation is a fleet worker agent (`--worker-agent=…`).
-/// Check this before `is_worker`: the agent loop re-invokes this binary
-/// with `--run-unit` for each job it serves.
-inline bool is_fleet_agent(const util::Options& options) {
-  return options.has("worker-agent");
-}
-
-/// Agent main: connect to the fleet driver named by `--worker-agent` and
-/// serve units until SHUTDOWN.  Returns the process exit code.
-inline int run_fleet_agent(const util::Options& options) {
-  const std::string target = options.get("worker-agent", "");
-  const std::size_t colon = target.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= target.size()) {
-    std::cerr << "--worker-agent wants HOST:PORT, got '" << target << "'\n";
-    return 2;
-  }
-  util::AgentOptions agent;
-  agent.host = target.substr(0, colon);
-  agent.port = static_cast<std::uint16_t>(
-      std::strtoul(target.c_str() + colon + 1, nullptr, 10));
-  agent.capacity = static_cast<std::uint32_t>(options.get_int("capacity", 0));
-  agent.die_after =
-      static_cast<std::size_t>(options.get_int("agent-die-after", 0));
-  agent.delay_s = options.get_double("agent-delay-ms", 0.0) / 1000.0;
-  agent.log = [](const std::string& line) {
-    std::cout << line << "\n" << std::flush;
-  };
-  const std::string scratch =
-      options.get("agent-scratch", "fleet-agent-scratch");
-  return util::run_worker_agent(agent, util::subprocess_job_runner(scratch));
 }
 
 /// Parses the worker rectangle "pb/pc/tb/tc" into `run`; exits 2 on a
@@ -353,22 +294,11 @@ inline sim::ExperimentResult run_experiment_cli(
     const sim::ExperimentOptions& run, const std::string& tag) {
   const auto workers =
       static_cast<std::size_t>(options.get_int("orchestrate", 0));
-  const bool fleet = options.has("fleet") || options.has("fleet-agents");
-  if (workers == 0 && !fleet) return experiment.run(run);
-
-  const auto fleet_agents =
-      static_cast<std::size_t>(options.get_int("fleet-agents", 0));
-  const auto fleet_capacity = static_cast<std::uint32_t>(
-      std::max<long long>(1, options.get_int("fleet-capacity", 1)));
+  if (workers == 0) return experiment.run(run);
 
   sim::OrchestratorOptions orchestration;
   orchestration.experiment = tag + "#" + experiment_fingerprint(experiment, run);
-  // For a fleet, `workers` sizes the default unit plan: one unit per
-  // advertised slot of the self-spawned agents (external fleets should
-  // pass --units explicitly).
-  orchestration.workers =
-      fleet ? std::max<std::size_t>(1, fleet_agents * fleet_capacity)
-            : workers;
+  orchestration.workers = workers;
   orchestration.units = static_cast<std::size_t>(options.get_int("units", 0));
   orchestration.split = sim::work_split_from(options.get("split", "auto"));
   orchestration.max_attempts =
@@ -380,32 +310,6 @@ inline sim::ExperimentResult run_experiment_cli(
   orchestration.progress = [](const std::string& line) {
     std::cout << line << "\n" << std::flush;
   };
-
-  std::unique_ptr<util::RemotePool> fleet_pool;
-  if (fleet) {
-    util::RemotePoolOptions pool_options;
-    pool_options.port =
-        static_cast<std::uint16_t>(options.get_int("fleet", 0));
-    pool_options.self_spawn = fleet_agents;
-    pool_options.agent_capacity = fleet_capacity;
-    pool_options.scratch_dir = orchestration.scratch_dir + "/agents";
-    pool_options.straggler_factor =
-        options.get_double("straggler-factor", 3.0);
-    if (options.has("fleet-die-after"))
-      pool_options.first_agent_extra_args.push_back(
-          "--agent-die-after=" + options.get("fleet-die-after", "1"));
-    if (options.has("fleet-delay-ms"))
-      pool_options.first_agent_extra_args.push_back(
-          "--agent-delay-ms=" + options.get("fleet-delay-ms", "0"));
-    pool_options.log = [](const std::string& line) {
-      std::cout << line << "\n" << std::flush;
-    };
-    fleet_pool = std::make_unique<util::RemotePool>(pool_options);
-    orchestration.pool = fleet_pool.get();
-    std::cout << "[fleet] driver listening on port " << fleet_pool->port()
-              << " (" << fleet_agents << " self-spawned agent(s))\n"
-              << std::flush;
-  }
 
   const std::string self = util::self_exe_path();
   if (self.empty()) {
@@ -429,8 +333,7 @@ inline sim::ExperimentResult run_experiment_cli(
   if (worker_threads == 0) {
     const std::size_t hardware =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    worker_threads =
-        std::max<std::size_t>(1, hardware / orchestration.workers);
+    worker_threads = std::max<std::size_t>(1, hardware / workers);
   }
   base_args.push_back("--threads=" + std::to_string(worker_threads));
 
@@ -457,26 +360,6 @@ inline sim::ExperimentResult run_experiment_cli(
     for (const std::string& out : unit_outputs)
       std::filesystem::remove(out + ".crashed", ignored);
     std::filesystem::remove(orchestration.scratch_dir, ignored);
-  }
-  if (fleet_pool != nullptr) {
-    const util::RemotePool::Stats& stats = fleet_pool->stats();
-    std::cout << "[fleet] " << stats.agents_seen << " agent(s) served the run"
-              << " (" << stats.agents_lost << " lost, "
-              << stats.redispatched << " speculative re-dispatch(es), "
-              << stats.results_ignored << " duplicate result(s) ignored)\n";
-    for (std::size_t i = 0; i < stats.agent_names.size(); ++i)
-      std::cout << "[fleet]   " << stats.agent_names[i] << ": "
-                << stats.agent_completed[i] << " unit(s), busy "
-                << util::fmt_fixed(stats.agent_busy_s[i], 2) << "s\n";
-    std::cout << std::flush;
-    if (!orchestration.keep_scratch) {
-      // The agents' scratch subdirectory (logs) mirrors the orchestrator's
-      // own cleanup policy.
-      std::error_code ignored;
-      std::filesystem::remove_all(orchestration.scratch_dir + "/agents",
-                                  ignored);
-      std::filesystem::remove(orchestration.scratch_dir, ignored);
-    }
   }
   return merged;
 }

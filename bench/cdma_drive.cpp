@@ -325,9 +325,6 @@ int run_serve(const util::Options& options) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
 
   if (options.has("serve")) return run_serve(options);
 

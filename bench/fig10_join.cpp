@@ -29,9 +29,6 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
 
   const std::vector<double> ns{40, 50, 60, 70, 80, 90, 100, 110, 120};
   const std::vector<double> avg_ranges{7.5, 17.5, 27.5, 37.5, 47.5, 57.5, 67.5};

@@ -21,9 +21,6 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
 
   const std::vector<double> factors{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0};
 

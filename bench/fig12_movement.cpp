@@ -21,9 +21,6 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
 
   const std::vector<double> displacements{0, 10, 20, 30, 40, 50, 60, 70, 80};
   const std::vector<double> rounds{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};

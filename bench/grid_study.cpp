@@ -240,9 +240,6 @@ int run_selfcheck(const StudyConfig& config, std::size_t shard_count) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
   const StudyConfig config = config_from(options);
 
   // Orchestration worker: run this unit's rectangle, write its shard CSV,

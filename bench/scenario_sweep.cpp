@@ -88,9 +88,6 @@ sim::Experiment make_kind_experiment(sim::ScenarioKind kind, std::size_t n,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  // A fleet agent serves units for a remote driver; nothing else in this
-  // harness applies to that invocation.
-  if (bench::is_fleet_agent(options)) return bench::run_fleet_agent(options);
   sim::ExperimentOptions run;
   run.trials = static_cast<std::size_t>(options.get_int("trials", 100));
   run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));

@@ -233,10 +233,7 @@ struct CheckResult {
 ///     threads sweep collapsed to the serial column);
 ///   * throughput comparisons skip when the baseline's single-core
 ///     annotation disagrees with this machine — events/s across different
-///     core counts measures the hardware, not the code;
-///   * "bench.fleet.*@aK" names whose baseline exists only at a different
-///     agent count skip as a counted rule (the fleet was resized — a config
-///     change, not a regression), mirroring the "@tN" treatment.
+///     core counts measures the hardware, not the code.
 ///
 /// Logs one line per measurement to `log` in the established --check style.
 inline CheckResult check_measurements(
@@ -249,25 +246,6 @@ inline CheckResult check_measurements(
   for (const Measurement& m : measurements) {
     const TrajectoryEntry* entry = baseline_for(trajectory, m.name);
     if (entry == nullptr) {
-      // Fleet measurements bake the agent count into the name
-      // ("...@a<K>"); a baseline recorded at another agent count means the
-      // fleet was resized, which is a deliberate config change.
-      const std::size_t at_a = m.name.rfind("@a");
-      if (m.name.rfind("bench.fleet.", 0) == 0 && at_a != std::string::npos) {
-        const std::string stem = m.name.substr(0, at_a + 2);
-        bool other_agent_count = false;
-        for (const TrajectoryEntry& e : trajectory)
-          for (const Measurement& b : e.benchmarks)
-            other_agent_count = other_agent_count ||
-                                (b.name.rfind(stem, 0) == 0 && b.name != m.name);
-        if (other_agent_count) {
-          log << "  " << m.name
-              << ": baseline exists only at a different agent count "
-                 "(fleet comparison skipped)\n";
-          ++result.skipped;
-          continue;
-        }
-      }
       log << "  " << m.name << ": no baseline (skipped)\n";
       continue;
     }

@@ -38,9 +38,7 @@
 ///    running everything.  `work_plan.hpp` decomposes a grid into such
 ///    rectangles; `orchestrator.hpp` schedules them across worker processes.
 ///
-/// `run_sweep` (figure sweeps) and `run_scenario_sweep` (scenario
-/// Monte-Carlo) are thin adapters over this API; see sweeps.hpp and
-/// sweep_runner.hpp.
+/// `run_sweep` (figure sweeps, sweeps.hpp) is a thin adapter over this API.
 
 namespace minim::sim {
 
@@ -55,7 +53,6 @@ enum class ScenarioKind {
 /// Everything one trial needs besides its RNG stream.
 struct ScenarioSpec {
   ScenarioKind kind = ScenarioKind::kJoin;
-  std::string strategy = "minim";  ///< single-strategy callers (sweep_runner)
   WorkloadParams workload{};       ///< join/power/move scenarios
   double raise_factor = 2.0;       ///< kPower: range multiplier
   double max_displacement = 40.0;  ///< kMove: per-move displacement bound
@@ -78,7 +75,7 @@ struct GridAxis {
 
 /// The full experiment description: {parameter axes x scenario x strategies}.
 struct ExperimentGrid {
-  ScenarioSpec base;          ///< `base.strategy` is ignored; see `strategies`
+  ScenarioSpec base;          ///< every grid point starts from this spec
   std::vector<GridAxis> axes; ///< empty = a single grid point
   std::vector<std::string> strategies{"minim", "cp", "bbb"};
   strategies::StrategyFactory strategy_factory;  ///< empty = `make_strategy`

@@ -140,60 +140,38 @@ ExperimentResult Orchestrator::run(const WorkerCommand& worker_command) {
   write_shard_manifest_file(manifest, manifest_path_);
 
   // Schedule the units that still need running.
-  std::vector<util::WorkerJob> jobs;
-  std::vector<std::size_t> job_unit;  // job index -> unit index
+  std::vector<util::ProcessSpec> specs;
+  std::vector<std::size_t> spec_unit;  // spec index -> unit index
   for (std::size_t i = 0; i < units_.size(); ++i) {
     if (have_shard[i]) continue;
-    util::WorkerJob job;
-    job.args = worker_command(units_[i], unit_csv_path(units_[i]));
-    MINIM_REQUIRE(!job.args.empty(), "worker command must not be empty");
-    job.out_path = unit_csv_path(units_[i]);
-    job.log_path = unit_log_path(units_[i]);
-    job.timeout_s = options_.worker_timeout_s;
-    job.max_attempts = options_.max_attempts;
-    jobs.push_back(std::move(job));
-    job_unit.push_back(i);
+    util::ProcessSpec spec;
+    spec.args = worker_command(units_[i], unit_csv_path(units_[i]));
+    MINIM_REQUIRE(!spec.args.empty(), "worker command must not be empty");
+    spec.stdout_path = unit_log_path(units_[i]);
+    spec.timeout_s = options_.worker_timeout_s;
+    spec.max_attempts = options_.max_attempts;
+    specs.push_back(std::move(spec));
+    spec_unit.push_back(i);
   }
 
-  if (!jobs.empty()) {
-    // Null pool = the classic local path: a process pool of `workers`
-    // children on this machine.  A borrowed pool (a TCP fleet) changes
-    // where the argv runs, nothing else.
-    util::ProcessPool local_pool(options_.workers);
-    util::WorkerPool& pool =
-        options_.pool != nullptr ? *options_.pool : local_pool;
-    say("[orchestrate] " + std::to_string(jobs.size()) + " work units over " +
-        (options_.pool != nullptr
-             ? std::string("the worker fleet")
-             : std::to_string(options_.workers) + " worker processes") +
-        " (split " + std::string(to_string(options_.split)) + ", " +
+  if (!specs.empty()) {
+    say("[orchestrate] " + std::to_string(specs.size()) + " work units over " +
+        std::to_string(options_.workers) + " worker processes (split " +
+        std::string(to_string(options_.split)) + ", " +
         std::to_string(options_.max_attempts) + " attempts each)");
+    util::ProcessPool pool(options_.workers);
     std::size_t finished = 0;
-    const auto observer = [&](const util::WorkerPoolEvent& event) {
-      if (event.kind == util::WorkerPoolEvent::Kind::kAgentJoin ||
-          event.kind == util::WorkerPoolEvent::Kind::kAgentLost) {
-        say("[orchestrate] agent " + event.detail +
-            (event.kind == util::WorkerPoolEvent::Kind::kAgentJoin
-                 ? " joined the fleet"
-                 : " lost; its units return to the queue"));
-        return;
-      }
-      const std::size_t i = job_unit[event.index];
+    const auto observer = [&](const util::ProcessEvent& event) {
+      const std::size_t i = spec_unit[event.index];
       ShardManifestEntry& entry = manifest.entries[i];
       switch (event.kind) {
-        case util::WorkerPoolEvent::Kind::kStart:
+        case util::ProcessEvent::Kind::kStart:
           entry.status = "running";
           entry.attempts = event.attempt;
           say("[orchestrate] " + describe(units_[i]) + " attempt " +
-              std::to_string(event.attempt) + " started" +
-              (event.detail.empty() ? "" : " on " + event.detail));
+              std::to_string(event.attempt) + " started");
           break;
-        case util::WorkerPoolEvent::Kind::kRedispatch:
-          say("[orchestrate] " + describe(units_[i]) +
-              " straggling; speculative copy dispatched" +
-              (event.detail.empty() ? "" : " to " + event.detail));
-          break;
-        case util::WorkerPoolEvent::Kind::kRetry:
+        case util::ProcessEvent::Kind::kRetry:
           entry.status = "retrying";
           say("[orchestrate] " + describe(units_[i]) + " attempt " +
               std::to_string(event.attempt) + " failed (" +
@@ -202,28 +180,25 @@ ExperimentResult Orchestrator::run(const WorkerCommand& worker_command) {
                    : "exit " + std::to_string(event.outcome->exit_code)) +
               "), retrying");
           break;
-        case util::WorkerPoolEvent::Kind::kFinish:
-          entry.status = event.outcome->ok ? "done" : "failed";
+        case util::ProcessEvent::Kind::kFinish:
+          entry.status = event.outcome->ok() ? "done" : "failed";
           ++finished;
           say("[orchestrate] " + describe(units_[i]) + " " + entry.status +
               " after " + std::to_string(event.attempt) + " attempt(s) [" +
-              std::to_string(finished) + "/" + std::to_string(jobs.size()) +
+              std::to_string(finished) + "/" + std::to_string(specs.size()) +
               "]");
           // Keep the on-disk ledger current so a driver crash mid-batch
           // still leaves a resumable manifest.
           write_shard_manifest_file(manifest, manifest_path_);
           break;
-        case util::WorkerPoolEvent::Kind::kAgentJoin:
-        case util::WorkerPoolEvent::Kind::kAgentLost:
-          break;  // handled above
       }
     };
-    const std::vector<util::WorkerOutcome> outcomes =
-        pool.run_jobs(jobs, observer);
+    const std::vector<util::ProcessOutcome> outcomes =
+        pool.run_all(specs, observer);
 
     for (std::size_t s = 0; s < outcomes.size(); ++s) {
-      const std::size_t i = job_unit[s];
-      if (!outcomes[s].ok) {
+      const std::size_t i = spec_unit[s];
+      if (!outcomes[s].ok()) {
         write_shard_manifest_file(manifest, manifest_path_);
         throw std::runtime_error(
             "orchestrator: " + describe(units_[i]) + " failed after " +

@@ -32,10 +32,6 @@
 /// migrated harness gains `--orchestrate k`), and `bench/cdma_drive.cpp` is
 /// the standalone front-end.
 
-namespace minim::util {
-class WorkerPool;
-}
-
 namespace minim::sim {
 
 struct OrchestratorOptions {
@@ -48,7 +44,9 @@ struct OrchestratorOptions {
   std::size_t units = 0;    ///< work units to plan (0 = one per worker)
   WorkSplit split = WorkSplit::kAuto;
   std::size_t max_attempts = 3;   ///< per-unit tries (bounded shard retry)
-  double worker_timeout_s = 0.0;  ///< per-attempt kill deadline (0 = none)
+  /// Per-attempt deadline (0 = none); an overrunning worker is killed
+  /// together with its whole process group and counts as a failed attempt.
+  double worker_timeout_s = 0.0;
   /// Shard CSVs, worker logs, and the manifest live here (created if
   /// missing).  On full success the per-unit files are removed unless
   /// `keep_scratch`; after a failure everything stays for post-mortem and
@@ -56,13 +54,6 @@ struct OrchestratorOptions {
   std::string scratch_dir = "orchestrate-scratch";
   bool resume = false;        ///< reuse `done` units from a prior manifest
   bool keep_scratch = false;  ///< keep shard CSVs/logs after a full merge
-  /// Where the units execute.  Null = an internal `util::ProcessPool` of
-  /// `workers` local processes (the classic `--orchestrate` path).  A
-  /// borrowed pool — e.g. `util::RemotePool` driving a TCP worker fleet —
-  /// swaps the execution substrate without the orchestrator noticing:
-  /// manifest, retry accounting, shard validation, and the merge are
-  /// identical either way.  Not owned.
-  util::WorkerPool* pool = nullptr;
   /// Live progress sink (one human-readable line per lifecycle event);
   /// empty = silent.
   std::function<void(const std::string&)> progress;

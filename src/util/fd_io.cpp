@@ -11,32 +11,6 @@ namespace minim::util {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-IoStatus read_exact(int fd, void* buffer, std::size_t n) {
-  char* at = static_cast<char*>(buffer);
-  std::size_t got = 0;
-  bool use_read = false;  // set after ENOTSOCK: fd is a pipe/file
-  while (got < n) {
-    ssize_t step;
-    if (use_read) {
-      step = ::read(fd, at + got, n - got);
-    } else {
-      step = ::recv(fd, at + got, n - got, 0);
-      if (step < 0 && errno == ENOTSOCK) {
-        use_read = true;
-        continue;
-      }
-    }
-    if (step > 0) {
-      got += static_cast<std::size_t>(step);
-    } else if (step == 0) {
-      return got == 0 ? IoStatus::kClosed : IoStatus::kError;
-    } else if (errno != EINTR) {
-      return IoStatus::kError;
-    }
-  }
-  return IoStatus::kOk;
-}
-
 bool write_all(int fd, const void* buffer, std::size_t n) {
   const char* at = static_cast<const char*>(buffer);
   std::size_t sent = 0;
@@ -65,7 +39,6 @@ bool write_all(int fd, const void* buffer, std::size_t n) {
 
 #else  // !POSIX
 
-IoStatus read_exact(int, void*, std::size_t) { return IoStatus::kError; }
 bool write_all(int, const void*, std::size_t) { return false; }
 
 #endif

@@ -3,37 +3,17 @@
 #include <cstddef>
 
 /// \file fd_io.hpp
-/// \brief Robust partial-I/O primitives shared by every socket layer.
+/// \brief The robust write loop shared by every socket writer.
 ///
-/// POSIX read/write/send/recv may move fewer bytes than asked (short
-/// writes against a full socket buffer, short reads at segment
-/// boundaries) and may be interrupted by signals (EINTR) before moving
-/// anything.  Every transport in the tree — the serving layer's TCP
-/// transport and the fleet RPC protocol — needs the same two loops, so
-/// they live here once:
+/// POSIX write/send may move fewer bytes than asked (short writes against a
+/// full socket buffer) and may be interrupted by signals (EINTR) before
+/// moving anything.  `write_all` loops until every byte is delivered.
 ///
-///   * `write_all`   — loops until every byte is delivered;
-///   * `read_exact`  — loops until exactly n bytes arrived, reporting
-///                     "peer closed before the first byte" separately
-///                     from "closed mid-message" (a framing layer treats
-///                     the first as a clean end of session and the second
-///                     as a truncated frame).
-///
-/// Both use send/recv with MSG_NOSIGNAL on sockets, so a peer vanishing
-/// mid-write surfaces as EPIPE instead of killing the process, and fall
-/// back to plain read/write for non-socket descriptors (pipes, files).
+/// It uses send with MSG_NOSIGNAL on sockets, so a peer vanishing mid-write
+/// surfaces as EPIPE instead of killing the process, and falls back to plain
+/// write for non-socket descriptors (pipes, files).
 
 namespace minim::util {
-
-/// How a `read_exact` ended.
-enum class IoStatus {
-  kOk,      ///< all n bytes arrived
-  kClosed,  ///< clean EOF before the first byte (peer ended the session)
-  kError,   ///< EOF mid-message or a non-retryable errno
-};
-
-/// Reads exactly `n` bytes into `buffer`, retrying short reads and EINTR.
-IoStatus read_exact(int fd, void* buffer, std::size_t n);
 
 /// Writes all `n` bytes of `buffer`, retrying short writes and EINTR.
 /// Returns false on a non-retryable error (e.g. the peer closed; with

@@ -20,8 +20,8 @@
 /// and reduce them *in item order* on the calling thread.  That construction
 /// makes the outcome bit-identical for any thread count (including 1) no
 /// matter how the pool schedules the items.  `map_reduce` is that shape
-/// written once: `sim::run_sweep` and `sim::Experiment` (and through it
-/// `sim::run_scenario_sweep`) are thin layers over it.
+/// written once: `sim::run_sweep` and `sim::Experiment` are thin layers
+/// over it.
 ///
 /// Determinism contract:
 ///  * item i's randomness comes only from `Rng::for_stream(seed, stream(i))`

@@ -1,8 +1,11 @@
 #include "util/subprocess.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <deque>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -40,13 +43,75 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-/// One live child.
+/// One live child.  Its pid is also its process-group id.
 struct Running {
   std::size_t index = 0;    ///< spec index
   std::size_t attempt = 0;  ///< 1-based
   clock::time_point start;
   clock::time_point deadline;  ///< clock::time_point::max() when no timeout
   bool killed = false;         ///< SIGKILL sent after the deadline passed
+};
+
+/// The signals that stop a batch.  Workers run in their own process groups,
+/// so a terminal's Ctrl-C (or a hangup) reaches only the driver, which
+/// forwards it as a kill of every worker group.
+constexpr int kStopSignals[] = {SIGINT, SIGTERM, SIGHUP};
+constexpr std::size_t kStopSignalCount = std::size(kStopSignals);
+
+/// The stop signal received during `run_all`; 0 when none.  Atomic rather
+/// than `volatile sig_atomic_t` because the kernel may run the handler on
+/// any thread of the driver.
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the signal handler needs a lock-free flag");
+
+void record_stop_signal(int signo) { g_stop_signal = signo; }
+
+/// Process hygiene for one `run_all` call.  While it lives, the stop signals
+/// set `g_stop_signal` (a signal the process ignores stays ignored).  When
+/// it dies, normally or because the observer threw, every worker still
+/// running is killed with its group, and the previous signal dispositions
+/// come back.  The signal routing is process-wide, so one `run_all` runs at
+/// a time per process.
+class BatchGuard {
+ public:
+  explicit BatchGuard(std::unordered_map<pid_t, Running>& running)
+      : running_(running) {
+    g_stop_signal = 0;
+    struct sigaction route {};
+    route.sa_handler = record_stop_signal;
+    sigemptyset(&route.sa_mask);
+    for (std::size_t i = 0; i < kStopSignalCount; ++i) {
+      ::sigaction(kStopSignals[i], nullptr, &saved_[i]);
+      if (saved_[i].sa_handler == SIG_IGN) continue;
+      ::sigaction(kStopSignals[i], &route, nullptr);
+      routed_[i] = true;
+    }
+  }
+  BatchGuard(const BatchGuard&) = delete;
+  BatchGuard& operator=(const BatchGuard&) = delete;
+  ~BatchGuard() {
+    kill_all();
+    restore_signals();
+  }
+
+  /// SIGKILLs every live worker's process group and reaps the workers.
+  void kill_all() {
+    for (const auto& entry : running_) ::killpg(entry.first, SIGKILL);
+    for (const auto& entry : running_) ::waitpid(entry.first, nullptr, 0);
+    running_.clear();
+  }
+
+  /// Idempotent: puts back the dispositions saved at construction.
+  void restore_signals() {
+    for (std::size_t i = 0; i < kStopSignalCount; ++i)
+      if (routed_[i]) ::sigaction(kStopSignals[i], &saved_[i], nullptr);
+  }
+
+ private:
+  std::unordered_map<pid_t, Running>& running_;
+  struct sigaction saved_[kStopSignalCount] {};
+  bool routed_[kStopSignalCount] = {};
 };
 
 /// Forks and execs one attempt of `spec`.  Returns the child pid, or -1 when
@@ -60,9 +125,17 @@ pid_t spawn(const ProcessSpec& spec) {
   argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
-  if (pid != 0) return pid;
+  if (pid != 0) {
+    // Both sides set the group, so a deadline kill cannot race the child's
+    // own setpgid.
+    if (pid > 0) ::setpgid(pid, pid);
+    return pid;
+  }
 
-  // Child: redirect stdout+stderr into the collection file, then exec.
+  // Child: lead a new process group, so killing the group also takes down
+  // anything the worker forks.  Then redirect stdout+stderr into the
+  // collection file and exec.
+  ::setpgid(0, 0);
   if (!spec.stdout_path.empty()) {
     const int fd = ::open(spec.stdout_path.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -84,11 +157,11 @@ std::vector<ProcessOutcome> ProcessPool::run_all(
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < specs.size(); ++i) pending.push_back(i);
   std::unordered_map<pid_t, Running> running;
+  BatchGuard guard(running);
 
   auto notify = [&observer](ProcessEvent::Kind kind, std::size_t index,
-                            std::size_t attempt, double wall_s,
-                            const ProcessOutcome* outcome) {
-    if (observer) observer(ProcessEvent{kind, index, attempt, wall_s, outcome});
+                            std::size_t attempt, const ProcessOutcome* outcome) {
+    if (observer) observer(ProcessEvent{kind, index, attempt, outcome});
   };
 
   // One attempt ended (or could not start): record it, then either requeue
@@ -102,20 +175,31 @@ std::vector<ProcessOutcome> ProcessPool::run_all(
     outcome.attempts = attempt;
     outcome.wall_s = wall_s;
     if (!outcome.ok() && attempt < specs[index].max_attempts) {
-      notify(ProcessEvent::Kind::kRetry, index, attempt, wall_s, &outcome);
+      notify(ProcessEvent::Kind::kRetry, index, attempt, &outcome);
       pending.push_back(index);
     } else {
-      notify(ProcessEvent::Kind::kFinish, index, attempt, wall_s, &outcome);
+      notify(ProcessEvent::Kind::kFinish, index, attempt, &outcome);
     }
   };
 
-  while (!pending.empty() || !running.empty()) {
+  for (;;) {
+    if (const int signo = g_stop_signal; signo != 0) {
+      // Take the workers down with the driver, then let the signal act as
+      // it would have without the pool (by default: end the process).
+      guard.kill_all();
+      guard.restore_signals();
+      ::raise(signo);
+      throw std::runtime_error("util::ProcessPool: batch stopped by signal " +
+                               std::to_string(signo));
+    }
+    if (pending.empty() && running.empty()) break;
+
     // Top up the parallel slots.
     while (!pending.empty() && running.size() < max_parallel_) {
       const std::size_t index = pending.front();
       pending.pop_front();
       const std::size_t attempt = outcomes[index].attempts + 1;
-      notify(ProcessEvent::Kind::kStart, index, attempt, 0.0, nullptr);
+      notify(ProcessEvent::Kind::kStart, index, attempt, nullptr);
       const pid_t pid = spawn(specs[index]);
       if (pid < 0) {
         settle(index, attempt, -1, 0, false, 0.0);
@@ -159,7 +243,7 @@ std::vector<ProcessOutcome> ProcessPool::run_all(
     for (auto& [pid, child] : running) {
       if (!child.killed && now >= child.deadline) {
         child.killed = true;  // reaped (and settled as timed out) above
-        ::kill(pid, SIGKILL);
+        ::killpg(pid, SIGKILL);
       }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -176,61 +260,5 @@ std::vector<ProcessOutcome> ProcessPool::run_all(
 }
 
 #endif
-
-std::vector<WorkerOutcome> ProcessPool::run_jobs(
-    const std::vector<WorkerJob>& jobs, const WorkerPool::Observer& observer) {
-  std::vector<ProcessSpec> specs;
-  specs.reserve(jobs.size());
-  for (const WorkerJob& job : jobs) {
-    ProcessSpec spec;
-    spec.args = job.args;
-    spec.stdout_path = job.log_path;
-    spec.timeout_s = job.timeout_s;
-    spec.max_attempts = job.max_attempts;
-    specs.push_back(std::move(spec));
-  }
-
-  // Translated per-event so ledger updates (shard manifests) stay live; the
-  // WorkerOutcome view is rebuilt from the ProcessOutcome each time because
-  // run_all only hands out pointers into its own outcome array.
-  std::vector<WorkerOutcome> outcomes(jobs.size());
-  auto translate = [&](const ProcessEvent& event) {
-    WorkerPoolEvent out;
-    switch (event.kind) {
-      case ProcessEvent::Kind::kStart:
-        out.kind = WorkerPoolEvent::Kind::kStart;
-        break;
-      case ProcessEvent::Kind::kRetry:
-        out.kind = WorkerPoolEvent::Kind::kRetry;
-        break;
-      case ProcessEvent::Kind::kFinish:
-        out.kind = WorkerPoolEvent::Kind::kFinish;
-        break;
-    }
-    out.index = event.index;
-    out.attempt = event.attempt;
-    out.wall_s = event.wall_s;
-    if (event.outcome != nullptr) {
-      WorkerOutcome& worker = outcomes[event.index];
-      worker.ok = event.outcome->ok();
-      worker.attempts = event.outcome->attempts;
-      worker.wall_s = event.outcome->wall_s;
-      worker.timed_out = event.outcome->timed_out;
-      worker.exit_code = event.outcome->exit_code;
-      out.outcome = &worker;
-    }
-    observer(out);
-  };
-  const std::vector<ProcessOutcome> raw =
-      run_all(specs, observer ? Observer(translate) : Observer{});
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    outcomes[i].ok = raw[i].ok();
-    outcomes[i].attempts = raw[i].attempts;
-    outcomes[i].wall_s = raw[i].wall_s;
-    outcomes[i].timed_out = raw[i].timed_out;
-    outcomes[i].exit_code = raw[i].exit_code;
-  }
-  return outcomes;
-}
 
 }  // namespace minim::util

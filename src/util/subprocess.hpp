@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/worker_pool.hpp"
-
 /// \file subprocess.hpp
 /// \brief Self-spawning worker processes for multi-process scale-out.
 ///
@@ -26,6 +24,13 @@
 /// its attempts.  Failure of one worker never aborts the batch — the caller
 /// decides what a failed outcome means (`sim::Orchestrator` raises after
 /// the retry budget is spent).
+///
+/// Each worker leads its own process group, and every kill targets the
+/// group: a worker past its deadline dies together with anything it forked.
+/// Because the workers are not in the terminal's foreground group, the pool
+/// forwards the stop signals itself: a SIGINT, SIGTERM or SIGHUP that
+/// reaches the driver during `run_all` kills every live worker group, then
+/// acts on the driver as it would have without the pool.
 ///
 /// POSIX only (fork/exec/waitpid); on other platforms `run_all` throws.
 
@@ -68,15 +73,11 @@ struct ProcessEvent {
   Kind kind = Kind::kStart;
   std::size_t index = 0;    ///< spec index in the batch
   std::size_t attempt = 0;  ///< 1-based attempt number
-  /// Per-attempt wall clock (kRetry/kFinish; 0 for kStart) — the signal a
-  /// straggler policy (util::StragglerTracker) consumes, reported here so
-  /// local and remote pools feed the same threshold logic.
-  double wall_s = 0.0;
   /// Set for kFinish/kRetry: the outcome of the attempt that just ended.
   const ProcessOutcome* outcome = nullptr;
 };
 
-class ProcessPool final : public WorkerPool {
+class ProcessPool {
  public:
   using Observer = std::function<void(const ProcessEvent&)>;
 
@@ -85,16 +86,12 @@ class ProcessPool final : public WorkerPool {
 
   /// Runs every spec to completion, retrying failures up to each spec's
   /// `max_attempts`.  Returns outcomes indexed like `specs`.  Never throws
-  /// on worker failure — inspect `ProcessOutcome::ok()`.
+  /// on worker failure — inspect `ProcessOutcome::ok()`.  Stop signals are
+  /// routed to the pool for the duration of the call, so run one batch at a
+  /// time per process; if the process survives a stop signal (its own
+  /// handler returned), the call throws once the workers are dead.
   std::vector<ProcessOutcome> run_all(const std::vector<ProcessSpec>& specs,
                                       const Observer& observer = {});
-
-  /// WorkerPool face of the same machinery: each job's argv runs as a
-  /// local child process (the argv writes `out_path` itself, so an ok
-  /// outcome implies the file exists).
-  std::vector<WorkerOutcome> run_jobs(
-      const std::vector<WorkerJob>& jobs,
-      const WorkerPool::Observer& observer = {}) override;
 
   std::size_t max_parallel() const { return max_parallel_; }
 

@@ -181,60 +181,6 @@ TEST(BenchCheck, ThroughputSkipsHardwareMismatchedBaselines) {
   EXPECT_NE(log.str().find("throughput comparison "), std::string::npos);
 }
 
-TEST(BenchCheck, FleetNamesSkipWhenOnlyOtherAgentCountsExist) {
-  // The trajectory covers the fleet study at 2 agents; checking a 3-agent
-  // run finds no baseline under its own name, but the stem match at @a2
-  // proves the fleet was merely resized — a counted rule-based skip, not a
-  // bare "no baseline".
-  const std::vector<TrajectoryEntry> trajectory{entry_with(
-      "fleet", matched_config(), {rate_of("bench.fleet.grid@a2", 50.0)})};
-  std::ostringstream log;
-  const CheckResult outcome = check_measurements(
-      trajectory, {rate_of("bench.fleet.grid@a3", 1.0)}, 1.5, log);
-  EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 1u);
-  EXPECT_TRUE(outcome.pass());
-  EXPECT_NE(log.str().find("different agent count"), std::string::npos);
-}
-
-TEST(BenchCheck, FleetNamesWithNoFleetHistoryAreAPlainMiss) {
-  // No bench.fleet.* history at any agent count: that is the ordinary
-  // "no baseline" case and must not count as a rule-based skip.
-  const std::vector<TrajectoryEntry> trajectory{
-      entry_with("unrelated", "{}", {wall_of("bench.other", 1.0)})};
-  std::ostringstream log;
-  const CheckResult outcome = check_measurements(
-      trajectory, {rate_of("bench.fleet.grid@a3", 1.0)}, 1.5, log);
-  EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 0u);
-  EXPECT_NE(log.str().find("no baseline (skipped)"), std::string::npos);
-}
-
-TEST(BenchCheck, FleetThroughputSkipsHardwareMismatchedBaselines) {
-  // Same-name fleet baseline recorded on a differently-sized machine:
-  // units/s rides the general throughput hardware rule.
-  const std::vector<TrajectoryEntry> trajectory{entry_with(
-      "fleet", mismatched_config(), {rate_of("bench.fleet.grid@a3", 50.0)})};
-  std::ostringstream log;
-  const CheckResult outcome = check_measurements(
-      trajectory, {rate_of("bench.fleet.grid@a3", 1.0)}, 1.5, log);
-  EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 1u);
-  EXPECT_TRUE(outcome.pass());
-}
-
-TEST(BenchCheck, FleetNamesStillCompareAgainstASameCountBaseline) {
-  // Matching agent count and matching hardware: the gate runs for real and
-  // catches a units/s collapse.
-  const std::vector<TrajectoryEntry> trajectory{entry_with(
-      "fleet", matched_config(), {rate_of("bench.fleet.grid@a3", 100.0)})};
-  std::ostringstream log;
-  const CheckResult outcome = check_measurements(
-      trajectory, {rate_of("bench.fleet.grid@a3", 10.0)}, 2.0, log);
-  EXPECT_EQ(outcome.compared, 1u);
-  EXPECT_FALSE(outcome.ok);
-}
-
 TEST(BenchCheck, AGateThatComparedNothingFails) {
   std::ostringstream log;
   const CheckResult outcome = check_measurements(

@@ -24,6 +24,12 @@ struct SoakParams {
   std::uint64_t seed;
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, string-literal address included, so the name changed per build.
+void PrintTo(const SoakParams& param, std::ostream* os) {
+  *os << param.strategy << "_seed" << param.seed;
+}
+
 class StrategySoakTest : public ::testing::TestWithParam<SoakParams> {};
 
 TEST_P(StrategySoakTest, TwoHundredMixedEventsStayValid) {

@@ -105,6 +105,12 @@ struct ChurnStrategyCase {
   std::uint64_t seed;
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, string-literal address included, so the name changed per build.
+void PrintTo(const ChurnStrategyCase& param, std::ostream* os) {
+  *os << param.name << "_seed" << param.seed;
+}
+
 class ChurnStrategyTest : public ::testing::TestWithParam<ChurnStrategyCase> {};
 
 TEST_P(ChurnStrategyTest, StaysValidThroughout) {

@@ -1,28 +1,25 @@
 // Orchestration determinism: any tiling of the (point x trial) rectangle —
 // trial-split, axis-split, or both — merges bit-identically to the
 // unsharded run, through the CSV persistence round-trip and through the
-// real process-pool driver with an injected worker failure; plus the shard
-// manifest's round-trip and resume semantics.
+// real process-pool driver with an injected worker failure (a crash, or a
+// hang past the deadline); plus the shard manifest's round-trip and resume
+// semantics.
 
 #include "sim/orchestrator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "../helpers/process_probe.hpp"
 #include "sim/experiment.hpp"
 #include "sim/experiment_io.hpp"
 #include "sim/work_plan.hpp"
-#include "util/remote_pool.hpp"
-#include "util/rpc.hpp"
 
 namespace {
 
@@ -105,10 +102,17 @@ TEST(OrchestrationDeterminism, IrregularRectangleTilingsAlsoMerge) {
 
 // ------------------------------------------------------------ process level
 
+/// How a failing unit's first attempt goes wrong.
+enum class Failure {
+  kExit,  ///< exits 1 before producing output
+  kHang,  ///< forks a child, then sleeps until the deadline kills it
+};
+
 /// A worker command that "computes" its unit by copying a pre-staged shard
 /// CSV — the orchestrator cannot tell the difference, and the test stays
-/// independent of any bench binary.  `fail_units` crash on their first
-/// attempt (before producing output), exercising the bounded retry.
+/// independent of any bench binary.  `fail_units` fail their first attempt
+/// (before producing output), exercising the bounded retry.  Every worker
+/// records its pid, and a hanging one its child's too (`pids()`).
 class StagedWorkers {
  public:
   explicit StagedWorkers(const fs::path& dir) : dir_(dir) {
@@ -117,8 +121,9 @@ class StagedWorkers {
 
   sim::Orchestrator::WorkerCommand command(
       const sim::Experiment& experiment, const sim::ExperimentOptions& run,
-      const std::vector<std::size_t>& fail_units = {}) {
-    return [this, &experiment, run, fail_units](
+      const std::vector<std::size_t>& fail_units = {},
+      Failure failure = Failure::kExit) {
+    return [this, &experiment, run, fail_units, failure](
                const sim::WorkUnit& unit, const std::string& out_path) {
       sim::ExperimentOptions slice = run;
       slice.point_begin = unit.point_begin;
@@ -129,21 +134,33 @@ class StagedWorkers {
           dir_ / ("staged_" + std::to_string(unit.id) + ".csv");
       sim::write_experiment_csv_file(experiment.run(slice), staged.string());
 
-      std::string script;
+      const std::string pids = pid_log().string();
+      std::string script = "echo $$ >> " + pids + "; ";
       const bool fails = std::find(fail_units.begin(), fail_units.end(),
                                    unit.id) != fail_units.end();
       if (fails) {
         const fs::path marker =
             dir_ / ("crashed_" + std::to_string(unit.id));
-        script = "if [ ! -e " + marker.string() + " ]; then touch " +
-                 marker.string() + "; exit 1; fi; ";
+        script += "if [ ! -e " + marker.string() + " ]; then touch " +
+                  marker.string() + "; " +
+                  (failure == Failure::kExit
+                       ? "exit 1"
+                       : "sleep 30 & echo $! >> " + pids + "; sleep 30") +
+                  "; fi; ";
       }
       script += "cp " + staged.string() + " " + out_path;
       return std::vector<std::string>{"/bin/sh", "-c", script};
     };
   }
 
+  /// Every pid a worker recorded so far.
+  std::vector<pid_t> pids() const {
+    return test::read_pids(pid_log().string());
+  }
+
  private:
+  fs::path pid_log() const { return dir_ / "pids"; }
+
   fs::path dir_;
 };
 
@@ -152,36 +169,52 @@ fs::path scratch_root() {
 }
 
 TEST(Orchestrator, InjectedWorkerFailureRetriesAndMergesByteIdentical) {
-  const fs::path root = scratch_root() / "retry";
-  fs::remove_all(root);
+  // Unit 0's first attempt fails, once by crashing and once by hanging past
+  // the deadline; either way the retry completes the merge and no worker
+  // process (or anything a worker forked) outlives the run.
   const sim::Experiment experiment(small_grid());
   const sim::ExperimentOptions run = small_run();
   const std::string full = csv_text(experiment.run(run));
 
-  sim::OrchestratorOptions options;
-  options.workers = 2;
-  options.units = 4;
-  options.split = sim::WorkSplit::kAuto;
-  options.max_attempts = 2;
-  options.scratch_dir = (root / "scratch").string();
-  options.keep_scratch = true;
+  for (const Failure failure : {Failure::kExit, Failure::kHang}) {
+    const bool hang = failure == Failure::kHang;
+    SCOPED_TRACE(hang ? "hang past the deadline" : "exit 1");
+    const fs::path root = scratch_root() / (hang ? "retry_hang" : "retry");
+    fs::remove_all(root);
 
-  StagedWorkers workers(root / "staged");
-  sim::Orchestrator orchestrator(experiment.points().size(), run.trials,
-                                 run.seed, options);
-  const sim::ExperimentResult merged =
-      orchestrator.run(workers.command(experiment, run, /*fail_units=*/{0}));
-  EXPECT_EQ(csv_text(merged), full);
+    sim::OrchestratorOptions options;
+    options.workers = 2;
+    options.units = 4;
+    options.split = sim::WorkSplit::kAuto;
+    options.max_attempts = 2;
+    options.worker_timeout_s = hang ? 0.5 : 0.0;
+    options.scratch_dir = (root / "scratch").string();
+    options.keep_scratch = true;
 
-  // The ledger records the unit geometry and the retried unit's attempts.
-  const sim::ShardManifest manifest =
-      sim::read_shard_manifest_file(orchestrator.manifest_path());
-  ASSERT_EQ(manifest.entries.size(), orchestrator.units().size());
-  for (const sim::ShardManifestEntry& entry : manifest.entries)
-    EXPECT_EQ(entry.status, "done");
-  EXPECT_EQ(manifest.entries[0].attempts, 2u);
-  EXPECT_EQ(manifest.entries[1].attempts, 1u);
-  fs::remove_all(root);
+    StagedWorkers workers(root / "staged");
+    sim::Orchestrator orchestrator(experiment.points().size(), run.trials,
+                                   run.seed, options);
+    const sim::ExperimentResult merged = orchestrator.run(
+        workers.command(experiment, run, /*fail_units=*/{0}, failure));
+    EXPECT_EQ(csv_text(merged), full);
+
+    // The ledger records the unit geometry and the retried unit's attempts.
+    const sim::ShardManifest manifest =
+        sim::read_shard_manifest_file(orchestrator.manifest_path());
+    ASSERT_EQ(manifest.entries.size(), orchestrator.units().size());
+    for (const sim::ShardManifestEntry& entry : manifest.entries)
+      EXPECT_EQ(entry.status, "done");
+    EXPECT_EQ(manifest.entries[0].attempts, 2u);
+    EXPECT_EQ(manifest.entries[1].attempts, 1u);
+
+    // One pid per attempt (5), plus the hanging attempt's child.
+    const std::vector<pid_t> pids = workers.pids();
+    EXPECT_EQ(pids.size(), hang ? 6u : 5u);
+    for (const pid_t pid : pids)
+      EXPECT_TRUE(test::wait_until_gone(pid))
+          << "worker process " << pid << " outlived the run";
+    fs::remove_all(root);
+  }
 }
 
 TEST(Orchestrator, ExhaustedRetriesThrowAndLeaveAFailedManifest) {
@@ -270,121 +303,6 @@ TEST(Orchestrator, ResumeRefusesAnotherExperimentsManifest) {
                            options);
   EXPECT_THROW(second.run(workers.command(experiment, run)),
                std::runtime_error);
-  fs::remove_all(root);
-}
-
-TEST(Orchestrator, ResumeMixesLocalShardsWithAFleetAndSurvivesAgentLoss) {
-  // Mixed provenance: pass 1 computes some units with local worker
-  // processes and dies; pass 2 resumes the same manifest over a TCP fleet,
-  // loses an agent mid-run (its unit is requeued onto the survivor), and
-  // the merged CSV must still be byte-identical to the unsharded run.
-  const fs::path root = scratch_root() / "mixed";
-  fs::remove_all(root);
-  const sim::Experiment experiment(small_grid());
-  const sim::ExperimentOptions run = small_run();
-  const std::string full = csv_text(experiment.run(run));
-
-  sim::OrchestratorOptions options;
-  options.experiment = "mixed-study#1234";
-  options.workers = 2;
-  options.units = 4;
-  options.split = sim::WorkSplit::kAuto;
-  options.max_attempts = 1;
-  options.scratch_dir = (root / "scratch").string();
-  options.keep_scratch = true;
-
-  // Pass 1, local processes: units 2 and 3 fail permanently (one attempt),
-  // so the run throws with units 0 and 1 done on disk.
-  StagedWorkers workers(root / "staged");
-  sim::Orchestrator first(experiment.points().size(), run.trials, run.seed,
-                          options);
-  EXPECT_THROW(
-      first.run(workers.command(experiment, run, /*fail_units=*/{2, 3})),
-      std::runtime_error);
-  {
-    const sim::ShardManifest manifest =
-        sim::read_shard_manifest_file(first.manifest_path());
-    EXPECT_EQ(manifest.entries[0].status, "done");
-    EXPECT_EQ(manifest.entries[1].status, "done");
-  }
-
-  // Pass 2, remote fleet: a synthetic agent-side runner computes the
-  // unit's rectangle from the argv the driver would hand a real worker.
-  std::atomic<std::size_t> fleet_units{0};
-  const util::JobRunner runner = [&](const util::JobRequest& request) {
-    util::JobResult result;
-    result.job = request.job;
-    for (const std::string& arg : request.args) {
-      if (arg.rfind("--run-unit=", 0) != 0) continue;
-      std::string rect = arg.substr(std::string("--run-unit=").size());
-      std::replace(rect.begin(), rect.end(), '/', ' ');
-      std::istringstream fields(rect);
-      sim::ExperimentOptions slice = run;
-      fields >> slice.point_begin >> slice.point_count >> slice.trial_begin >>
-          slice.trial_count;
-      result.bytes = csv_text(experiment.run(slice));
-      result.ok = true;
-      result.exit_code = 0;
-      ++fleet_units;
-    }
-    return result;
-  };
-
-  util::RemotePoolOptions pool_options;
-  pool_options.scratch_dir = (root / "fleet").string();
-  util::RemotePool pool(pool_options);
-  options.resume = true;
-  options.max_attempts = 3;  // the agent-loss requeue needs attempt budget
-  options.pool = &pool;
-
-  // "mayfly" joins first (capacity 2 takes both remaining units) and drops
-  // its connection after one result; "steady" joins late and picks up the
-  // requeued unit.
-  std::thread mayfly([&pool, &runner] {
-    util::AgentOptions agent;
-    agent.port = pool.port();
-    agent.name = "mayfly";
-    agent.capacity = 2;
-    agent.die_after = 1;
-    util::run_worker_agent(agent, runner);
-  });
-  std::thread steady([&pool, &runner] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    util::AgentOptions agent;
-    agent.port = pool.port();
-    agent.name = "steady";
-    agent.capacity = 1;
-    util::run_worker_agent(agent, runner);
-  });
-
-  // The driver-format argv a real fleet worker would receive (the pool
-  // strips the program name before shipping the tail to the agent).
-  const auto fleet_command = [](const sim::WorkUnit& unit,
-                                const std::string& out_path) {
-    return std::vector<std::string>{
-        "driver-binary",
-        "--run-unit=" + std::to_string(unit.point_begin) + "/" +
-            std::to_string(unit.point_count) + "/" +
-            std::to_string(unit.trial_begin) + "/" +
-            std::to_string(unit.trial_count),
-        "--unit-out=" + out_path};
-  };
-  sim::Orchestrator second(experiment.points().size(), run.trials, run.seed,
-                           options);
-  const sim::ExperimentResult merged = second.run(fleet_command);
-  mayfly.join();
-  steady.join();
-
-  EXPECT_EQ(csv_text(merged), full);
-  EXPECT_EQ(pool.stats().agents_seen, 2u);
-  EXPECT_EQ(pool.stats().agents_lost, 1u);
-  // The two locally-computed units were resumed, never re-run remotely.
-  EXPECT_GE(fleet_units.load(), 2u);
-  EXPECT_LE(fleet_units.load(), 3u);  // at most the lost unit ran twice
-  const sim::ShardManifest manifest =
-      sim::read_shard_manifest_file(second.manifest_path());
-  for (const sim::ShardManifestEntry& entry : manifest.entries)
-    EXPECT_EQ(entry.status, "done");
   fs::remove_all(root);
 }
 

@@ -1,18 +1,27 @@
 // util::ProcessPool: spawn/collect/exit-code/timeout/retry semantics, driven
 // with /bin/sh workers so the tests need no fixture binary.  The pool is the
 // process-level substrate of the experiment orchestrator; its contracts
-// (outcomes indexed like specs, bounded retry, deadline kill, stdout
-// capture) are what sim::Orchestrator builds on.
+// (outcomes indexed like specs, bounded retry, deadline kill of the whole
+// worker process group, stop-signal forwarding, stdout capture) are what
+// sim::Orchestrator builds on.
 
 #include "util/subprocess.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "../helpers/process_probe.hpp"
 
 namespace {
 
@@ -69,13 +78,93 @@ TEST(ProcessPool, CapturesStdoutAndStderrToTheCollectionFile) {
 }
 
 TEST(ProcessPool, KillsWorkersPastTheDeadline) {
-  ProcessSpec slow = shell("sleep 30");
+  // The worker forks a grandchild before hanging.  The deadline kill must
+  // take the grandchild too: an orphan would keep running and hold this
+  // test's output pipe open until it finished.
+  const fs::path pids = temp_dir() / "deadline.pids";
+  fs::remove(pids);
+  ProcessSpec slow =
+      shell("sleep 30 & echo $! > " + pids.string() + "; sleep 30");
   slow.timeout_s = 0.2;
   ProcessPool pool(1);
   const ProcessOutcome outcome = pool.run_all({slow})[0];
   EXPECT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.timed_out);
   EXPECT_LT(outcome.wall_s, 10.0);  // killed, not waited out
+
+  const std::vector<pid_t> grandchild = minim::test::read_pids(pids.string());
+  ASSERT_EQ(grandchild.size(), 1u) << "the worker never recorded its child";
+  EXPECT_TRUE(minim::test::wait_until_gone(grandchild[0]))
+      << "grandchild " << grandchild[0] << " outlived the deadline kill";
+  fs::remove(pids);
+}
+
+TEST(ProcessPool, StopSignalTakesEveryWorkerGroupDown) {
+  // Workers lead their own process groups, so a terminal's Ctrl-C reaches
+  // only the driver.  A driver interrupted mid-batch must kill every worker
+  // group (grandchildren included) and still die of the signal itself.
+  // Each worker records "<its pid> <its child's pid>" once it is running.
+  const std::vector<fs::path> pids{temp_dir() / "interrupt_0.pids",
+                                   temp_dir() / "interrupt_1.pids"};
+  std::vector<ProcessSpec> hangs;
+  for (const fs::path& path : pids) {
+    fs::remove(path);
+    hangs.push_back(shell("sleep 30 & echo $$ $! > " + path.string() +
+                          ".tmp && mv " + path.string() + ".tmp " +
+                          path.string() + "; sleep 30"));
+  }
+  const pid_t driver = ::fork();
+  ASSERT_GE(driver, 0);
+  if (driver == 0) {
+    ProcessPool(2).run_all(hangs);
+    ::_exit(3);  // not reached: the signal ends the driver
+  }
+
+  const auto started = [&pids] {
+    return fs::exists(pids[0]) && fs::exists(pids[1]);
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!started() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(started()) << "the workers never started";
+  ::kill(driver, SIGINT);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(driver, &status, 0), driver);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGINT)
+      << "driver status " << status;
+  for (const fs::path& path : pids) {
+    const std::vector<pid_t> worker = minim::test::read_pids(path.string());
+    EXPECT_EQ(worker.size(), 2u) << path;
+    for (const pid_t pid : worker)
+      EXPECT_TRUE(minim::test::wait_until_gone(pid))
+          << "process " << pid << " outlived the interrupted driver";
+    fs::remove(path);
+  }
+}
+
+TEST(ProcessPool, ThrowingObserverTakesEveryWorkerGroupDown) {
+  // The observer throws when the quick worker finishes, while the other
+  // worker (and the child it forked) still runs.  The exception must not
+  // leave either behind.
+  const fs::path pids = temp_dir() / "throwing_observer.pids";
+  fs::remove(pids);
+  const ProcessSpec hang = shell("sleep 30 & echo $$ $! > " + pids.string() +
+                                 "; sleep 30");
+  ProcessPool pool(2);
+  EXPECT_THROW(pool.run_all({hang, shell("sleep 0.5")},
+                            [](const ProcessEvent& event) {
+                              if (event.kind == ProcessEvent::Kind::kFinish)
+                                throw std::runtime_error("observer failed");
+                            }),
+               std::runtime_error);
+  const std::vector<pid_t> worker = minim::test::read_pids(pids.string());
+  ASSERT_EQ(worker.size(), 2u) << "the worker never recorded its pids";
+  for (const pid_t pid : worker)
+    EXPECT_TRUE(minim::test::wait_until_gone(pid))
+        << "process " << pid << " outlived the failed batch";
+  fs::remove(pids);
 }
 
 TEST(ProcessPool, RetriesUpToTheAttemptBudget) {
@@ -131,90 +220,6 @@ TEST(ProcessPool, MissingExecutableIsAFailureNotACrash) {
   const ProcessOutcome outcome = pool.run_all({ghost})[0];
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.exit_code, 127);  // exec failed
-}
-
-TEST(ProcessPool, EventsCarryPerAttemptWallClock) {
-  // A deliberately slow worker: the kFinish event's wall_s must reflect the
-  // real attempt duration, because that duration is what feeds the shared
-  // straggler-threshold logic (StragglerTracker) for local and remote
-  // pools alike.
-  ProcessSpec slow = shell("sleep 0.3");
-  double finish_wall_s = -1.0;
-  double start_wall_s = -1.0;
-  ProcessPool pool(1);
-  pool.run_all({slow}, [&](const ProcessEvent& event) {
-    if (event.kind == ProcessEvent::Kind::kStart) start_wall_s = event.wall_s;
-    if (event.kind == ProcessEvent::Kind::kFinish) finish_wall_s = event.wall_s;
-  });
-  EXPECT_EQ(start_wall_s, 0.0);  // nothing has run at start time
-  EXPECT_GE(finish_wall_s, 0.25);
-  EXPECT_LT(finish_wall_s, 30.0);
-}
-
-TEST(ProcessPool, RunJobsAdaptsTheWorkerPoolInterface) {
-  // The WorkerPool face: same machinery, WorkerJob/WorkerOutcome types, so
-  // sim::Orchestrator can swap in a RemotePool without caring which.
-  const fs::path out = temp_dir() / "adapter.txt";
-  fs::remove(out);
-  minim::util::WorkerJob good;
-  good.args = {"/bin/sh", "-c", "echo shard > " + out.string()};
-  good.out_path = out.string();
-  minim::util::WorkerJob bad;
-  bad.args = {"/bin/sh", "-c", "exit 5"};
-  bad.max_attempts = 2;
-
-  std::vector<minim::util::WorkerPoolEvent::Kind> kinds;
-  ProcessPool pool(1);
-  minim::util::WorkerPool& face = pool;
-  const std::vector<minim::util::WorkerOutcome> outcomes = face.run_jobs(
-      {good, bad}, [&kinds](const minim::util::WorkerPoolEvent& event) {
-        kinds.push_back(event.kind);
-      });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_TRUE(fs::exists(out));
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_EQ(outcomes[1].exit_code, 5);
-  EXPECT_EQ(outcomes[1].attempts, 2u);
-  EXPECT_TRUE(outcomes[1].executor.empty());  // local process, no agent name
-  using Kind = minim::util::WorkerPoolEvent::Kind;
-  EXPECT_EQ(std::count(kinds.begin(), kinds.end(), Kind::kRetry), 1);
-  EXPECT_EQ(std::count(kinds.begin(), kinds.end(), Kind::kFinish), 2);
-  fs::remove(out);
-}
-
-TEST(StragglerTracker, NoThresholdBelowMinSamples) {
-  minim::util::StragglerTracker tracker(3.0, 0.5, 3);
-  tracker.record(1.0);
-  tracker.record(1.0);
-  EXPECT_EQ(tracker.threshold(), 0.0);
-  EXPECT_FALSE(tracker.is_straggler(1000.0));  // too little evidence yet
-  tracker.record(1.0);
-  EXPECT_GT(tracker.threshold(), 0.0);
-}
-
-TEST(StragglerTracker, ThresholdIsFactorTimesRunningMedian) {
-  minim::util::StragglerTracker tracker(3.0, 0.1, 3);
-  tracker.record(2.0);
-  tracker.record(4.0);
-  tracker.record(100.0);  // one outlier must not drag the threshold up
-  EXPECT_DOUBLE_EQ(tracker.median(), 4.0);
-  EXPECT_DOUBLE_EQ(tracker.threshold(), 12.0);
-  EXPECT_FALSE(tracker.is_straggler(11.9));
-  EXPECT_TRUE(tracker.is_straggler(12.1));
-  // Even-count median averages the middle pair, out-of-order inserts fine.
-  tracker.record(1.0);
-  EXPECT_DOUBLE_EQ(tracker.median(), 3.0);
-}
-
-TEST(StragglerTracker, MinSecondsFloorsTheThreshold) {
-  // Sub-millisecond medians (tiny smoke units) must not cause re-dispatch
-  // storms: the floor wins when factor x median is small.
-  minim::util::StragglerTracker tracker(3.0, 0.5, 1);
-  tracker.record(0.001);
-  EXPECT_DOUBLE_EQ(tracker.threshold(), 0.5);
-  EXPECT_FALSE(tracker.is_straggler(0.4));
-  EXPECT_TRUE(tracker.is_straggler(0.6));
 }
 
 }  // namespace
