@@ -1,9 +1,9 @@
 #include "strategies/bbb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <thread>
-#include <utility>
 
 #include "net/conflict_graph.hpp"
 #include "util/require.hpp"
@@ -164,19 +164,18 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
   // rebuild_ranks.
   if (!orderer_.try_maintain_ranks(net, dirty_, joiners, reborn)) return false;
 
-  // Heap propagation (see propagate()).  Seeds are the live dirty nodes;
-  // with recolor_threads > 1 the seeds are first decomposed into independent
-  // closure components and propagated concurrently (parallel_propagate()),
-  // demoting to the single serial frontier when the closure is one region
-  // or outgrows the budget.  Either way the result is the same.
+  // Rank-ordered propagation (see propagate()).  Seeds are the live dirty
+  // nodes; with recolor_threads > 1 the seeds are first decomposed into
+  // independent closure components and propagated concurrently
+  // (parallel_propagate()), demoting to the single serial frontier when the
+  // closure is one region or outgrows the budget.  Either way the result is
+  // the same.
   if (++epoch_ == 0) {
     // Stamp wraparound: invalidate every slot once per 2^32 events.
-    std::fill(seen_epoch_.begin(), seen_epoch_.end(), 0);
     std::fill(event_color_epoch_.begin(), event_color_epoch_.end(), 0);
     epoch_ = 1;
   }
   const std::size_t bound = net.id_bound();
-  if (seen_epoch_.size() < bound) seen_epoch_.resize(bound, 0);
   if (event_color_epoch_.size() < bound) {
     event_color_epoch_.resize(bound, 0);
     event_colors_.resize(bound, net::kNoColor);
@@ -205,10 +204,9 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
   if (resolved_recolor_threads() > 1 && live_dirty_.size() > 1)
     absorbed = parallel_propagate(cg, budget, processed);
   if (!absorbed) {
-    frontier_.heap.clear();
-    frontier_.changed.clear();
-    frontier_.processed = 0;
-    if (!propagate(cg, live_dirty_, budget, frontier_)) {
+    const auto rank_count =
+        static_cast<std::uint32_t>(orderer_.ranked_sequence().size());
+    if (!propagate(cg, live_dirty_, rank_count - 1, budget, frontier_)) {
       // Clean bailout: nothing below mutated the assignment or snapshot.
       ++counters_.slack_bailouts;
       counters_.processed_ranks += frontier_.processed;
@@ -237,29 +235,81 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
   return true;
 }
 
+void BbbStrategy::Frontier::reset(std::uint32_t first, std::uint32_t last) {
+  base = first;
+  cursor = 0;
+  const std::size_t span_words = ((last - first) >> 6) + 1;
+  if (words.size() < span_words) {
+    words.resize(span_words, 0);
+    summary.resize((span_words + 63) >> 6, 0);
+  }
+  changed.clear();
+  processed = 0;
+}
+
+void BbbStrategy::Frontier::push(std::uint32_t rank) {
+  const std::size_t bit = rank - base;
+  const std::size_t w = bit >> 6;
+  const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+  if (words[w] & mask) return;
+  words[w] |= mask;
+  summary[w >> 6] |= std::uint64_t{1} << (w & 63);
+  ++pending;
+}
+
+bool BbbStrategy::Frontier::pop(std::uint32_t& rank) {
+  if (pending == 0) return false;
+  if (words[cursor] == 0) {
+    // The next summary bit at or past the cursor names the next pending
+    // word; one exists, since a rank is pending and none lies below.
+    std::size_t s = cursor >> 6;
+    std::uint64_t bits = summary[s] & (~std::uint64_t{0} << (cursor & 63));
+    while (bits == 0) bits = summary[++s];
+    cursor = (s << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  std::uint64_t& word = words[cursor];
+  const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+  word &= word - 1;
+  if (word == 0) summary[cursor >> 6] &= ~(std::uint64_t{1} << (cursor & 63));
+  --pending;
+  rank = base + static_cast<std::uint32_t>(cursor << 6) + bit;
+  return true;
+}
+
+void BbbStrategy::Frontier::clear() {
+  for (std::size_t s = cursor >> 6; pending != 0; ++s) {
+    for (std::uint64_t bits = summary[s]; bits != 0; bits &= bits - 1) {
+      std::uint64_t& word = words[(s << 6) + static_cast<std::size_t>(
+                                                  std::countr_zero(bits))];
+      pending -= static_cast<std::size_t>(std::popcount(word));
+      word = 0;
+    }
+    summary[s] = 0;
+  }
+}
+
 bool BbbStrategy::propagate(const net::ConflictGraph& cg,
                             std::span<const net::NodeId> seeds,
-                            std::size_t budget, Frontier& frontier) {
-  const auto heap_greater = [](const std::pair<std::uint32_t, net::NodeId>& a,
-                               const std::pair<std::uint32_t, net::NodeId>& b) {
-    return a > b;
-  };
-  auto& heap = frontier.heap;
-  heap.clear();
-  for (net::NodeId v : seeds) heap.emplace_back(orderer_.rank(v), v);
-  std::make_heap(heap.begin(), heap.end(), heap_greater);
+                            std::uint32_t last_rank, std::size_t budget,
+                            Frontier& frontier) {
+  std::uint32_t first_rank = last_rank;
+  for (net::NodeId v : seeds) first_rank = std::min(first_rank, orderer_.rank(v));
+  frontier.reset(first_rank, last_rank);
+  for (net::NodeId v : seeds) frontier.push(orderer_.rank(v));
 
-  // Pops come out in non-decreasing rank (pushes only ever target ranks past
-  // the node being processed), so when a node recomputes its lowest-free
-  // color every earlier-ranked neighbor's color is already final.
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_greater);
-    const auto [ru, u] = heap.back();
-    heap.pop_back();
-    if (seen_epoch_[u] == epoch_) continue;
-    if (frontier.processed == budget) return false;
+  // Pops come out in ascending rank, and pushes only ever target ranks past
+  // the node being processed, so when a node recomputes its lowest-free
+  // color every earlier-ranked neighbor's color is already final — and no
+  // popped rank is ever pushed again.
+  const std::vector<net::NodeId>& by_rank = orderer_.ranked_sequence();
+  std::uint32_t ru = 0;
+  while (frontier.pop(ru)) {
+    if (frontier.processed == budget) {
+      frontier.clear();
+      return false;
+    }
     ++frontier.processed;
-    seen_epoch_[u] = epoch_;
+    const net::NodeId u = by_rank[ru];
 
     const auto neighbors = cg.neighbors(u);
     frontier.scratch.reset();
@@ -276,11 +326,7 @@ bool BbbStrategy::propagate(const net::ConflictGraph& cg,
     frontier.changed.push_back(u);
     for (net::NodeId w : neighbors) {
       const std::uint32_t rw = orderer_.rank(w);
-      if (rw != DegeneracyOrderer::kNoRank && rw > ru &&
-          seen_epoch_[w] != epoch_) {
-        heap.emplace_back(rw, w);
-        std::push_heap(heap.begin(), heap.end(), heap_greater);
-      }
+      if (rw != DegeneracyOrderer::kNoRank && rw > ru) frontier.push(rw);
     }
   }
   return true;
@@ -305,11 +351,14 @@ bool BbbStrategy::parallel_propagate(const net::ConflictGraph& cg,
   // slots; ranks, conflict rows, and the snapshot are read-only.  The
   // parallel_for join publishes every write before the merge below.
   pool_->parallel_for(count, [&](std::size_t c) {
+    // The component's bitmap spans its lowest seed rank to its highest
+    // member rank: every rank its propagation can reach.
+    std::uint32_t last_rank = 0;
+    for (net::NodeId v : components_.members(c))
+      last_rank = std::max(last_rank, orderer_.rank(v));
     Frontier& frontier = comp_frontiers_[c];
-    frontier.heap.clear();
-    frontier.changed.clear();
-    frontier.processed = 0;
-    const bool within = propagate(cg, components_.seeds(c), budget, frontier);
+    const bool within =
+        propagate(cg, components_.seeds(c), last_rank, budget, frontier);
     MINIM_REQUIRE(within, "parallel recolor: component exceeded the batch budget");
   });
   processed = 0;

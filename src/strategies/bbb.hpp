@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -45,8 +44,9 @@
 /// find the nodes worth recomputing — the last per-event O(n) term.  With
 /// `Params::bounded_propagation` the walk disappears: the orderer maintains
 /// a persistent rank index (see ordering.hpp), the event's journal-dirty
-/// nodes seed a min-heap keyed by rank, and propagation pops ranks in
-/// non-decreasing order, recomputing a node's lowest-free color from its
+/// nodes seed a frontier of pending ranks — a two-level bitmap, one bit per
+/// rank plus one summary bit per 64-rank word — and propagation pops ranks
+/// in ascending order, recomputing a node's lowest-free color from its
 /// earlier-ranked neighbors and pushing only the later-ranked neighbors of
 /// nodes whose color actually changed.  The pop order guarantees every
 /// earlier-ranked color read is final, so the result is bit-identical to a
@@ -68,15 +68,17 @@
 /// (strategies/components.hpp) and recolors each component on its own
 /// thread.  Components share no conflict edge inside the closure and edges
 /// leaving the closure reach only *earlier-ranked* colors — final for this
-/// event, read-only everywhere — so per-component heap propagation writes
+/// event, read-only everywhere — so per-component propagation writes
 /// disjoint id slots of the shared epoch arrays, and the merged, id-sorted
 /// change list is bit-identical to the serial pass regardless of thread
 /// schedule.  The closure walk is capped at the propagation budget: a
 /// closure within the budget proves the serial pass could not have hit its
 /// slack bailout either, so threads=N and threads=1 take the *same*
-/// absorb/fallback decisions on every event.  Demotion ladder: closure cap
-/// exceeded or a single component → the serial heap (this event stays
-/// bounded); serial budget/drift/journal refusals → the from-scratch path,
+/// absorb/fallback decisions on every event.  Each component frontier's
+/// bitmap spans only its own ranks, from its lowest seed to its highest
+/// member.  Demotion ladder: closure cap exceeded or a single component →
+/// the serial frontier (this event stays bounded); serial
+/// budget/drift/journal refusals → the from-scratch path,
 /// exactly as before.  The fuzz harness in
 /// tests/strategies/bbb_parallel_fuzz_test.cpp holds parallel ≡ serial to
 /// bit-identical colors *and* maintained ranks across batched streams.
@@ -103,9 +105,9 @@ class BbbStrategy final : public core::RecodingStrategy {
     /// (`DegeneracyOrderer::Params::rebuild_fraction`).
     double order_rebuild_fraction = 0.25;
     /// Rank-bounded propagation: replace the per-event full-order walk with
-    /// a heap over maintained ranks (smallest-last only; see the file
-    /// comment).  Bit-identical to a from-scratch greedy over the
-    /// maintained sequence; order *quality* may drift between rebuilds.
+    /// a rank-bitmap frontier over maintained ranks (smallest-last only;
+    /// see the file comment).  Bit-identical to a from-scratch greedy over
+    /// the maintained sequence; order *quality* may drift between rebuilds.
     bool bounded_propagation = false;
     /// Per-event propagation budget as a fraction of the live node count
     /// (floor 32 processed ranks).  Exceeding it abandons the event to the
@@ -126,13 +128,13 @@ class BbbStrategy final : public core::RecodingStrategy {
     std::uint64_t events = 0;          ///< recolor events served (any mode)
     std::uint64_t bounded_events = 0;  ///< absorbed by rank-bounded propagation
     std::uint64_t full_events = 0;     ///< fell back to the from-scratch path
-    std::uint64_t processed_ranks = 0; ///< heap pops across bounded events
+    std::uint64_t processed_ranks = 0; ///< frontier pops across bounded events
     std::uint64_t full_ranks = 0;      ///< live nodes walked by full events
     std::uint64_t slack_bailouts = 0;  ///< budget exceeded mid-propagation
     // Component-parallel mode (zero unless `recolor_threads` resolves > 1).
     std::uint64_t parallel_events = 0;      ///< repairs absorbed component-parallel
     std::uint64_t parallel_components = 0;  ///< components recolored across them
-    std::uint64_t parallel_demotions = 0;   ///< attempts demoted to the serial heap
+    std::uint64_t parallel_demotions = 0;   ///< attempts demoted to the serial frontier
   };
 
   explicit BbbStrategy(ColoringOrder order = ColoringOrder::kSmallestLast)
@@ -213,31 +215,54 @@ class BbbStrategy final : public core::RecodingStrategy {
                            const std::vector<net::NodeId>& nodes,
                            core::RecodeReport& report);
 
-  /// One propagation frontier's working state: the min-rank heap, the nodes
+  /// One propagation frontier's working state: the pending ranks, the nodes
   /// whose color changed, the free-color scratch, and the pop count.  The
   /// serial path owns one (`frontier_`); the parallel path one per
-  /// component (`comp_frontiers_`) so threads never share heap state.
+  /// component (`comp_frontiers_`) so threads never share frontier state.
+  ///
+  /// Pending ranks live in a two-level bitmap over the ranks from `base` on:
+  /// one bit per rank in `words`, and one bit per word in `summary`, set
+  /// exactly while that word holds a pending rank.  Pops walk the set bits
+  /// upward, so ranks come out ascending, and a repeated push merges into
+  /// its bit.  The summary lets a pop skip 4,096 empty ranks per word read,
+  /// so seeds spread across a large rank space cost no flat scan.  Every
+  /// bit is clear between propagations.
   struct Frontier {
-    std::vector<std::pair<std::uint32_t, net::NodeId>> heap;  ///< (rank, id)
+    std::uint32_t base = 0;   ///< rank of bit 0
+    std::size_t cursor = 0;   ///< word index; no pending rank lies below it
+    std::size_t pending = 0;  ///< set bits
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint64_t> summary;
     std::vector<net::NodeId> changed;
     ColorScratch scratch;
     std::size_t processed = 0;
+
+    /// Empties the change list and pop count and indexes the (clear)
+    /// bitmap over ranks [first, last].
+    void reset(std::uint32_t first, std::uint32_t last);
+    void push(std::uint32_t rank);
+    /// The lowest pending rank, removed; false when none is pending.
+    bool pop(std::uint32_t& rank);
+    /// Drops every pending rank (a bailout's leftovers).
+    void clear();
   };
 
-  /// Heap propagation from `seeds` over the maintained ranks, writing event
-  /// colors into the shared epoch-stamped overlays.  Returns false when the
-  /// pop count would exceed `budget` (frontier state then reflects exactly
-  /// `budget` completed pops; the overlays carry partial writes the caller
-  /// must treat as abandoned).  Thread-safe across *disjoint components*:
-  /// all shared writes land at the frontier's own member ids.
+  /// Propagation from `seeds` over the maintained ranks, writing event
+  /// colors into the shared epoch-stamped overlays.  `last_rank` bounds
+  /// every rank the propagation can reach.  Returns false when the pop
+  /// count would exceed `budget` (frontier state then reflects exactly
+  /// `budget` completed pops and no pending rank; the overlays carry
+  /// partial writes the caller must treat as abandoned).  Thread-safe
+  /// across *disjoint components*: all shared writes land at the frontier's
+  /// own member ids.
   bool propagate(const net::ConflictGraph& cg, std::span<const net::NodeId> seeds,
-                 std::size_t budget, Frontier& frontier);
+                 std::uint32_t last_rank, std::size_t budget, Frontier& frontier);
 
   /// The component-parallel bounded pass: decompose `live_dirty_`'s forward
   /// closure (cap = `budget`), recolor each component on the pool, merge
   /// change lists into `changed_list_` and pop counts into `processed`.
-  /// Returns false — demoting to the serial heap — when the closure exceeds
-  /// the budget or yields fewer than two components.
+  /// Returns false — demoting to the serial frontier — when the closure
+  /// exceeds the budget or yields fewer than two components.
   bool parallel_propagate(const net::ConflictGraph& cg, std::size_t budget,
                           std::size_t& processed);
 
@@ -309,7 +334,6 @@ class BbbStrategy final : public core::RecodingStrategy {
   // threads, but each thread writes only its own component's id slots (the
   // vectors are pre-sized before the fan-out, so no reallocation races).
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> seen_epoch_;         ///< node processed this event
   std::vector<std::uint32_t> event_color_epoch_;  ///< event_colors_[v] valid
   std::vector<net::Color> event_colors_;
   std::vector<net::NodeId> live_dirty_;   ///< this event's live, ranked seeds

@@ -67,8 +67,9 @@ class DirtyComponents {
             member_offsets_[c + 1] - member_offsets_[c]};
   }
 
-  /// The seeds that fell into component `c`, preserving the caller's seed
-  /// order — the order the bounded path heapifies them in.
+  /// The seeds that fell into component `c`, in the caller's seed order.
+  /// The order does not matter to the bounded path: its frontier pops by
+  /// rank whatever order the seeds arrive in.
   std::span<const net::NodeId> seeds(std::size_t c) const {
     return {seeds_flat_.data() + seed_offsets_[c],
             seed_offsets_[c + 1] - seed_offsets_[c]};

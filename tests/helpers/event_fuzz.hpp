@@ -4,7 +4,7 @@
 /// \brief Differential event-sequence fuzzing for incremental recoloring.
 ///
 /// Three pieces, shared by the bounded-BBB fuzz soak (and reusable by any
-/// strategy-equivalence test):
+/// strategy-equivalence test), plus `to_trace` for the batched-engine soaks:
 ///
 ///   * `generate_events` — a seeded random event-sequence generator
 ///     (join/leave/move/power) over uniform, clustered, or Poisson-disk
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace minim::test {
@@ -238,6 +239,49 @@ std::size_t replay_events(const FuzzConfig& cfg,
     if (!on_event(net, applied, i)) return i;
   }
   return kFuzzPassed;
+}
+
+/// Converts fuzz events to join-order-named trace events for the batched
+/// engine, with the exact live-list semantics of `replay_events`: victims
+/// resolve as `live[pick % live.size()]`, leaves erase, joins append the
+/// next index.  Subsequences stay replayable, which is what lets the
+/// shrinker drop arbitrary chunks.
+inline sim::Trace to_trace(std::span<const FuzzEvent> events) {
+  sim::Trace trace;
+  trace.reserve(events.size());
+  std::vector<std::size_t> live;  // join indices of live nodes
+  std::size_t joined = 0;
+  for (const FuzzEvent& e : events) {
+    sim::TraceEvent t;
+    if (e.kind == FuzzKind::kJoin) {
+      t.kind = sim::TraceEvent::Kind::kJoin;
+      t.position = {e.x, e.y};
+      t.range = e.range;
+      live.push_back(joined++);
+    } else {
+      if (live.empty()) continue;
+      const std::size_t index = static_cast<std::size_t>(e.pick % live.size());
+      t.node = live[index];
+      switch (e.kind) {
+        case FuzzKind::kLeave:
+          t.kind = sim::TraceEvent::Kind::kLeave;
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+          break;
+        case FuzzKind::kMove:
+          t.kind = sim::TraceEvent::Kind::kMove;
+          t.position = {e.x, e.y};
+          break;
+        case FuzzKind::kPower:
+          t.kind = sim::TraceEvent::Kind::kPower;
+          t.range = e.range;
+          break;
+        case FuzzKind::kJoin:
+          break;  // unreachable
+      }
+    }
+    trace.push_back(t);
+  }
+  return trace;
 }
 
 struct ShrinkResult {

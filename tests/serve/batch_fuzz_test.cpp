@@ -44,50 +44,8 @@ namespace {
 
 using minim::test::FuzzConfig;
 using minim::test::FuzzEvent;
-using minim::test::FuzzKind;
 using minim::test::FuzzPlacement;
-
-/// Converts fuzz events to join-order-named trace events with the exact
-/// live-list semantics of `replay_events`: victims resolve as
-/// `live[pick % live.size()]`, leaves erase, joins append the next index.
-sim::Trace to_trace(std::span<const FuzzEvent> events) {
-  sim::Trace trace;
-  trace.reserve(events.size());
-  std::vector<std::size_t> live;  // join indices of live nodes
-  std::size_t joined = 0;
-  for (const FuzzEvent& e : events) {
-    sim::TraceEvent t;
-    if (e.kind == FuzzKind::kJoin) {
-      t.kind = sim::TraceEvent::Kind::kJoin;
-      t.position = {e.x, e.y};
-      t.range = e.range;
-      live.push_back(joined++);
-    } else {
-      if (live.empty()) continue;
-      const std::size_t index =
-          static_cast<std::size_t>(e.pick % live.size());
-      t.node = live[index];
-      switch (e.kind) {
-        case FuzzKind::kLeave:
-          t.kind = sim::TraceEvent::Kind::kLeave;
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
-          break;
-        case FuzzKind::kMove:
-          t.kind = sim::TraceEvent::Kind::kMove;
-          t.position = {e.x, e.y};
-          break;
-        case FuzzKind::kPower:
-          t.kind = sim::TraceEvent::Kind::kPower;
-          t.range = e.range;
-          break;
-        case FuzzKind::kJoin:
-          break;  // unreachable
-      }
-    }
-    trace.push_back(t);
-  }
-  return trace;
-}
+using minim::test::to_trace;
 
 enum class Equivalence {
   kBitIdentical,  ///< colors (and ranks, when available) must match exactly

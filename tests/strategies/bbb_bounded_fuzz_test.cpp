@@ -4,14 +4,16 @@
 //
 //   1. Oracle bit-identity: bounded BBB's assignment equals a from-scratch
 //      greedy over the orderer's *maintained* sequence — the equivalence the
-//      heap propagation claims by construction.
+//      rank-ordered propagation claims by construction.
 //   2. Validity: the assignment satisfies CA1/CA2.
 //   3. Quality: the maintained order's drift costs at most kMaxColorGap
 //      colors over canonical (always-reordered) BBB on the same network —
 //      the committed gap metric for the locality/quality trade.
 //
 // A failing sequence is delta-debugged to a 1-minimal repro and logged as
-// replayable text (tests/helpers/event_fuzz.hpp).
+// replayable text (tests/helpers/event_fuzz.hpp).  The 10^4-node batched
+// soaks at the end check property 1 after every batch instead, and pin the
+// strategy's counters (tests/helpers/bbb_batch_soak.hpp).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../helpers/bbb_batch_soak.hpp"
 #include "../helpers/event_fuzz.hpp"
 #include "net/constraints.hpp"
 #include "net/network.hpp"
@@ -266,6 +269,45 @@ TEST(BbbBoundedFuzz, TinyPopulations) {
   cfg.target_live = 8;
   cfg.events = 4000;
   soak(cfg);
+}
+
+// ------------------------------------------------ 10^4-node batched soaks
+
+TEST(BbbBoundedFuzz, TenThousandNodeBatchesProductionParams) {
+  // One summary word of the frontier covers 4,096 ranks.  The maintained
+  // rank space passes that after ~15,000 events and spans three summary
+  // words once the population holds 10^4 nodes.
+  const minim::test::LargeBatchSoakOutcome outcome =
+      minim::test::run_large_batch_soak(minim::test::large_batch_soak_config(),
+                                        strict_params());
+  ASSERT_EQ(outcome.message, "");
+  EXPECT_GT(outcome.large_batches, 150u);
+  minim::test::expect_counters_eq(outcome.counters,
+                                  minim::test::large_soak_production_counters());
+}
+
+TEST(BbbBoundedFuzz, TenThousandNodeBatchesBailAndRecover) {
+  // A budget of 64 x max(32, 0.008 x live) pops, ~5,300 at 10^4 nodes, sits
+  // in the tail of the per-batch pop counts: some batches bail
+  // mid-propagation, and the batches after them must absorb again from a
+  // clean frontier.
+  BbbStrategy::Params params = strict_params();
+  params.propagation_slack = 0.008;
+  const minim::test::LargeBatchSoakOutcome outcome =
+      minim::test::run_large_batch_soak(minim::test::large_batch_soak_config(),
+                                        params);
+  ASSERT_EQ(outcome.message, "");
+  EXPECT_GT(outcome.counters.slack_bailouts, 0u);
+  EXPECT_GT(outcome.absorbed_after_bailout, 0u);
+  BbbStrategy::Counters want;
+  want.events = 50000;
+  want.bounded_events = 41616;
+  want.full_events = 131;
+  want.processed_ranks = 1820041;
+  want.full_ranks = 1071679;
+  want.slack_bailouts = 97;
+  minim::test::expect_counters_eq(outcome.counters, want);
+  EXPECT_EQ(outcome.absorbed_after_bailout, 54u);
 }
 
 // --------------------------------------------------------------- harness

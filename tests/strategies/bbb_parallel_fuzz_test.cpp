@@ -9,7 +9,7 @@
 // walk caps at the propagation budget, so any batch the parallel pass
 // absorbs the serial pass would have absorbed (it can pop at most
 // |closure| ≤ budget nodes); a capped closure or single component demotes
-// to the *same* serial heap; and budget/drift/journal refusals fire on
+// to the *same* serial frontier; and budget/drift/journal refusals fire on
 // state the thread count never touches.  So production params — fallbacks,
 // bailouts, drift rebuilds and all — must soak bit-identical too.
 //
@@ -19,6 +19,11 @@
 // clusters make a batch's dirty regions naturally disjoint, which the soak
 // asserts via the strategy's parallel_events counter.  Failures shrink to a
 // 1-minimal event sequence via the shared event_fuzz ddmin shrinker.
+//
+// TenThousandNodeBatchesThreads2 runs the 10^4-node batched soak of
+// tests/helpers/bbb_batch_soak.hpp at two threads: every batch equal to the
+// greedy oracle over the maintained sequence, and the serial run's exact
+// counters plus pinned parallel ones.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "../helpers/bbb_batch_soak.hpp"
 #include "../helpers/event_fuzz.hpp"
 #include "serve/engine.hpp"
 #include "sim/trace.hpp"
@@ -39,51 +45,8 @@ namespace {
 
 using minim::test::FuzzConfig;
 using minim::test::FuzzEvent;
-using minim::test::FuzzKind;
 using minim::test::FuzzPlacement;
-
-/// Converts fuzz events to join-order-named trace events with the exact
-/// live-list semantics of `replay_events`: victims resolve as
-/// `live[pick % live.size()]`, leaves erase, joins append the next index.
-/// (Same contract as the batch-fuzz soak's converter: subsequences stay
-/// replayable, which is what lets the shrinker drop arbitrary chunks.)
-sim::Trace to_trace(std::span<const FuzzEvent> events) {
-  sim::Trace trace;
-  trace.reserve(events.size());
-  std::vector<std::size_t> live;  // join indices of live nodes
-  std::size_t joined = 0;
-  for (const FuzzEvent& e : events) {
-    sim::TraceEvent t;
-    if (e.kind == FuzzKind::kJoin) {
-      t.kind = sim::TraceEvent::Kind::kJoin;
-      t.position = {e.x, e.y};
-      t.range = e.range;
-      live.push_back(joined++);
-    } else {
-      if (live.empty()) continue;
-      const std::size_t index = static_cast<std::size_t>(e.pick % live.size());
-      t.node = live[index];
-      switch (e.kind) {
-        case FuzzKind::kLeave:
-          t.kind = sim::TraceEvent::Kind::kLeave;
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
-          break;
-        case FuzzKind::kMove:
-          t.kind = sim::TraceEvent::Kind::kMove;
-          t.position = {e.x, e.y};
-          break;
-        case FuzzKind::kPower:
-          t.kind = sim::TraceEvent::Kind::kPower;
-          t.range = e.range;
-          break;
-        case FuzzKind::kJoin:
-          break;  // unreachable
-      }
-    }
-    trace.push_back(t);
-  }
-  return trace;
-}
+using minim::test::to_trace;
 
 /// The maintained rank sequence with tombstones removed — identical batch
 /// boundaries mean even the tombstone layout should agree, but the live
@@ -273,6 +236,25 @@ TEST(BbbParallelFuzz, TinyPopulationThreads2) {
   FuzzConfig cfg = config(FuzzPlacement::kUniform, 9306, 4000);
   cfg.target_live = 12;
   soak(cfg, bounded_params(), 2, /*require_parallel=*/false);
+}
+
+TEST(BbbParallelFuzz, TenThousandNodeBatchesThreads2) {
+  // The 10^4-node batched oracle soak at two recolor threads: every batch
+  // bit-identical to a greedy over the maintained sequence, with the same
+  // decisions and pops as the serial run, so the component frontiers
+  // (each over its own rank span) pop exactly what the serial one would.
+  BbbStrategy::Params params;
+  params.bounded_propagation = true;
+  params.recolor_threads = 2;
+  const minim::test::LargeBatchSoakOutcome outcome =
+      minim::test::run_large_batch_soak(minim::test::large_batch_soak_config(),
+                                        params);
+  ASSERT_EQ(outcome.message, "");
+  BbbStrategy::Counters want = minim::test::large_soak_production_counters();
+  want.parallel_events = 367;
+  want.parallel_components = 10233;
+  want.parallel_demotions = 378;
+  minim::test::expect_counters_eq(outcome.counters, want);
 }
 
 }  // namespace
