@@ -31,8 +31,8 @@
 //
 // Serving (see src/serve/):
 //   --serve             run the online assignment engine instead of a grid
-//   --transport=T       stdin (default) | tcp | trace
-//   --trace=F           request file for --transport=trace
+//   --transport=T       stdin (default) | tcp; replay a recorded trace
+//                       with --serve < file
 //   --port=P            TCP port for --transport=tcp (default 0 = ephemeral)
 //   --strategy=NAME     recoding strategy (default minim)
 //   --recolor-threads=N component-parallel batched recoloring for
@@ -49,6 +49,7 @@
 //   cdma_drive --scenario=power --axes=n:60:100,raise_factor:2:4
 //              --orchestrate=8 --split=auto --save-experiment=power_grid.csv
 //   cdma_drive --scenario=move --axes=n:80 --record-trace=move80.trace
+//   cdma_drive --serve --strategy=bbb-bounded < move80.trace
 //   cdma_drive --serve --transport=tcp --strategy=bbb-bounded
 
 #include <algorithm>
@@ -258,7 +259,7 @@ int run_record_trace(const std::string& path, const util::Options& options,
   return 0;
 }
 
-/// --serve: the online assignment engine over one of the three transports.
+/// --serve: the online assignment engine over stdin/stdout or TCP.
 int run_serve(const util::Options& options) {
   const std::string strategy = options.get("strategy", "minim");
   serve::AssignmentEngine::Params params;
@@ -283,16 +284,9 @@ int run_serve(const util::Options& options) {
     // before any client exists (stdout stays protocol-free).
     std::cerr << "[serve] listening on " << tcp->describe() << "\n";
     transport = std::move(tcp);
-  } else if (kind == "trace") {
-    const std::string path = options.get("trace", "");
-    if (path.empty()) {
-      std::cerr << "--transport=trace wants --trace=<path>\n";
-      return 2;
-    }
-    transport = std::make_unique<serve::TraceFileTransport>(path, std::cout);
   } else {
     std::cerr << "unknown --transport \"" << kind
-              << "\" (expected stdin|tcp|trace)\n";
+              << "\" (expected stdin|tcp)\n";
     return 2;
   }
 

@@ -1,7 +1,8 @@
 // serve_latency: serving-layer latency and throughput study for the online
 // assignment engine (src/serve/).
 //
-// Per-event phases (the latency SLO study) drive an AssignmentEngine through
+// Per-event phases (the latency SLO study) drive an AssignmentEngine one
+// event per `apply_batch` call (the paper's one-at-a-time model) through
 // three phases per strategy and report the per-event-type latency
 // distribution the way a service SLO is written:
 //
@@ -202,20 +203,18 @@ StrategyRun run_strategy(const std::string& strategy, const Workload& w) {
   run.strategy = strategy;
 
   serve::AssignmentEngine engine(strategy);
-  for (const sim::TraceEvent& event : w.ramp) engine.apply(event);
+  for (const sim::TraceEvent& event : w.ramp) engine.apply_batch({&event, 1});
 
   const auto steady_start = Clock::now();
-  for (const sim::TraceEvent& event : w.steady) {
-    const serve::EventReceipt receipt = engine.apply(event);
-    run.steady[static_cast<std::size_t>(receipt.kind)].record(
-        receipt.latency_ns);
-  }
+  for (const sim::TraceEvent& event : w.steady)
+    run.steady[static_cast<std::size_t>(event.kind)].record(
+        engine.apply_batch({&event, 1}).latency_ns);
   run.steady_wall_s =
       std::chrono::duration<double>(Clock::now() - steady_start).count();
   run.steady_events = w.steady.size();
 
   for (const sim::TraceEvent& event : w.storm)
-    run.storm.record(engine.apply(event).latency_ns);
+    run.storm.record(engine.apply_batch({&event, 1}).latency_ns);
   return run;
 }
 

@@ -20,8 +20,8 @@ sim::Simulation::Params simulation_params(const AssignmentEngine::Params& params
   return p;
 }
 
-/// The bounded-BBB fallback counter before an event; 0 for every other
-/// strategy (their counters never move, so the delta stays 0).
+/// The bounded-BBB fallback counter; 0 for every other strategy (their
+/// counters never move, so a batch's delta stays 0).
 std::uint64_t fallback_count(const core::RecodingStrategy& strategy) {
   if (const auto* bbb = dynamic_cast<const strategies::BbbStrategy*>(&strategy))
     return bbb->counters().full_events;
@@ -36,6 +36,39 @@ void apply_strategy_tuning(core::RecodingStrategy& strategy,
   if (params.recolor_threads == 1) return;
   if (auto* bbb = dynamic_cast<strategies::BbbStrategy*>(&strategy))
     bbb->set_recolor_threads(params.recolor_threads);
+}
+
+/// Marks a batch's joins and leaves in `departed` (by join index) while
+/// checking each reference against the marks so far, so later events of the
+/// batch see earlier joins and leaves.  On a bad reference, undoes exactly
+/// those marks and throws std::invalid_argument.
+void mark_departures(std::vector<char>& departed,
+                     std::span<const sim::TraceEvent> events) {
+  const std::size_t joined_before = departed.size();
+  std::size_t checked = 0;
+  try {
+    for (; checked < events.size(); ++checked) {
+      const sim::TraceEvent& e = events[checked];
+      if (e.kind == sim::TraceEvent::Kind::kJoin) {
+        departed.push_back(0);
+        continue;
+      }
+      const char* verb = sim::to_string(e.kind);
+      MINIM_REQUIRE(e.node < departed.size(),
+                    std::string(verb) + ": node has not joined yet");
+      MINIM_REQUIRE(!departed[e.node],
+                    std::string(verb) + ": node already left");
+      if (e.kind == sim::TraceEvent::Kind::kLeave) departed[e.node] = 1;
+    }
+  } catch (...) {
+    // Each checked leave marked a node that was live, so clearing its mark
+    // and dropping the batch's joins restores `departed` exactly.
+    for (std::size_t i = 0; i < checked; ++i)
+      if (events[i].kind == sim::TraceEvent::Kind::kLeave)
+        departed[events[i].node] = 0;
+    departed.resize(joined_before);
+    throw;
+  }
 }
 
 }  // namespace
@@ -65,142 +98,42 @@ net::NodeId AssignmentEngine::node_id_of(std::size_t node,
   return by_join_order_[node];
 }
 
-EventReceipt AssignmentEngine::apply(const sim::TraceEvent& event) {
-  using Clock = std::chrono::steady_clock;
-
-  EventReceipt receipt;
-  receipt.kind = event.kind;
-
-  const std::size_t recodings_before = simulation_->totals().recodings;
-  const std::uint64_t fallbacks_before = fallback_count(*strategy_);
-
-  // Resolve node references (and throw) before the clock starts: a rejected
-  // request is not a served event.
-  net::NodeId subject = net::kInvalidNode;
-  if (event.kind != sim::TraceEvent::Kind::kJoin)
-    subject = node_id_of(event.node, sim::to_string(event.kind));
-
-  const auto start = Clock::now();
-  switch (event.kind) {
-    case sim::TraceEvent::Kind::kJoin:
-      subject = simulation_->join(net::NodeConfig{event.position, event.range});
-      break;
-    case sim::TraceEvent::Kind::kLeave:
-      simulation_->leave(subject);
-      break;
-    case sim::TraceEvent::Kind::kMove:
-      simulation_->move(subject, event.position);
-      break;
-    case sim::TraceEvent::Kind::kPower:
-      simulation_->change_power(subject, event.range);
-      break;
-  }
-  const auto stop = Clock::now();
-
-  if (event.kind == sim::TraceEvent::Kind::kJoin) {
-    receipt.node = by_join_order_.size();
-    by_join_order_.push_back(subject);
-    departed_.push_back(0);
-    if (join_index_of_.size() <= subject) join_index_of_.resize(subject + 1, 0);
-    join_index_of_[subject] = receipt.node;
-  } else {
-    receipt.node = event.node;
-    if (event.kind == sim::TraceEvent::Kind::kLeave) departed_[event.node] = 1;
-  }
-
-  receipt.seq = ++seq_;
-  receipt.latency_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-          .count());
-  receipt.recoded = simulation_->totals().recodings - recodings_before;
-  receipt.fallback = fallback_count(*strategy_) > fallbacks_before;
-  receipt.max_color = simulation_->max_color();
-  receipt.live_nodes = simulation_->network().node_count();
-
-  latency_[static_cast<std::size_t>(event.kind)].record(receipt.latency_ns);
-  return receipt;
-}
-
 BatchReceipt AssignmentEngine::apply_batch(
     std::span<const sim::TraceEvent> events) {
   using Clock = std::chrono::steady_clock;
 
+  // All-or-nothing validation before any mutation reaches the network: a
+  // mid-batch invalid reference rejects the whole batch with the engine
+  // untouched.
+  mark_departures(departed_, events);
+
   BatchReceipt receipt;
-  receipt.events = events.size();
-  receipt.max_color = simulation_->max_color();
-  receipt.live_nodes = simulation_->network().node_count();
-  if (events.empty()) return receipt;
-
-  // All-or-nothing validation against the *projected* state — joins extend
-  // the index space, leaves depart, both visible to later events of the
-  // same batch — before any mutation reaches the network.  A mid-batch
-  // invalid reference therefore rejects the whole batch with the engine
-  // untouched (the batch generalization of apply()'s "a rejected request is
-  // not a served event").
-  departed_projection_.assign(departed_.begin(), departed_.end());
-  std::size_t projected_joined = by_join_order_.size();
-  for (const sim::TraceEvent& e : events) {
-    if (e.kind == sim::TraceEvent::Kind::kJoin) {
-      ++projected_joined;
-      departed_projection_.push_back(0);
-      continue;
-    }
-    const char* verb = sim::to_string(e.kind);
-    MINIM_REQUIRE(e.node < projected_joined,
-                  std::string(verb) + ": node has not joined yet");
-    MINIM_REQUIRE(!departed_projection_[e.node],
-                  std::string(verb) + ": node already left");
-    if (e.kind == sim::TraceEvent::Kind::kLeave)
-      departed_projection_[e.node] = 1;
-  }
-
+  receipt.first_seq = seq_ + 1;
+  receipt.outcomes.reserve(events.size());  // outside the timed region
   const std::uint64_t fallbacks_before = fallback_count(*strategy_);
   const std::size_t joined_before = by_join_order_.size();
 
   const auto start = Clock::now();
-  simulation_->apply_batch(events, by_join_order_, batch_scratch_);
+  simulation_->apply_batch(events, by_join_order_, receipt);
   const auto stop = Clock::now();
 
   // Join bookkeeping for the ids the batch appended.
   for (std::size_t i = joined_before; i < by_join_order_.size(); ++i) {
-    departed_.push_back(0);
     const net::NodeId id = by_join_order_[i];
     if (join_index_of_.size() <= id) join_index_of_.resize(id + 1, 0);
     join_index_of_[id] = i;
   }
 
+  seq_ += events.size();
   receipt.latency_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
           .count());
-  receipt.recoded = batch_scratch_.recoded;
-  receipt.repairs = batch_scratch_.repairs;
-  receipt.coalesced = batch_scratch_.coalesced;
   receipt.fallback = fallback_count(*strategy_) > fallbacks_before;
-  receipt.max_color = simulation_->max_color();
-  receipt.live_nodes = simulation_->network().node_count();
 
-  const std::uint64_t per_event_ns = receipt.latency_ns / events.size();
-  std::size_t next_join = joined_before;
-  receipt.outcomes.reserve(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const sim::TraceEvent& e = events[i];
-    const sim::BatchEventOutcome& applied = batch_scratch_.outcomes[i];
-    BatchEventOutcome outcome;
-    outcome.seq = ++seq_;
-    outcome.kind = e.kind;
-    if (e.kind == sim::TraceEvent::Kind::kJoin) {
-      outcome.node = next_join++;
-    } else {
-      outcome.node = e.node;
-      if (e.kind == sim::TraceEvent::Kind::kLeave) departed_[e.node] = 1;
-    }
-    outcome.recoded = applied.recoded;
-    outcome.max_color = applied.max_color;
-    outcome.live_nodes = applied.live_nodes;
-    outcome.exact = applied.exact;
-    receipt.outcomes.push_back(outcome);
+  const std::uint64_t per_event_ns =
+      events.empty() ? 0 : receipt.latency_ns / events.size();
+  for (const sim::TraceEvent& e : events)
     latency_[static_cast<std::size_t>(e.kind)].record(per_event_ns);
-  }
   return receipt;
 }
 

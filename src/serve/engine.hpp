@@ -22,10 +22,12 @@
 /// wraps `sim::Simulation` + a recoding strategy behind a session API
 /// measured the way a service is measured:
 ///
-///   * `apply(TraceEvent) -> EventReceipt`: applies one reconfiguration
-///     event and reports what serving it cost — latency, how many nodes
-///     were recolored, whether the bounded-recoloring path fell back to a
-///     from-scratch recolor — plus the post-event population and max code;
+///   * `apply_batch(span<TraceEvent>) -> BatchReceipt` is the one way in:
+///     it applies the events and reports what serving them cost — latency,
+///     how many nodes were recolored, whether the bounded-recoloring path
+///     fell back to a from-scratch recolor — plus one `sim::BatchEventOutcome`
+///     row per event.  A one-event batch is the paper's one-at-a-time event
+///     (Section 2): the same strategy calls, an exact row;
 ///   * read-side queries (`code_of`, `conflicts_of`, `summary`) answer
 ///     code-assignment questions between events;
 ///   * per-event-type `util::LatencyHistogram`s accumulate the latency
@@ -33,54 +35,29 @@
 ///
 /// Nodes are named by join order (the `sim/trace` convention), so a session
 /// is meaningful to a client that never sees internal node ids.  Applying a
-/// recorded trace event by event leaves the engine in a state byte-identical
-/// to batch `apply_trace` — the equivalence the serving tests pin down.
+/// recorded trace one event per batch leaves the engine in a state
+/// byte-identical to batch `apply_trace` — the equivalence the serving tests
+/// pin down.
 
 namespace minim::serve {
 
-/// What serving one event cost, and where it left the network.
-struct EventReceipt {
-  std::uint64_t seq = 0;       ///< 1-based event number within the session
-  sim::TraceEvent::Kind kind = sim::TraceEvent::Kind::kJoin;
-  std::size_t node = 0;        ///< join-order index of the subject
-  std::uint64_t latency_ns = 0;  ///< wall time to apply + repair
-  std::size_t recoded = 0;     ///< nodes whose color actually changed
-  /// True when a rank-bounded strategy (bbb-bounded) abandoned the bounded
-  /// path and recolored from scratch — the tail-latency event class.
-  bool fallback = false;
-  net::Color max_color = net::kNoColor;  ///< network-wide max after the event
-  std::size_t live_nodes = 0;  ///< population after the event
-};
-
-/// One event's outcome inside a batch.  On the exact path (single event,
-/// or a strategy without batched repair) the fields are post-THIS-event;
-/// on the coalesced path they are post-batch (`exact` says which).
-struct BatchEventOutcome {
-  std::uint64_t seq = 0;
-  sim::TraceEvent::Kind kind = sim::TraceEvent::Kind::kJoin;
-  std::size_t node = 0;        ///< join-order index of the subject
-  std::size_t recoded = 0;     ///< exact: this event's; else the batch net
-  net::Color max_color = net::kNoColor;
-  std::size_t live_nodes = 0;
-  bool exact = false;
-};
-
-/// What serving one batch cost.  All-or-nothing: a batch containing any
-/// invalid reference is rejected up front (std::invalid_argument) with the
-/// engine untouched, so `outcomes` always covers every event.
-struct BatchReceipt {
-  std::size_t events = 0;
+/// What serving one batch cost.  `sim::BatchResult` carries the batch's
+/// outcome rows (exact per-event rows on the per-event path, post-batch rows
+/// on the coalesced path) and post-batch state; the receipt adds what the
+/// simulation cannot know: sequence numbers, wall time and the fallback bit.
+/// All-or-nothing: a batch containing any invalid reference is rejected up
+/// front (std::invalid_argument) with the engine untouched, so `outcomes`
+/// always covers every event.
+struct BatchReceipt : sim::BatchResult {
+  /// 1-based session sequence number of `outcomes[0]`; row i is
+  /// `first_seq + i`.
+  std::uint64_t first_seq = 0;
   std::uint64_t latency_ns = 0;  ///< wall time for the whole batch
-  std::size_t recoded = 0;       ///< net recolors across the batch
-  std::size_t repairs = 0;       ///< strategy repair invocations
-  bool coalesced = false;        ///< one repair covered the whole batch
-  /// A rank-bounded strategy fell back to a from-scratch recolor somewhere
-  /// in the batch (batch-level: per-event attribution does not exist on
-  /// the coalesced path).
+  /// A rank-bounded strategy (bbb-bounded) fell back to a from-scratch
+  /// recolor somewhere in the batch — the tail-latency event class
+  /// (batch-level: per-event attribution does not exist on the coalesced
+  /// path).
   bool fallback = false;
-  net::Color max_color = net::kNoColor;  ///< post-batch network-wide max
-  std::size_t live_nodes = 0;            ///< post-batch population
-  std::vector<BatchEventOutcome> outcomes;
 };
 
 class AssignmentEngine {
@@ -109,18 +86,14 @@ class AssignmentEngine {
       : AssignmentEngine(strategy, Params()) {}
   AssignmentEngine(core::RecodingStrategy& strategy, const Params& params);
 
-  /// Applies one event and repairs the assignment.  Throws
-  /// std::invalid_argument when the event references a node that has not
-  /// joined or has already left (the engine state is untouched).
-  EventReceipt apply(const sim::TraceEvent& event);
-
-  /// Applies a whole batch — with a batch-capable strategy, one repair pass
-  /// covers every event (see sim::Simulation::apply_batch).  Every node
-  /// reference is validated against the projected state (joins and leaves
-  /// earlier in the batch count) BEFORE any mutation; an invalid reference
-  /// throws std::invalid_argument and leaves the engine untouched.  An
-  /// empty batch is a no-op receipt.  Per-event latency histograms receive
-  /// the batch's amortized per-event latency.
+  /// Applies a batch of events and repairs the assignment — with a
+  /// batch-capable strategy, one repair pass covers every event of a
+  /// multi-event batch (see sim::Simulation::apply_batch).  Every node
+  /// reference is validated (joins and leaves earlier in the batch count)
+  /// BEFORE any mutation; an invalid reference throws std::invalid_argument
+  /// and leaves the engine untouched — a rejected request is not a served
+  /// event.  An empty batch is a no-op receipt.  Per-event latency
+  /// histograms receive the batch's amortized per-event latency.
   BatchReceipt apply_batch(std::span<const sim::TraceEvent> events);
 
   // ------------------------------------------------------------- queries
@@ -176,10 +149,6 @@ class AssignmentEngine {
   std::vector<std::size_t> join_index_of_;  ///< engine node id -> join index
   std::uint64_t seq_ = 0;
   std::array<util::LatencyHistogram, 4> latency_;  ///< by TraceEvent::Kind
-
-  // apply_batch scratch (reused across batches).
-  sim::BatchResult batch_scratch_;
-  std::vector<char> departed_projection_;
 };
 
 }  // namespace minim::serve

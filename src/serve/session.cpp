@@ -59,19 +59,11 @@ std::optional<std::size_t> query_node(const AssignmentEngine& engine,
 
 }  // namespace
 
-std::string format_receipt(const EventReceipt& receipt) {
-  std::ostringstream os;
-  os << "ok " << receipt.seq << " " << sim::to_string(receipt.kind)
-     << " node=" << receipt.node << " recoded=" << receipt.recoded
-     << " maxc=" << receipt.max_color << " live=" << receipt.live_nodes
-     << " fallback=" << (receipt.fallback ? 1 : 0);
-  return os.str();
-}
-
 std::string format_receipt(const BatchReceipt& receipt, std::size_t index) {
-  const BatchEventOutcome& outcome = receipt.outcomes[index];
+  const sim::BatchEventOutcome& outcome = receipt.outcomes[index];
   std::ostringstream os;
-  os << "ok " << outcome.seq << " " << sim::to_string(outcome.kind)
+  os << "ok " << receipt.first_seq + index << " "
+     << sim::to_string(outcome.kind)
      << " node=" << outcome.node << " recoded=" << outcome.recoded
      << " maxc=" << outcome.max_color << " live=" << outcome.live_nodes
      << " fallback=" << (receipt.fallback ? 1 : 0);

@@ -32,7 +32,7 @@
 /// histograms and the `stats`-side summaries.
 ///
 /// Blank and `#`-comment lines get no response, so a recorded trace file
-/// can be piped through a session unmodified.
+/// replays through a session unmodified: `cdma_drive --serve < file`.
 ///
 /// ## Pipelining
 ///
@@ -72,12 +72,9 @@ struct SessionStats {
   std::size_t coalesced_events = 0;
 };
 
-/// The receipt line for one applied event (the protocol's `ok` response).
-std::string format_receipt(const EventReceipt& receipt);
-
-/// The receipt line for outcome `index` of a batch.  Byte-identical to the
-/// single-event format when the outcome is exact; a coalesced outcome
-/// carries a trailing ` batch=<events>` marker.
+/// The receipt line (the protocol's `ok` response) for outcome `index` of
+/// a batch.  A coalesced outcome carries a trailing ` batch=<events>`
+/// marker; an exact one does not.
 std::string format_receipt(const BatchReceipt& receipt, std::size_t index);
 
 /// Serves `transport` until end of input or `quit`.  Returns what happened.

@@ -1,5 +1,6 @@
 #include "serve/transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -13,9 +14,48 @@
 #include <unistd.h>
 
 #include "util/fd_io.hpp"
-#include "util/require.hpp"
 
 namespace minim::serve {
+
+// ---------------------------------------------------------------- LineBuffer
+
+void LineBuffer::append(std::string_view bytes) {
+  if (head_ > 0 && head_ >= bytes_.size() - head_) {
+    // The consumed prefix outweighs the unread rest: dropping it moves at
+    // most as many bytes as were consumed since the last drop.
+    bytes_.erase(0, head_);
+    scanned_ -= head_;
+    head_ = 0;
+  }
+  bytes_.append(bytes);
+}
+
+bool LineBuffer::next_line(std::string& line, bool at_end) {
+  std::size_t end = bytes_.find('\n', scanned_);
+  std::size_t next = 0;
+  if (end != std::string::npos) {
+    next = end + 1;
+  } else {
+    scanned_ = bytes_.size();
+    if (!at_end || head_ == bytes_.size()) return false;
+    end = next = bytes_.size();  // the unterminated remainder
+  }
+  if (end > head_ && bytes_[end - 1] == '\r') --end;
+  line.assign(bytes_, head_, end - head_);
+  head_ = scanned_ = next;
+  return true;
+}
+
+std::size_t LineBuffer::next_lines(std::vector<std::string>& lines,
+                                   std::size_t max, bool at_end) {
+  std::size_t count = 0;
+  std::string line;
+  while (count < max && next_line(line, at_end)) {
+    lines.push_back(std::move(line));
+    ++count;
+  }
+  return count;
+}
 
 // ----------------------------------------------------------- StreamTransport
 
@@ -23,51 +63,36 @@ StreamTransport::StreamTransport(std::istream& in, std::ostream& out,
                                  std::string name)
     : in_(&in), out_(&out), name_(std::move(name)) {}
 
-bool StreamTransport::take_pending_line(std::string& line) {
-  const std::size_t newline = pending_.find('\n');
-  if (newline == std::string::npos) return false;
-  line.assign(pending_, 0, newline);
-  pending_.erase(0, newline + 1);
-  return true;
-}
-
 bool StreamTransport::read_line(std::string& line) {
-  if (take_pending_line(line)) return true;
-  if (!pending_.empty()) {
-    // A partial tail slurped by read_available: complete it with a blocking
-    // read; at true EOF the tail itself is the final (unterminated) line.
-    std::string rest;
-    if (std::getline(*in_, rest)) {
-      line = pending_ + rest;
-      pending_.clear();
-      return true;
-    }
-    line = std::exchange(pending_, {});
-    return true;
+  if (pending_.next_line(line)) return true;
+  // No complete line slurped: block on the stream for (the rest of) one.
+  // At true EOF a partial tail slurped by read_available is the final
+  // (unterminated) line.
+  std::string rest;
+  if (std::getline(*in_, rest)) {
+    rest.push_back('\n');
+    pending_.append(rest);
   }
-  return static_cast<bool>(std::getline(*in_, line));
+  return pending_.next_line(line, /*at_end=*/true);
 }
 
 std::size_t StreamTransport::read_available(std::vector<std::string>& lines,
                                             std::size_t max) {
-  // Slurp only characters the stream already buffered (`in_avail`): a pipe
-  // with nothing pending returns 0 rather than blocking, which keeps an
+  // Slurp only characters the stream reports as available (`in_avail`): a
+  // pipe with nothing pending returns 0 rather than blocking, which keeps an
   // interactive stdin session line-at-a-time while a piped burst still
-  // coalesces.  A trailing partial line stays in `pending_` for the next
+  // coalesces.  A trailing partial line stays buffered for the next
   // blocking read_line — returning it now would split a request in two.
   std::streambuf& buf = *in_->rdbuf();
-  while (buf.in_avail() > 0) {
-    const int ch = buf.sbumpc();
-    if (ch == std::char_traits<char>::eof()) break;
-    pending_.push_back(static_cast<char>(ch));
+  char chunk[4096];
+  for (std::streamsize avail = buf.in_avail(); avail > 0;
+       avail = buf.in_avail()) {
+    const std::streamsize got = buf.sgetn(
+        chunk, std::min<std::streamsize>(avail, sizeof chunk));
+    if (got <= 0) break;
+    pending_.append({chunk, static_cast<std::size_t>(got)});
   }
-  std::size_t count = 0;
-  std::string line;
-  while (count < max && take_pending_line(line)) {
-    lines.push_back(line);
-    ++count;
-  }
-  return count;
+  return pending_.next_lines(lines, max);
 }
 
 void StreamTransport::write_line(std::string_view line) {
@@ -75,35 +100,6 @@ void StreamTransport::write_line(std::string_view line) {
 }
 
 void StreamTransport::flush() { out_->flush(); }
-
-// -------------------------------------------------------- TraceFileTransport
-
-TraceFileTransport::TraceFileTransport(const std::string& path,
-                                       std::ostream& out)
-    : path_(path), file_(path), out_(&out) {
-  MINIM_REQUIRE(file_.good(), "cannot open trace file '" + path + "'");
-}
-
-bool TraceFileTransport::read_line(std::string& line) {
-  return static_cast<bool>(std::getline(file_, line));
-}
-
-std::size_t TraceFileTransport::read_available(std::vector<std::string>& lines,
-                                               std::size_t max) {
-  std::size_t count = 0;
-  std::string line;
-  while (count < max && std::getline(file_, line)) {
-    lines.push_back(line);
-    ++count;
-  }
-  return count;
-}
-
-void TraceFileTransport::write_line(std::string_view line) {
-  *out_ << line << "\n";
-}
-
-void TraceFileTransport::flush() { out_->flush(); }
 
 // -------------------------------------------------------- TcpServerTransport
 
@@ -171,33 +167,16 @@ bool TcpServerTransport::accept_client() {
   }
 }
 
-bool TcpServerTransport::pop_buffered_line(std::string& line) {
-  const std::size_t newline = buffer_.find('\n');
-  if (newline != std::string::npos) {
-    line.assign(buffer_, 0, newline);
-    buffer_.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return true;
-  }
-  if (eof_ && !buffer_.empty()) {
-    // Final unterminated line (a client that closed without a newline).
-    line = std::exchange(buffer_, {});
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return true;
-  }
-  return false;
-}
-
 bool TcpServerTransport::read_line(std::string& line) {
   if (client_fd_ < 0 && (eof_ || !accept_client())) return false;
   flush();  // never block for input while responses sit in the buffer
   while (true) {
-    if (pop_buffered_line(line)) return true;
+    if (buffer_.next_line(line, eof_)) return true;
     if (eof_) return false;
     char chunk[4096];
     const ssize_t got = ::recv(client_fd_, chunk, sizeof chunk, 0);
     if (got > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(got));
+      buffer_.append({chunk, static_cast<std::size_t>(got)});
     } else if (got == 0) {
       eof_ = true;
     } else if (errno != EINTR) {
@@ -215,7 +194,7 @@ std::size_t TcpServerTransport::read_available(std::vector<std::string>& lines,
     char chunk[4096];
     const ssize_t got = ::recv(client_fd_, chunk, sizeof chunk, MSG_DONTWAIT);
     if (got > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(got));
+      buffer_.append({chunk, static_cast<std::size_t>(got)});
       if (static_cast<std::size_t>(got) < sizeof chunk) break;
     } else if (got == 0) {
       eof_ = true;
@@ -225,13 +204,7 @@ std::size_t TcpServerTransport::read_available(std::vector<std::string>& lines,
       eof_ = true;
     }
   }
-  std::size_t count = 0;
-  std::string line;
-  while (count < max && pop_buffered_line(line)) {
-    lines.push_back(line);
-    ++count;
-  }
-  return count;
+  return buffer_.next_lines(lines, max, eof_);
 }
 
 void TcpServerTransport::send_all(const char* data, std::size_t size) {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "net/constraints.hpp"
-#include "sim/trace.hpp"
 #include "util/require.hpp"
 
 namespace minim::sim {
@@ -87,6 +86,8 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
   result.recoded = 0;
   result.repairs = 0;
   result.coalesced = false;
+  result.max_color = assignment_.max_color();
+  result.live_nodes = network_.node_count();
   result.outcomes.clear();
   if (events.empty()) return;
 
@@ -99,6 +100,15 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
     return v;
   };
 
+  // The outcome row of `e`, named by join order like the trace itself.
+  const auto outcome_of = [&](const TraceEvent& e) {
+    BatchEventOutcome outcome;
+    outcome.kind = e.kind;
+    outcome.node =
+        e.kind == TraceEvent::Kind::kJoin ? by_join_order.size() : e.node;
+    return outcome;
+  };
+
   const std::size_t recodings_before = totals_.recodings;
 
   if (!strategy_->supports_batch() || events.size() == 1) {
@@ -106,24 +116,20 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
     // sequential API would hand it over, so the outcomes are exact.
     for (const TraceEvent& e : events) {
       const std::size_t before = totals_.recodings;
-      BatchEventOutcome outcome;
+      BatchEventOutcome outcome = outcome_of(e);
       outcome.exact = true;
       switch (e.kind) {
         case TraceEvent::Kind::kJoin:
-          outcome.subject = join(net::NodeConfig{e.position, e.range});
-          by_join_order.push_back(outcome.subject);
+          by_join_order.push_back(join(net::NodeConfig{e.position, e.range}));
           break;
         case TraceEvent::Kind::kLeave:
-          outcome.subject = resolve(e);
-          leave(outcome.subject);
+          leave(resolve(e));
           break;
         case TraceEvent::Kind::kMove:
-          outcome.subject = resolve(e);
-          move(outcome.subject, e.position);
+          move(resolve(e), e.position);
           break;
         case TraceEvent::Kind::kPower:
-          outcome.subject = resolve(e);
-          change_power(outcome.subject, e.range);
+          change_power(resolve(e), e.range);
           break;
       }
       outcome.recoded = totals_.recodings - before;
@@ -133,6 +139,8 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
       ++result.repairs;
     }
     result.recoded = totals_.recodings - recodings_before;
+    result.max_color = assignment_.max_color();
+    result.live_nodes = network_.node_count();
     return;
   }
 
@@ -141,6 +149,7 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
   // equivalent to the sequential loop above.
   batch_events_.clear();
   for (const TraceEvent& e : events) {
+    result.outcomes.push_back(outcome_of(e));
     core::BatchedEvent be;
     switch (e.kind) {
       case TraceEvent::Kind::kJoin:
@@ -200,16 +209,12 @@ void Simulation::apply_batch(std::span<const TraceEvent> events,
   result.repairs = 1;
   result.coalesced = true;
   result.recoded = totals_.recodings - recodings_before;
-  const net::Color max_color_after = assignment_.max_color();
-  const std::size_t live_after = network_.node_count();
-  for (const core::BatchedEvent& be : batch_events_) {
-    BatchEventOutcome outcome;
-    outcome.subject = be.subject;
+  result.max_color = assignment_.max_color();
+  result.live_nodes = network_.node_count();
+  for (BatchEventOutcome& outcome : result.outcomes) {
     outcome.recoded = result.recoded;
-    outcome.max_color = max_color_after;
-    outcome.live_nodes = live_after;
-    outcome.exact = false;
-    result.outcomes.push_back(outcome);
+    outcome.max_color = result.max_color;
+    outcome.live_nodes = result.live_nodes;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/strategy.hpp"
 #include "net/assignment.hpp"
 #include "net/network.hpp"
+#include "sim/trace.hpp"
 
 /// \file simulation.hpp
 /// \brief Discrete-event simulation engine: applies reconfiguration events
@@ -29,13 +30,12 @@
 
 namespace minim::sim {
 
-struct TraceEvent;  // sim/trace.hpp
-
 /// Where one batched event left the network.  On the per-event delivery
 /// path these are exact post-THIS-event facts; on the coalesced path every
 /// event reports the post-BATCH state (`exact` says which).
 struct BatchEventOutcome {
-  net::NodeId subject = net::kInvalidNode;  ///< engine id the event acted on
+  TraceEvent::Kind kind = TraceEvent::Kind::kJoin;
+  std::size_t node = 0;      ///< join-order index of the subject
   std::size_t recoded = 0;   ///< exact: this event's recolors; else batch net
   net::Color max_color = net::kNoColor;
   std::size_t live_nodes = 0;
@@ -48,6 +48,8 @@ struct BatchResult {
   std::size_t recoded = 0;   ///< net recolors across the whole batch
   std::size_t repairs = 0;   ///< strategy repair invocations (1 if coalesced)
   bool coalesced = false;    ///< one repair covered the whole batch
+  net::Color max_color = net::kNoColor;  ///< post-batch network-wide max
+  std::size_t live_nodes = 0;            ///< post-batch population
   std::vector<BatchEventOutcome> outcomes;  ///< one per event, in order
 };
 
@@ -94,7 +96,8 @@ class Simulation {
 
   /// Applies a whole trace-event batch.  `by_join_order` is the caller's
   /// join-index → engine-id table (the `sim/trace` node-naming convention):
-  /// non-join events resolve through it, joins append to it.  With a
+  /// non-join events resolve through it, joins append to it, and each
+  /// outcome row names its subject by join index.  With a
   /// batch-capable strategy all network mutations are applied first and one
   /// `on_batch` repairs the final graph (this coalesced repair is where
   /// `BbbStrategy::Params::recolor_threads` engages: the batch's independent

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sim/simulation.hpp"
 #include "util/require.hpp"
 
 namespace minim::sim {

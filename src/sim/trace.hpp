@@ -1,13 +1,12 @@
 #pragma once
 
-#include <iosfwd>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sim/simulation.hpp"
 #include "sim/workload.hpp"
 
 /// \file trace.hpp
@@ -30,6 +29,8 @@
 /// `parse_trace` share a single validation path.
 
 namespace minim::sim {
+
+class Simulation;  // sim/simulation.hpp
 
 struct TraceEvent {
   enum class Kind : std::uint8_t { kJoin, kLeave, kMove, kPower };

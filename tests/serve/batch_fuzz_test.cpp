@@ -1,7 +1,7 @@
 // Differential fuzz soak for batched event application (satellite of the
 // batching tentpole): an `AssignmentEngine` fed random-size batches through
 // `apply_batch` must land in the same state as a twin engine fed the same
-// events one at a time through `apply`.
+// events one per `apply_batch` call.
 //
 // Equivalence tiers, by strategy regime:
 //
@@ -116,7 +116,8 @@ SoakResult run_soak(const sim::Trace& trace, AssignmentEngine& sequential,
     const std::size_t take = std::min(want, trace.size() - at);
     const std::span<const sim::TraceEvent> slice(trace.data() + at, take);
 
-    for (const sim::TraceEvent& event : slice) sequential.apply(event);
+    for (const sim::TraceEvent& event : slice)
+      sequential.apply_batch({&event, 1});
     const BatchReceipt receipt = batched.apply_batch(slice);
     EXPECT_EQ(receipt.events, take);
     ++result.batches;

@@ -2,7 +2,7 @@
 // per-batch receipt must add up — outcome rows cover every event, counts
 // reconcile with the receipt totals, an empty batch is a no-op, and a batch
 // containing any invalid reference is rejected whole with the engine
-// untouched (the same std::invalid_argument contract as single `apply`).
+// untouched (std::invalid_argument).
 
 #include "serve/engine.hpp"
 
@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulation.hpp"
 #include "sim/trace.hpp"
 #include "strategies/bbb.hpp"
+#include "strategies/factory.hpp"
 
 namespace minim::serve {
 namespace {
@@ -69,10 +71,10 @@ TEST(BatchReceipt, ExactPathOutcomesSumToReceipt) {
   EXPECT_EQ(receipt.repairs, events.size());
   ASSERT_EQ(receipt.outcomes.size(), events.size());
   std::size_t recoded = 0;
+  EXPECT_EQ(receipt.first_seq, 1u);
   for (std::size_t i = 0; i < receipt.outcomes.size(); ++i) {
-    const BatchEventOutcome& outcome = receipt.outcomes[i];
+    const sim::BatchEventOutcome& outcome = receipt.outcomes[i];
     EXPECT_TRUE(outcome.exact) << i;
-    EXPECT_EQ(outcome.seq, i + 1) << i;
     EXPECT_EQ(outcome.node, i) << i;  // join order
     EXPECT_EQ(outcome.kind, sim::TraceEvent::Kind::kJoin) << i;
     EXPECT_EQ(outcome.live_nodes, i + 1) << "exact outcomes are post-THIS-event";
@@ -100,7 +102,7 @@ TEST(BatchReceipt, CoalescedPathReportsBatchLevelOutcomes) {
   EXPECT_EQ(receipt.repairs, 1u) << "one repair must cover the whole batch";
   ASSERT_EQ(receipt.outcomes.size(), batch.size());
   for (std::size_t i = 0; i < receipt.outcomes.size(); ++i) {
-    const BatchEventOutcome& outcome = receipt.outcomes[i];
+    const sim::BatchEventOutcome& outcome = receipt.outcomes[i];
     EXPECT_FALSE(outcome.exact) << i;
     // Post-batch values, identical across the batch's outcome rows.
     EXPECT_EQ(outcome.recoded, receipt.recoded) << i;
@@ -180,14 +182,14 @@ TEST(BatchReceipt, ProjectionSeesJoinsAndLeavesWithinTheBatch) {
 TEST(BatchReceipt, SeqContinuesAcrossBatchesAndSingles) {
   AssignmentEngine engine{std::string("minim")};
   const BatchReceipt first = engine.apply_batch(clustered_joins(3));
-  EXPECT_EQ(first.outcomes.back().seq, 3u);
+  EXPECT_EQ(first.first_seq, 1u);
 
-  const EventReceipt single = engine.apply(join_at(20, 20));
-  EXPECT_EQ(single.seq, 4u);
+  const sim::TraceEvent single = join_at(20, 20);
+  EXPECT_EQ(engine.apply_batch({&single, 1}).first_seq, 4u);
 
   const BatchReceipt second = engine.apply_batch(clustered_joins(2));
-  EXPECT_EQ(second.outcomes.front().seq, 5u);
-  EXPECT_EQ(second.outcomes.back().seq, 6u);
+  EXPECT_EQ(second.first_seq, 5u);
+  EXPECT_EQ(second.outcomes.size(), 2u);
   EXPECT_EQ(engine.events_served(), 6u);
 }
 
@@ -221,25 +223,82 @@ TEST(BatchReceipt, LatencyHistogramsReceiveAmortizedPerEventSamples) {
 }
 
 TEST(BatchReceipt, SingleEventBatchMatchesApplyExactly) {
-  // A size-1 batch takes the exact path even for batch-capable strategies:
-  // its receipt row must match what `apply` would have reported.
-  AssignmentEngine via_batch{std::string("bbb")};
-  AssignmentEngine via_apply{std::string("bbb")};
-  const std::vector<sim::TraceEvent> events = clustered_joins(5);
-  for (const sim::TraceEvent& event : events) {
-    const BatchReceipt receipt =
-        via_batch.apply_batch({&event, 1});
-    const EventReceipt reference = via_apply.apply(event);
+  // A size-1 batch takes the exact per-event path even for batch-capable
+  // strategies: its row must match `sim::apply_trace` (the sequential
+  // join/leave/move/change_power calls) replaying the trace up to it.
+  std::vector<sim::TraceEvent> events = clustered_joins(5);
+  events.push_back(move_of(0, 40, 40));
+  events.push_back(power_of(1, 5.0));
+  events.push_back(leave_of(2));
+  events.push_back(join_at(12, 11));
+
+  AssignmentEngine engine{std::string("bbb")};
+  std::size_t joins = 0;
+  std::size_t recodings_before = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const BatchReceipt receipt = engine.apply_batch({&events[i], 1});
+    const core::StrategyPtr strategy = strategies::make_strategy("bbb");
+    sim::Simulation reference(*strategy);
+    sim::apply_trace(sim::Trace(events.begin(), events.begin() + i + 1),
+                     reference);
+    const std::size_t node =
+        events[i].kind == sim::TraceEvent::Kind::kJoin ? joins++
+                                                        : events[i].node;
+
     ASSERT_EQ(receipt.outcomes.size(), 1u);
-    const BatchEventOutcome& outcome = receipt.outcomes[0];
-    EXPECT_TRUE(outcome.exact);
-    EXPECT_FALSE(receipt.coalesced);
-    EXPECT_EQ(outcome.seq, reference.seq);
-    EXPECT_EQ(outcome.node, reference.node);
-    EXPECT_EQ(outcome.recoded, reference.recoded);
-    EXPECT_EQ(outcome.max_color, reference.max_color);
-    EXPECT_EQ(outcome.live_nodes, reference.live_nodes);
-    EXPECT_EQ(receipt.fallback, reference.fallback);
+    const sim::BatchEventOutcome& outcome = receipt.outcomes[0];
+    EXPECT_TRUE(outcome.exact) << i;
+    EXPECT_FALSE(receipt.coalesced) << i;
+    EXPECT_EQ(receipt.first_seq, i + 1) << i;
+    EXPECT_EQ(outcome.kind, events[i].kind) << i;
+    EXPECT_EQ(outcome.node, node) << i;
+    EXPECT_EQ(outcome.recoded,
+              reference.totals().recodings - recodings_before) << i;
+    EXPECT_EQ(outcome.max_color, reference.max_color()) << i;
+    EXPECT_EQ(outcome.live_nodes, reference.network().node_count()) << i;
+    recodings_before = reference.totals().recodings;
+  }
+}
+
+TEST(BatchReceipt, RejectedBatchWithAJoinRestoresTheIndexSpace) {
+  // Validation marks joins and leaves in place as it walks the batch; a bad
+  // reference after a join, a leave of that joiner and a leave of an older
+  // node must undo all three marks.
+  for (const char* strategy : {"minim", "bbb"}) {
+    AssignmentEngine engine{std::string(strategy)};
+    engine.apply_batch(clustered_joins(3));
+
+    std::vector<sim::TraceEvent> batch;
+    batch.push_back(join_at(30, 30));  // would be node 3
+    batch.push_back(leave_of(3));
+    batch.push_back(leave_of(1));
+    batch.push_back(move_of(9, 50, 50));  // never joined
+    EXPECT_THROW(engine.apply_batch(batch), std::invalid_argument) << strategy;
+
+    EXPECT_EQ(engine.joined(), 3u) << strategy;
+    for (std::size_t node = 0; node < 3; ++node)
+      EXPECT_TRUE(engine.is_live(node)) << strategy << " node " << node;
+    EXPECT_FALSE(engine.is_live(3)) << strategy;
+    EXPECT_EQ(engine.events_served(), 3u) << strategy;
+
+    // The next valid join gets the next index, and it is live.
+    const sim::TraceEvent join = join_at(30, 30);
+    const BatchReceipt receipt = engine.apply_batch({&join, 1});
+    EXPECT_EQ(receipt.outcomes.at(0).node, 3u) << strategy;
+    EXPECT_EQ(receipt.first_seq, 4u) << strategy;
+    EXPECT_EQ(engine.joined(), 4u) << strategy;
+    EXPECT_TRUE(engine.is_live(3)) << strategy;
+    EXPECT_TRUE(engine.is_live(1)) << strategy;
+
+    // No phantom join survived the rejection: a reference one past the last
+    // join is still rejected before the valid event ahead of it lands.
+    const std::size_t events_before = engine.summary().events;
+    std::vector<sim::TraceEvent> past_end;
+    past_end.push_back(move_of(0, 60, 60));
+    past_end.push_back(move_of(4, 50, 50));
+    EXPECT_THROW(engine.apply_batch(past_end), std::invalid_argument)
+        << strategy;
+    EXPECT_EQ(engine.summary().events, events_before) << strategy;
   }
 }
 

@@ -1,6 +1,6 @@
 // AssignmentEngine: the online serving core.  The load-bearing property is
-// batch equivalence — feeding a recorded trace event by event through
-// `apply` must leave the network and assignment byte-identical to batch
+// batch equivalence — feeding a recorded trace one event per `apply_batch`
+// call must leave the network and assignment byte-identical to batch
 // `apply_trace` on a fresh simulation.
 
 #include "serve/engine.hpp"
@@ -20,6 +20,11 @@
 
 namespace minim::serve {
 namespace {
+
+/// Applies `event` as a one-event batch.
+BatchReceipt apply_one(AssignmentEngine& engine, const sim::TraceEvent& event) {
+  return engine.apply_batch({&event, 1});
+}
 
 /// A deterministic churn trace: ramp joins, then a mixed phase.
 sim::Trace churn_trace(std::uint64_t seed, std::size_t ramp,
@@ -66,7 +71,7 @@ TEST(AssignmentEngine, MatchesBatchApplyTraceExactly) {
     const sim::Trace trace = churn_trace(2001, 40, 300);
 
     AssignmentEngine engine{std::string(strategy)};
-    for (const sim::TraceEvent& event : trace) engine.apply(event);
+    for (const sim::TraceEvent& event : trace) apply_one(engine, event);
 
     core::StrategyPtr batch_strategy = strategies::make_strategy(strategy);
     sim::Simulation batch(*batch_strategy);
@@ -98,29 +103,32 @@ TEST(AssignmentEngine, ReceiptsDescribeEachEvent) {
   join.kind = sim::TraceEvent::Kind::kJoin;
   join.position = {10, 10};
   join.range = 20;
-  const EventReceipt first = engine.apply(join);
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.kind, sim::TraceEvent::Kind::kJoin);
-  EXPECT_EQ(first.node, 0u);
-  EXPECT_EQ(first.recoded, 1u);  // the joiner gets its first code
-  EXPECT_EQ(first.live_nodes, 1u);
+  const BatchReceipt first = apply_one(engine, join);
+  ASSERT_EQ(first.outcomes.size(), 1u);
+  EXPECT_EQ(first.first_seq, 1u);
+  EXPECT_EQ(first.outcomes[0].kind, sim::TraceEvent::Kind::kJoin);
+  EXPECT_EQ(first.outcomes[0].node, 0u);
+  EXPECT_EQ(first.outcomes[0].recoded, 1u);  // the joiner gets its first code
+  EXPECT_EQ(first.outcomes[0].live_nodes, 1u);
+  EXPECT_TRUE(first.outcomes[0].exact);
   EXPECT_FALSE(first.fallback);
-  EXPECT_EQ(first.max_color, 1u);
+  EXPECT_EQ(first.outcomes[0].max_color, 1u);
 
   join.position = {12, 10};
-  const EventReceipt second = engine.apply(join);
-  EXPECT_EQ(second.seq, 2u);
-  EXPECT_EQ(second.node, 1u);
-  EXPECT_EQ(second.live_nodes, 2u);
-  EXPECT_EQ(second.max_color, 2u);  // CA1: neighbors need distinct codes
+  const BatchReceipt second = apply_one(engine, join);
+  EXPECT_EQ(second.first_seq, 2u);
+  EXPECT_EQ(second.outcomes[0].node, 1u);
+  EXPECT_EQ(second.outcomes[0].live_nodes, 2u);
+  // CA1: neighbors need distinct codes
+  EXPECT_EQ(second.outcomes[0].max_color, 2u);
 
   sim::TraceEvent leave;
   leave.kind = sim::TraceEvent::Kind::kLeave;
   leave.node = 0;
-  const EventReceipt third = engine.apply(leave);
-  EXPECT_EQ(third.seq, 3u);
-  EXPECT_EQ(third.node, 0u);
-  EXPECT_EQ(third.live_nodes, 1u);
+  const BatchReceipt third = apply_one(engine, leave);
+  EXPECT_EQ(third.first_seq, 3u);
+  EXPECT_EQ(third.outcomes[0].node, 0u);
+  EXPECT_EQ(third.outcomes[0].live_nodes, 1u);
   EXPECT_EQ(engine.events_served(), 3u);
 }
 
@@ -130,18 +138,18 @@ TEST(AssignmentEngine, RejectsBadReferencesWithoutStateDamage) {
   join.kind = sim::TraceEvent::Kind::kJoin;
   join.position = {10, 10};
   join.range = 20;
-  engine.apply(join);
+  apply_one(engine, join);
 
   sim::TraceEvent bad;
   bad.kind = sim::TraceEvent::Kind::kLeave;
   bad.node = 7;  // never joined
-  EXPECT_THROW(engine.apply(bad), std::invalid_argument);
+  EXPECT_THROW(apply_one(engine, bad), std::invalid_argument);
   EXPECT_EQ(engine.events_served(), 1u);  // the rejected event never counted
   EXPECT_TRUE(engine.is_live(0));
 
   bad.node = 0;
-  engine.apply(bad);  // leave 0
-  EXPECT_THROW(engine.apply(bad), std::invalid_argument);  // already left
+  apply_one(engine, bad);  // leave 0
+  EXPECT_THROW(apply_one(engine, bad), std::invalid_argument);  // already left
   EXPECT_THROW(engine.code_of(0), std::invalid_argument);
   EXPECT_THROW(engine.conflicts_of(7), std::invalid_argument);
 }
@@ -149,7 +157,7 @@ TEST(AssignmentEngine, RejectsBadReferencesWithoutStateDamage) {
 TEST(AssignmentEngine, ConflictsMatchTheConstraintOracle) {
   AssignmentEngine engine{std::string("minim")};
   const sim::Trace trace = churn_trace(7, 30, 120);
-  for (const sim::TraceEvent& event : trace) engine.apply(event);
+  for (const sim::TraceEvent& event : trace) apply_one(engine, event);
 
   // For every live join index, conflicts_of must agree with the net-layer
   // conflict_partners oracle mapped through the engine's own naming.
@@ -180,10 +188,10 @@ TEST(AssignmentEngine, FallbackFlagTracksBoundedStrategyCounters) {
   std::size_t flagged = 0;
   std::uint64_t counter_before = bounded.counters().full_events;
   for (const sim::TraceEvent& event : trace) {
-    const EventReceipt receipt = engine.apply(event);
+    const BatchReceipt receipt = apply_one(engine, event);
     const std::uint64_t counter_after = bounded.counters().full_events;
     EXPECT_EQ(receipt.fallback, counter_after > counter_before)
-        << "event " << receipt.seq;
+        << "event " << receipt.first_seq;
     counter_before = counter_after;
     if (receipt.fallback) ++flagged;
   }
@@ -195,7 +203,7 @@ TEST(AssignmentEngine, SummaryAndLatencyInstrumentation) {
   const sim::Trace trace = churn_trace(3, 20, 60);
   std::size_t moves = 0;
   for (const sim::TraceEvent& event : trace) {
-    engine.apply(event);
+    apply_one(engine, event);
     if (event.kind == sim::TraceEvent::Kind::kMove) ++moves;
   }
 
@@ -214,7 +222,7 @@ TEST(AssignmentEngine, SummaryAndLatencyInstrumentation) {
 TEST(AssignmentEngine, ResetStartsAFreshSession) {
   AssignmentEngine engine{std::string("minim")};
   const sim::Trace trace = churn_trace(5, 10, 30);
-  for (const sim::TraceEvent& event : trace) engine.apply(event);
+  for (const sim::TraceEvent& event : trace) apply_one(engine, event);
   ASSERT_GT(engine.joined(), 0u);
 
   engine.reset();
@@ -228,7 +236,7 @@ TEST(AssignmentEngine, ResetStartsAFreshSession) {
   join.kind = sim::TraceEvent::Kind::kJoin;
   join.position = {1, 1};
   join.range = 5;
-  EXPECT_EQ(engine.apply(join).node, 0u);
+  EXPECT_EQ(apply_one(engine, join).outcomes.at(0).node, 0u);
 }
 
 TEST(AssignmentEngine, UnknownStrategyNameThrows) {

@@ -212,6 +212,29 @@ TEST(ServeSession, MaxBatchOneKeepsExactReceipts) {
     EXPECT_EQ(line.find(" batch="), std::string::npos) << line;
 }
 
+TEST(ServeSession, UnterminatedFinalLineIsABurstOfItsOwn) {
+  // The final line has no newline, so it may still be growing when the
+  // first burst is drained: it waits for end of input and answers as a
+  // burst of one.  Under bbb-bounded the first two joins coalesce and the
+  // third answers exact.
+  std::istringstream in(
+      "join 10 10 20\n"
+      "join 15 10 20\n"
+      "join 20 10 20");
+  std::ostringstream out;
+  StreamTransport transport(in, out, "test");
+  AssignmentEngine engine{std::string("bbb-bounded")};
+  const SessionStats stats = serve_session(engine, transport, {});
+
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.coalesced_events, 2u);
+  EXPECT_EQ(lines_of(out.str()),
+            (std::vector<std::string>{
+                "ok 1 join node=0 recoded=2 maxc=2 live=2 fallback=1 batch=2",
+                "ok 2 join node=1 recoded=2 maxc=2 live=2 fallback=1 batch=2",
+                "ok 3 join node=2 recoded=1 maxc=3 live=3 fallback=1"}));
+}
+
 TEST(ServeSession, QueriesLeaveEventNumberingAlone) {
   // Receipts number events, not lines: queries interleaved between events
   // must not advance seq, while error line numbers still track the stream.
