@@ -1,8 +1,8 @@
 #include "core/bipartite_builder.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "net/constraints.hpp"
 #include "util/require.hpp"
 
 namespace minim::core {
@@ -33,34 +33,68 @@ RecodeProblem build_recode_problem(const net::AdhocNetwork& net,
   ++epoch;
   for (net::NodeId v : set) member_epoch[v] = epoch;
 
-  std::vector<std::vector<net::Color>> forbidden(set.size());
+  // Pass 1: every member's outside-partner colors, unsorted and with
+  // repeats, into one flat list (member i owns [ends[i-1], ends[i])).  The
+  // pool bound is only known once every member has been seen.
+  thread_local std::vector<net::Color> partner_colors;
+  thread_local std::vector<std::size_t> ends;
+  partner_colors.clear();
+  ends.clear();
   net::Color max_color = net::kNoColor;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    std::vector<net::Color>& forb = forbidden[i];
-    for (net::NodeId v : net.conflict_graph().neighbors(set[i])) {
+  for (net::NodeId u : set) {
+    for (net::NodeId v : net.conflict_graph().neighbors(u)) {
       if (member_epoch[v] == epoch) continue;
       const net::Color c = assignment.color(v);
-      if (c != net::kNoColor) forb.push_back(c);
+      if (c == net::kNoColor) continue;
+      partner_colors.push_back(c);
+      max_color = std::max(max_color, c);
     }
-    std::sort(forb.begin(), forb.end());
-    forb.erase(std::unique(forb.begin(), forb.end()), forb.end());
-    if (!forb.empty()) max_color = std::max(max_color, forb.back());
-    max_color = std::max(max_color, assignment.color(set[i]));
+    ends.push_back(partner_colors.size());
+    max_color = std::max(max_color, assignment.color(u));
   }
   problem.max_color = max_color;
 
+  // Pass 2: one forbidden bitset row per member, bit c standing for color
+  // c.  Rows span this set's own pool 0..max, never the network-wide
+  // maximum, so a far-away high color costs nothing here.
+  constexpr std::size_t kBits = 64;
+  const std::size_t words = max_color / kBits + 1;
+  thread_local std::vector<std::uint64_t> forbidden;
+  forbidden.assign(set.size() * words, 0);
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    std::uint64_t* row = forbidden.data() + i * words;
+    for (std::size_t k = begin; k < ends[i]; ++k) {
+      const net::Color c = partner_colors[k];
+      row[c / kBits] |= std::uint64_t{1} << (c % kBits);
+    }
+    begin = ends[i];
+  }
+
+  // Pass 3: each member's edges are the complement of its row over
+  // 1..max, walked word by word in ascending color — the order, endpoints
+  // and weights of a per-color scan, so the matcher's input is unchanged.
+  // Bit 0 (kNoColor) and the bits above max are masked off.
+  const std::size_t top_bit = max_color % kBits;
+  const std::uint64_t last_mask = top_bit == kBits - 1
+                                      ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << (top_bit + 1)) - 1;
   problem.graph = matching::BipartiteGraph(static_cast<std::uint32_t>(set.size()),
                                            max_color);
   for (std::size_t i = 0; i < set.size(); ++i) {
     const net::Color old = assignment.color(set[i]);
-    const auto& forb = forbidden[i];
-    std::size_t f = 0;  // cursor into the sorted forbidden list
-    for (net::Color c = 1; c <= max_color; ++c) {
-      while (f < forb.size() && forb[f] < c) ++f;
-      if (f < forb.size() && forb[f] == c) continue;  // constrained away
-      const matching::Weight w =
-          (c == old) ? weights.old_color_weight : weights.other_weight;
-      problem.graph.add_edge(static_cast<std::uint32_t>(i), c - 1, w);
+    const std::uint64_t* row = forbidden.data() + i * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t allowed = ~row[w];
+      if (w == 0) allowed &= ~std::uint64_t{1};
+      if (w == words - 1) allowed &= last_mask;
+      for (; allowed != 0; allowed &= allowed - 1) {
+        const auto c = static_cast<net::Color>(
+            w * kBits + static_cast<std::size_t>(std::countr_zero(allowed)));
+        const matching::Weight weight =
+            (c == old) ? weights.old_color_weight : weights.other_weight;
+        problem.graph.add_edge(static_cast<std::uint32_t>(i), c - 1, weight);
+      }
     }
   }
   return problem;

@@ -7,15 +7,20 @@
 namespace minim::matching {
 
 BipartiteGraph::BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size)
-    : left_size_(left_size), right_size_(right_size), left_adj_(left_size) {}
+    : left_size_(left_size),
+      right_size_(right_size),
+      left_adj_(left_size),
+      right_end_(left_size, 0) {}
 
 void BipartiteGraph::add_edge(std::uint32_t l, std::uint32_t r, Weight w) {
   MINIM_REQUIRE(l < left_size_, "bipartite edge: left vertex out of range");
   MINIM_REQUIRE(r < right_size_, "bipartite edge: right vertex out of range");
   MINIM_REQUIRE(w > 0, "bipartite edge weights must be positive");
-  MINIM_REQUIRE(!has_edge(l, r), "bipartite edge added twice");
+  MINIM_REQUIRE(r >= right_end_[l] || !has_edge(l, r),
+                "bipartite edge added twice");
   left_adj_[l].push_back(static_cast<std::uint32_t>(edges_.size()));
   edges_.push_back(BipartiteEdge{l, r, w});
+  right_end_[l] = std::max(right_end_[l], r + 1);
 }
 
 const std::vector<std::uint32_t>& BipartiteGraph::edges_of_left(std::uint32_t l) const {

@@ -30,7 +30,9 @@ class BipartiteGraph {
   BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size);
 
   /// Adds edge (l, r, w).  Requires valid endpoints and w > 0.
-  /// Parallel edges are rejected.
+  /// Parallel edges are rejected: in O(1) when `r` exceeds every right
+  /// endpoint `l` already has (ascending insertion, the recode builder's
+  /// order), by a scan of l's edges otherwise.
   void add_edge(std::uint32_t l, std::uint32_t r, Weight w);
 
   std::uint32_t left_size() const { return left_size_; }
@@ -52,6 +54,9 @@ class BipartiteGraph {
   std::uint32_t right_size_;
   std::vector<BipartiteEdge> edges_;
   std::vector<std::vector<std::uint32_t>> left_adj_;
+  /// Per left vertex: one past its largest right endpoint (0 when it has no
+  /// edges), so an edge at or above it is provably new.
+  std::vector<std::uint32_t> right_end_;
 };
 
 /// A matching: `left_to_right[l]` is the matched right vertex or `kUnmatched`.

@@ -22,6 +22,18 @@ constexpr std::size_t kJournalCap = 1 << 15;
 
 }  // namespace
 
+std::size_t ConflictGraph::memory_bytes() const {
+  return rows_.memory_bytes() +
+         (journal_.capacity() + partner_scratch_.capacity() +
+          merged_ids_.capacity() + fan_union_.capacity() +
+          fan_others_.capacity()) *
+             sizeof(NodeId) +
+         (partner_delta_.capacity() + merged_counts_.capacity() +
+          tally_.capacity()) *
+             sizeof(std::uint32_t) +
+         partner_new_.capacity();
+}
+
 std::uint32_t ConflictGraph::multiplicity(NodeId u, NodeId v) const {
   const std::uint32_t* count = rows_.find(u, v);
   return count != nullptr ? *count : 0;
@@ -141,50 +153,53 @@ void ConflictGraph::append_edge_partners(const graph::Digraph& g, NodeId u,
     if (w != u) partner_scratch_.push_back(w);
 }
 
-void ConflictGraph::aggregate_partner_multiset() {
-  std::sort(partner_scratch_.begin(), partner_scratch_.end());
-  partner_delta_.clear();
+void ConflictGraph::aggregate_partner_multiset(NodeId id_bound) {
+  // Tally every occurrence, keeping each id's first one in place; a fan's
+  // partner list repeats co-senders many times over, so sorting just the
+  // unique ids is far cheaper than sorting the list.
+  if (tally_.size() < id_bound) tally_.resize(id_bound, 0);
   std::size_t unique = 0;
-  for (std::size_t i = 0; i < partner_scratch_.size();) {
-    std::size_t j = i;
-    while (j < partner_scratch_.size() &&
-           partner_scratch_[j] == partner_scratch_[i])
-      ++j;
-    partner_scratch_[unique] = partner_scratch_[i];
-    partner_delta_.push_back(static_cast<std::uint32_t>(j - i));
-    ++unique;
-    i = j;
-  }
+  for (NodeId w : partner_scratch_)
+    if (tally_[w]++ == 0) partner_scratch_[unique++] = w;
   partner_scratch_.resize(unique);
+  std::sort(partner_scratch_.begin(), partner_scratch_.end());
+  partner_delta_.resize(unique);
+  for (std::size_t i = 0; i < unique; ++i) {
+    partner_delta_[i] = tally_[partner_scratch_[i]];
+    tally_[partner_scratch_[i]] = 0;
+  }
 }
 
-void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
+void ConflictGraph::merge_row(NodeId u, std::span<const NodeId> partners,
+                              std::span<const std::uint32_t> deltas, int delta,
+                              NodeId skip) {
   // Merge pass over (row u, partners) into scratch — no per-partner search
-  // or shifting of the hot row.  Reciprocal rows and the journal are touched
-  // only after the merged row is written back (replace_row may relocate the
-  // pool, so nothing may hold a row span across it).
+  // or shifting of the hot row.  Nothing may hold a row span across the
+  // write-back: replace_row may relocate the pool.
   const std::span<const NodeId> ids = rows_.ids(u);
   const std::span<const std::uint32_t> counts = rows_.counts(u);
   // An empty delta array means "one witness per partner" — the single-edge
-  // path (whose partner lists are unique) skips filling it.
-  const bool uniform = partner_delta_.empty();
-  const auto delta_of = [this, uniform](std::size_t j) -> std::uint32_t {
-    return uniform ? 1 : partner_delta_[j];
+  // and in-fan paths (whose partner lists are unique) skip filling it.
+  const bool uniform = deltas.empty();
+  const auto delta_of = [deltas, uniform](std::size_t j) -> std::uint32_t {
+    return uniform ? 1 : deltas[j];
   };
   merged_ids_.clear();
   merged_counts_.clear();
-  partner_new_.assign(partner_scratch_.size(), 0);
+  partner_new_.assign(partners.size(), 0);
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < ids.size() || j < partner_scratch_.size()) {
-    if (j >= partner_scratch_.size() ||
-        (i < ids.size() && ids[i] < partner_scratch_[j])) {
+  while (i < ids.size() || j < partners.size()) {
+    if (j < partners.size() && partners[j] == skip) {
+      ++j;
+    } else if (j >= partners.size() ||
+               (i < ids.size() && ids[i] < partners[j])) {
       merged_ids_.push_back(ids[i]);
       merged_counts_.push_back(counts[i]);
       ++i;
-    } else if (i >= ids.size() || partner_scratch_[j] < ids[i]) {
+    } else if (i >= ids.size() || partners[j] < ids[i]) {
       MINIM_REQUIRE(delta > 0, "conflict graph: retracting an unknown witness");
-      merged_ids_.push_back(partner_scratch_[j]);
+      merged_ids_.push_back(partners[j]);
       merged_counts_.push_back(delta_of(j));
       partner_new_[j] = 1;  // pair went 0 -> positive
       ++j;
@@ -208,17 +223,35 @@ void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
     }
   }
   rows_.replace_row(u, merged_ids_, merged_counts_);
+}
 
+std::size_t ConflictGraph::merge_row_journaled(NodeId u,
+                                               std::span<const NodeId> partners,
+                                               int delta, NodeId skip) {
+  merge_row(u, partners, {}, delta, skip);
+  std::size_t transitions = 0;
+  for (char flipped : partner_new_) {
+    if (!flipped) continue;
+    mark_dirty(u);
+    ++transitions;
+  }
+  return transitions;
+}
+
+void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
+  merge_row(u, partner_scratch_, partner_delta_, delta, graph::kInvalidNode);
+  const bool uniform = partner_delta_.empty();
   for (std::size_t p = 0; p < partner_scratch_.size(); ++p) {
     const NodeId w = partner_scratch_[p];
+    const std::uint32_t witnesses = uniform ? 1 : partner_delta_[p];
     if (delta > 0) {
       if (partner_new_[p]) {
-        rows_.insert(w, u, delta_of(p));
+        rows_.insert(w, u, witnesses);
         ++pair_count_;
         mark_dirty(u);
         mark_dirty(w);
       } else {
-        *rows_.find(w, u) += delta_of(p);
+        *rows_.find(w, u) += witnesses;
       }
     } else {
       if (partner_new_[p]) {
@@ -227,9 +260,61 @@ void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
         mark_dirty(u);
         mark_dirty(w);
       } else {
-        *rows_.find(w, u) -= delta_of(p);
+        *rows_.find(w, u) -= witnesses;
       }
     }
+  }
+}
+
+void ConflictGraph::apply_in_fan(const graph::Digraph& g,
+                                 std::span<const NodeId> senders, NodeId v,
+                                 int delta) {
+  MINIM_REQUIRE(std::is_sorted(senders.begin(), senders.end()) &&
+                    std::adjacent_find(senders.begin(), senders.end()) ==
+                        senders.end(),
+                "conflict graph: edge fan must be ascending and deduped");
+  // One pass over in(v) and the fan splits v's senders into the fan and
+  // the others, and checks every fan edge is absent (add) or present
+  // (remove) as it goes.
+  const std::span<const NodeId> in = g.in_neighbors(v);
+  fan_union_.clear();
+  fan_others_.clear();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < in.size() || j < senders.size()) {
+    if (j >= senders.size() || (i < in.size() && in[i] < senders[j])) {
+      fan_others_.push_back(in[i]);
+      fan_union_.push_back(in[i]);
+      ++i;
+    } else if (i >= in.size() || senders[j] < in[i]) {
+      MINIM_REQUIRE(delta > 0, "conflict graph: retracting an absent edge");
+      fan_union_.push_back(senders[j]);
+      ++j;
+    } else {
+      MINIM_REQUIRE(delta < 0, "conflict graph: edge delta already applied");
+      fan_union_.push_back(senders[j]);
+      ++i;
+      ++j;
+    }
+  }
+  fan_union_.insert(
+      std::lower_bound(fan_union_.begin(), fan_union_.end(), v), v);
+  if (delta > 0) rows_.ensure_row(std::max(v, senders.back()));
+
+  // Per-edge deltas in ascending sender order would give, in total: one
+  // witness to every (s, v), to every (s, o) with o another sender of v,
+  // and to every pair of fan members.  Merge each touched row once.
+  std::size_t transitions =
+      merge_row_journaled(v, senders, delta, graph::kInvalidNode);
+  for (NodeId s : senders)
+    transitions += merge_row_journaled(s, fan_union_, delta, s);
+  for (NodeId o : fan_others_)
+    transitions += merge_row_journaled(o, senders, delta, graph::kInvalidNode);
+  // Every transition was seen from both of its rows.
+  if (delta > 0) {
+    pair_count_ += transitions / 2;
+  } else {
+    pair_count_ -= transitions / 2;
   }
 }
 
@@ -262,7 +347,7 @@ void ConflictGraph::on_out_edges_added(const graph::Digraph& g, NodeId u,
     append_edge_partners(g, u, v);
   }
   rows_.ensure_row(max_id);
-  aggregate_partner_multiset();
+  aggregate_partner_multiset(g.id_bound());
   apply_partner_witnesses(u, +1);
 }
 
@@ -278,8 +363,22 @@ void ConflictGraph::on_out_edges_removed(const graph::Digraph& g, NodeId u,
     MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
     append_edge_partners(g, u, v);
   }
-  aggregate_partner_multiset();
+  aggregate_partner_multiset(g.id_bound());
   apply_partner_witnesses(u, -1);
+}
+
+void ConflictGraph::on_in_edges_added(const graph::Digraph& g,
+                                      std::span<const NodeId> senders,
+                                      NodeId v) {
+  if (senders.empty()) return;
+  apply_in_fan(g, senders, v, +1);
+}
+
+void ConflictGraph::on_in_edges_removed(const graph::Digraph& g,
+                                        std::span<const NodeId> senders,
+                                        NodeId v) {
+  if (senders.empty()) return;
+  apply_in_fan(g, senders, v, -1);
 }
 
 void ConflictGraph::clear() {

@@ -31,7 +31,11 @@
 /// recount.
 ///
 /// The owner (`AdhocNetwork`) reports deltas *before* applying them to the
-/// digraph; this class never mutates the digraph it reads.
+/// digraph; this class never mutates the digraph it reads.  It reports a
+/// node's out-edges and in-edges as fans (`on_out_edges_*`,
+/// `on_in_edges_*`), each merging every touched row once; the per-edge
+/// `on_edge_added` / `on_edge_removed` are the reference the fans are
+/// tested against.
 ///
 /// ## Dirty journal
 ///
@@ -71,10 +75,9 @@ class ConflictGraph {
   /// Exclusive upper bound on ids with allocated rows.
   NodeId id_bound() const { return static_cast<NodeId>(rows_.row_count()); }
 
-  /// Heap bytes held by the adjacency pools and the dirty journal.
-  std::size_t memory_bytes() const {
-    return rows_.memory_bytes() + journal_.capacity() * sizeof(NodeId);
-  }
+  /// Heap bytes held by the adjacency pools, the dirty journal and the
+  /// delta scratch (the partner tally grows with the id space).
+  std::size_t memory_bytes() const;
 
   // ------------------------------------------------------------- journal
 
@@ -111,7 +114,7 @@ class ConflictGraph {
   void on_node_added(NodeId v);
 
   /// Journals the removal.  Requires every incident digraph edge to have
-  /// been retracted through on_edge_removed first (the row must be empty).
+  /// been retracted first (the row must be empty).
   void on_node_removed(NodeId v);
 
   /// Accounts the witnesses of the new edge u→v.  Must be called *before*
@@ -138,6 +141,21 @@ class ConflictGraph {
   /// deduped, each present in `g`; call before removing any of them).
   void on_out_edges_removed(const graph::Digraph& g, NodeId u,
                             std::span<const NodeId> targets);
+
+  /// Batched `on_edge_added` for a fan of in-edges s→v, s ∈ `senders`
+  /// (ascending, deduped, each absent from `g`; call before applying any).
+  /// Equivalent to `on_edge_added` per sender in ascending order: v gains
+  /// the senders, each sender gains v, v's other senders and the rest of
+  /// the fan, and each of v's other senders gains the fan — every touched
+  /// row merged once.  The journal receives the same entries as the
+  /// per-edge calls, possibly in another order.
+  void on_in_edges_added(const graph::Digraph& g, std::span<const NodeId> senders,
+                         NodeId v);
+
+  /// Batched `on_edge_removed` for in-edges s→v, s ∈ `senders` (ascending,
+  /// deduped, each present in `g`; call before removing any of them).
+  void on_in_edges_removed(const graph::Digraph& g,
+                           std::span<const NodeId> senders, NodeId v);
 
   /// Drops all adjacency, keeping row capacity (arena reuse).  Invalidates
   /// every outstanding journal window.
@@ -168,17 +186,34 @@ class ConflictGraph {
   /// without clearing it (batch collection; the result is re-sorted and
   /// aggregated by `aggregate_partner_multiset`).
   void append_edge_partners(const graph::Digraph& g, NodeId u, NodeId v);
-  /// Sorts `partner_scratch_` and aggregates duplicates into parallel
+  /// Aggregates `partner_scratch_` (ids below `id_bound`) into parallel
   /// (`partner_scratch_`, `partner_delta_`) arrays: unique ascending ids
   /// with per-id witness multiplicities.  A partner can witness several of
   /// a fan's edges (a co-sender to two targets), so deltas exceed 1.
-  void aggregate_partner_multiset();
+  /// Duplicates are counted in the id-indexed `tally_`, so only the unique
+  /// ids are sorted; the tally is zero again on return.
+  void aggregate_partner_multiset(NodeId id_bound);
+  /// Merges one batch of witnesses into row u alone: partner j gains
+  /// (delta=+1) or loses (delta=-1) `deltas[j]` witnesses, one each when
+  /// `deltas` is empty; a partner equal to `skip` is passed over.  Flags in
+  /// `partner_new_` (parallel to `partners`) each pair that appeared or
+  /// vanished.  Reciprocal rows and the journal are the caller's.
+  void merge_row(NodeId u, std::span<const NodeId> partners,
+                 std::span<const std::uint32_t> deltas, int delta, NodeId skip);
+  /// `merge_row` with one witness per partner, journaling u once per pair
+  /// that appeared or vanished; returns how many did.  Both rows of a pair
+  /// are merged by the in-fan paths, so each transition journals both ends.
+  std::size_t merge_row_journaled(NodeId u, std::span<const NodeId> partners,
+                                  int delta, NodeId skip);
   /// Adds (delta=+1) or retracts (delta=-1) `partner_delta_[i]` witnesses
   /// for every pair (u, partner_scratch_[i]), as a single merge over row u
   /// plus one reciprocal touch per partner — equivalent to the same
   /// witnesses applied through add_witness/retract_witness one at a time,
   /// minus their repeated row-u searches and re-merges.
   void apply_partner_witnesses(NodeId u, int delta);
+  /// Shared body of on_in_edges_added (delta=+1) / on_in_edges_removed.
+  void apply_in_fan(const graph::Digraph& g, std::span<const NodeId> senders,
+                    NodeId v, int delta);
 
   std::uint64_t nonce_;  ///< process-unique; see nonce()
   /// Sorted pooled rows; the parallel count of `ids(v)[i]` is the witness
@@ -192,7 +227,14 @@ class ConflictGraph {
   std::vector<std::uint32_t> partner_delta_;
   std::vector<NodeId> merged_ids_;
   std::vector<std::uint32_t> merged_counts_;
-  std::vector<char> partner_new_;  ///< parallel to partner_scratch_: 0 ↔ 1 transition
+  /// Parallel to merge_row's partners: the pair went 0 ↔ positive.
+  std::vector<char> partner_new_;
+  /// Id-indexed duplicate counts for aggregate_partner_multiset; all zero
+  /// between calls.
+  std::vector<std::uint32_t> tally_;
+  // In-fan scratch (see apply_in_fan).
+  std::vector<NodeId> fan_union_;   ///< {v} ∪ in(v) ∪ senders, ascending
+  std::vector<NodeId> fan_others_;  ///< in(v) \ senders, ascending
   /// The revision of `journal_[i]` is `journal_base_ + i` — the counter
   /// bumps exactly once per entry, so entries store only the node id.
   std::vector<NodeId> journal_;

@@ -40,16 +40,15 @@ void AdhocNetwork::remove_node(NodeId v) {
   MINIM_REQUIRE(contains(v), "remove_node: unknown node");
   grid_.remove(v, configs_[v].position);
   ranges_.erase(ranges_.find(configs_[v].range));
-  // The out-edges all leave v's conflict row: retract them as one batched
-  // fan (a single merge over the row).  The in-edges land on distinct rows,
-  // so they stay per-edge.  Spans are copied first: the unlinks mutate the
-  // rows they point into.
+  // Retract the out-fan, then the in-fan, each as one batch (every touched
+  // conflict row merges once).  Spans are copied first: the unlinks mutate
+  // the rows they point into.
   const auto outs = graph_.out_neighbors(v);
   stale_.assign(outs.begin(), outs.end());
-  unlink_fan(v, stale_);
+  unlink_out_fan(v, stale_);
   const auto ins = graph_.in_neighbors(v);
   stale_.assign(ins.begin(), ins.end());
-  for (NodeId w : stale_) unlink(w, v);
+  unlink_in_fan(stale_, v);
   conflict_.on_node_removed(v);
   graph_.remove_node(v);
 }
@@ -68,28 +67,28 @@ void AdhocNetwork::reset(double width, double height) {
   ranges_.clear();
 }
 
-void AdhocNetwork::link(NodeId u, NodeId v) {
-  if (graph_.has_edge(u, v)) return;
-  conflict_.on_edge_added(graph_, u, v);
-  graph_.add_edge(u, v);
-}
-
-void AdhocNetwork::unlink(NodeId u, NodeId v) {
-  if (!graph_.has_edge(u, v)) return;
-  conflict_.on_edge_removed(graph_, u, v);
-  graph_.remove_edge(u, v);
-}
-
-void AdhocNetwork::link_fan(NodeId u, const std::vector<NodeId>& targets) {
+void AdhocNetwork::link_out_fan(NodeId u, const std::vector<NodeId>& targets) {
   if (targets.empty()) return;
   conflict_.on_out_edges_added(graph_, u, targets);
   for (NodeId w : targets) graph_.add_edge(u, w);
 }
 
-void AdhocNetwork::unlink_fan(NodeId u, const std::vector<NodeId>& targets) {
+void AdhocNetwork::unlink_out_fan(NodeId u, const std::vector<NodeId>& targets) {
   if (targets.empty()) return;
   conflict_.on_out_edges_removed(graph_, u, targets);
   for (NodeId w : targets) graph_.remove_edge(u, w);
+}
+
+void AdhocNetwork::link_in_fan(const std::vector<NodeId>& senders, NodeId v) {
+  if (senders.empty()) return;
+  conflict_.on_in_edges_added(graph_, senders, v);
+  for (NodeId w : senders) graph_.add_edge(w, v);
+}
+
+void AdhocNetwork::unlink_in_fan(const std::vector<NodeId>& senders, NodeId v) {
+  if (senders.empty()) return;
+  conflict_.on_in_edges_removed(graph_, senders, v);
+  for (NodeId w : senders) graph_.remove_edge(w, v);
 }
 
 void AdhocNetwork::set_position(NodeId v, util::Vec2 position) {
@@ -132,8 +131,8 @@ void AdhocNetwork::refresh_out_edges(NodeId v) {
   fresh_.clear();
   std::set_difference(desired_.begin(), desired_.end(), current.begin(),
                       current.end(), std::back_inserter(fresh_));
-  unlink_fan(v, stale_);
-  link_fan(v, fresh_);
+  unlink_out_fan(v, stale_);
+  link_out_fan(v, fresh_);
 }
 
 void AdhocNetwork::refresh_in_edges(NodeId v) {
@@ -152,8 +151,11 @@ void AdhocNetwork::refresh_in_edges(NodeId v) {
   stale_.clear();
   std::set_difference(current.begin(), current.end(), desired_.begin(),
                       desired_.end(), std::back_inserter(stale_));
-  for (NodeId w : stale_) unlink(w, v);
-  for (NodeId w : desired_) link(w, v);
+  fresh_.clear();
+  std::set_difference(desired_.begin(), desired_.end(), current.begin(),
+                      current.end(), std::back_inserter(fresh_));
+  unlink_in_fan(stale_, v);
+  link_in_fan(fresh_, v);
 }
 
 bool AdhocNetwork::minimally_connected(NodeId v) const {

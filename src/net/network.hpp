@@ -101,26 +101,27 @@ class AdhocNetwork {
   graph::Digraph rebuild_graph_brute_force() const;
 
   /// Heap bytes held by the engine's hot structures (digraph pools,
-  /// conflict rows + journal, spatial grid, per-node config arrays) — the
-  /// numerator of the large-N bytes/node report.
+  /// conflict rows, journal and delta scratch, spatial grid, per-node config
+  /// arrays) — the numerator of the large-N bytes/node report.
   std::size_t memory_bytes() const;
 
  private:
-  /// Adds edge u -> v to the digraph, accounting the conflict-graph delta
-  /// first.  No-op when present.
-  void link(NodeId u, NodeId v);
-  /// Removes edge u -> v, retracting the conflict-graph delta.  No-op when
-  /// absent.
-  void unlink(NodeId u, NodeId v);
-  /// Batched link/unlink of a fan of u's out-edges (`targets` ascending,
-  /// deduped, all absent/present respectively): one conflict-row merge for
-  /// the whole fan (ConflictGraph::on_out_edges_*) instead of one per edge.
-  void link_fan(NodeId u, const std::vector<NodeId>& targets);
-  void unlink_fan(NodeId u, const std::vector<NodeId>& targets);
+  /// Adds/removes a fan of u's out-edges (`targets` ascending, deduped, all
+  /// absent/present respectively), accounting the conflict-graph delta
+  /// first: one merge of u's conflict row for the whole fan
+  /// (ConflictGraph::on_out_edges_*) instead of one per edge.
+  void link_out_fan(NodeId u, const std::vector<NodeId>& targets);
+  void unlink_out_fan(NodeId u, const std::vector<NodeId>& targets);
+  /// Adds/removes a fan of v's in-edges (`senders` ascending, deduped, all
+  /// absent/present respectively): each touched conflict row merges once
+  /// for the whole fan (ConflictGraph::on_in_edges_*).
+  void link_in_fan(const std::vector<NodeId>& senders, NodeId v);
+  void unlink_in_fan(const std::vector<NodeId>& senders, NodeId v);
   /// Replaces v's out-edge set based on current config (diff against the
   /// live set, so unchanged edges generate no conflict-graph churn).
   void refresh_out_edges(NodeId v);
-  /// Replaces v's in-edge set by probing nodes whose range could reach v.
+  /// Replaces v's in-edge set by probing nodes whose range could reach v
+  /// (diffed the same way: the stale fan, then the fresh fan).
   void refresh_in_edges(NodeId v);
   double max_range() const;
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "../helpers.hpp"
 #include "core/bipartite_builder.hpp"
 #include "core/minim.hpp"
@@ -115,6 +118,151 @@ TEST(BipartiteBuilder, EmptyRecodeSet) {
   const RecodeProblem problem = build_recode_problem(net, asg, {});
   EXPECT_EQ(problem.graph.left_size(), 0u);
   EXPECT_EQ(problem.max_color, 0u);
+}
+
+// ------------------------------------------- the builder against its spec
+
+/// G' built straight from bipartite_builder.hpp's definition, independent
+/// of the builder and of the cached conflict graph: partners come from the
+/// digraph (CA1 ∪ CA2), forbidden colors are sorted lists, and every pool
+/// color is tested one by one.
+struct ReferenceProblem {
+  std::vector<NodeId> v1;
+  Color max_color = minim::net::kNoColor;
+  std::vector<minim::matching::BipartiteEdge> edges;
+};
+
+ReferenceProblem reference_recode_problem(const AdhocNetwork& net,
+                                          const CodeAssignment& asg,
+                                          std::vector<NodeId> v1,
+                                          const BipartiteWeights& weights) {
+  std::sort(v1.begin(), v1.end());
+  v1.erase(std::unique(v1.begin(), v1.end()), v1.end());
+  ReferenceProblem ref;
+  ref.v1 = v1;
+  const auto in_v1 = [&v1](NodeId v) {
+    return std::binary_search(v1.begin(), v1.end(), v);
+  };
+  std::vector<std::vector<Color>> forbidden;
+  for (NodeId u : v1) {
+    std::vector<NodeId> partners = minim::test::ids(net.hearers_of(u));
+    for (NodeId w : net.heard_by(u)) partners.push_back(w);
+    for (NodeId k : net.hearers_of(u))
+      for (NodeId w : net.heard_by(k))
+        if (w != u) partners.push_back(w);
+    std::vector<Color> colors;
+    for (NodeId w : partners)
+      if (!in_v1(w) && asg.color(w) != minim::net::kNoColor)
+        colors.push_back(asg.color(w));
+    std::sort(colors.begin(), colors.end());
+    colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
+    if (!colors.empty()) ref.max_color = std::max(ref.max_color, colors.back());
+    ref.max_color = std::max(ref.max_color, asg.color(u));
+    forbidden.push_back(std::move(colors));
+  }
+  for (std::uint32_t i = 0; i < v1.size(); ++i) {
+    for (Color c = 1; c <= ref.max_color; ++c) {
+      if (std::binary_search(forbidden[i].begin(), forbidden[i].end(), c)) continue;
+      const auto w = c == asg.color(v1[i]) ? weights.old_color_weight
+                                           : weights.other_weight;
+      ref.edges.push_back({i, c - 1, w});
+    }
+  }
+  return ref;
+}
+
+void expect_matches_reference(const AdhocNetwork& net, const CodeAssignment& asg,
+                              const std::vector<NodeId>& v1,
+                              const BipartiteWeights& weights) {
+  const RecodeProblem built = build_recode_problem(net, asg, v1, weights);
+  const ReferenceProblem ref = reference_recode_problem(net, asg, v1, weights);
+  ASSERT_EQ(built.v1, ref.v1);
+  ASSERT_EQ(built.max_color, ref.max_color);
+  ASSERT_EQ(built.graph.left_size(), ref.v1.size());
+  ASSERT_EQ(built.graph.right_size(), ref.max_color);
+  const auto& edges = built.graph.edges();
+  ASSERT_EQ(edges.size(), ref.edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    ASSERT_EQ(edges[e].left, ref.edges[e].left) << "edge " << e;
+    ASSERT_EQ(edges[e].right, ref.edges[e].right) << "edge " << e;
+    ASSERT_EQ(edges[e].weight, ref.edges[e].weight) << "edge " << e;
+  }
+}
+
+TEST(BipartiteBuilder, MatchesDefinitionAcrossBitsetWordBoundaries) {
+  // Pool bounds on both sides of each 64-color word edge, so forbidden rows
+  // end exactly at, one short of and one past a word.
+  for (const Color bound : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    Rng rng(1000 + bound);
+    std::size_t hits = 0;
+    for (int round = 0; round < 30; ++round) {
+      // Nodes packed into one corner, so recode sets are large; a far-away
+      // node holds a color far above the local pool and must not widen it.
+      AdhocNetwork net;
+      CodeAssignment asg;
+      const std::size_t n = 20 + rng.below(40);
+      for (std::size_t i = 0; i < n; ++i) {
+        const NodeId v = net.add_node(
+            {{rng.uniform(0, 40), rng.uniform(0, 40)}, rng.uniform(4, 16)});
+        if (rng.below(10) != 0)  // ~10% stay uncolored
+          asg.set_color(v, 1 + static_cast<Color>(rng.below(bound)));
+      }
+      const NodeId far = net.add_node({{99, 99}, 0.5});
+      asg.set_color(far, 10 * bound);
+      ASSERT_EQ(net.conflict_graph().degree(far), 0u);
+
+      // Minim's recode set: an event node and its in-neighbors.  Some
+      // rounds take an arbitrary node subset instead, repeats included.
+      const NodeId event = static_cast<NodeId>(rng.below(n));
+      std::vector<NodeId> v1 = minim::test::ids(net.heard_by(event));
+      v1.push_back(event);
+      if (round % 4 == 3) {
+        v1.clear();
+        for (std::size_t k = 0; k < 12; ++k)
+          v1.push_back(static_cast<NodeId>(rng.below(n)));
+        v1.push_back(v1.front());
+      }
+      // One member holds the bound itself; on some rounds another member is
+      // uncolored, as move_clears_mover leaves the mover.
+      const NodeId top = v1[rng.below(v1.size())];
+      asg.set_color(top, bound);
+      if (round % 3 == 1)
+        for (NodeId u : v1)
+          if (u != top) {
+            asg.clear(u);
+            break;
+          }
+
+      BipartiteWeights weights;
+      if (round % 2 == 1) {
+        weights.old_color_weight = 7;
+        weights.other_weight = 2;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_matches_reference(net, asg, v1, weights))
+          << "bound " << bound << " round " << round;
+      if (build_recode_problem(net, asg, v1).max_color == bound) ++hits;
+    }
+    EXPECT_EQ(hits, 30u) << "bound " << bound;
+  }
+}
+
+TEST(BipartiteBuilder, MatchesDefinitionOnDegenerateSets) {
+  Rng rng(17);
+  AdhocNetwork net;
+  CodeAssignment asg;
+  for (int i = 0; i < 30; ++i) {
+    const NodeId v = net.add_node(
+        {{rng.uniform(0, 50), rng.uniform(0, 50)}, rng.uniform(5, 20)});
+    asg.set_color(v, 1 + static_cast<Color>(rng.below(70)));
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches_reference(net, asg, {}, {}));
+  ASSERT_NO_FATAL_FAILURE(expect_matches_reference(net, asg, {3, 3, 3}, {}));
+  ASSERT_NO_FATAL_FAILURE(expect_matches_reference(net, asg, {9, 2, 9, 2, 5}, {}));
+  // An uncolored lone member with no colored partners: an empty pool.
+  AdhocNetwork lone;
+  CodeAssignment none;
+  const NodeId v = lone.add_node({{50, 50}, 10});
+  ASSERT_NO_FATAL_FAILURE(expect_matches_reference(lone, none, {v}, {}));
 }
 
 // ------------------------------------------------- weights are load-bearing

@@ -48,6 +48,22 @@ TEST(BipartiteGraph, RejectsBadEdges) {
   EXPECT_THROW(g.add_edge(0, 0, 2), std::invalid_argument);  // duplicate
 }
 
+TEST(BipartiteGraph, RejectsDuplicatesInAnyInsertionOrder) {
+  // Ascending insertion takes the O(1) absence proof; every other order
+  // falls back to the scan, so a duplicate is caught either way.
+  BipartiteGraph g(2, 8);
+  g.add_edge(0, 5, 1);
+  g.add_edge(0, 2, 1);  // below the row's largest right endpoint
+  EXPECT_THROW(g.add_edge(0, 5, 1), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 2, 1), std::invalid_argument);
+  g.add_edge(0, 3, 1);  // a gap below the maximum is still free
+  g.add_edge(0, 7, 1);  // above it: proven new in O(1)
+  g.add_edge(1, 5, 1);  // another left vertex has its own bound
+  EXPECT_THROW(g.add_edge(1, 5, 1), std::invalid_argument);
+  EXPECT_EQ(g.edge_count(), 5u);
+  EXPECT_EQ(g.weight(0, 3), 1);
+}
+
 TEST(BipartiteGraph, ValidMatchingChecker) {
   BipartiteGraph g(2, 2);
   g.add_edge(0, 0, 3);

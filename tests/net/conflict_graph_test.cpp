@@ -311,13 +311,123 @@ TEST(ConflictGraphBatch, FanAddAndRemoveEqualSequentialEdgeDeltas) {
   }
 }
 
+/// The journal window since `since`, sorted with its repeats kept: equal
+/// windows hold the same entries the same number of times.
+std::vector<NodeId> sorted_window_since(const ConflictGraph& cg,
+                                        std::uint64_t since) {
+  std::vector<NodeId> window;
+  EXPECT_TRUE(cg.append_dirty_since(since, window));
+  std::sort(window.begin(), window.end());
+  return window;
+}
+
+TEST(ConflictGraphBatch, InFanAddAndRemoveEqualSequentialEdgeDeltas) {
+  Rng rng(654);
+  int checked = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 6 + static_cast<std::size_t>(rng.below(10));
+    FanFixture fx(n, rng);
+
+    // A receiver that already has senders gains a random fan of new ones:
+    // the fan members are each other's co-senders and the old senders'.
+    const NodeId v = static_cast<NodeId>(rng.below(n));
+    if (fx.g_seq.in_degree(v) == 0) continue;
+    std::vector<NodeId> senders;
+    for (NodeId s = 0; s < n; ++s)
+      if (s != v && !fx.g_seq.has_edge(s, v) && rng.below(3) != 0)
+        senders.push_back(s);
+    if (senders.empty()) continue;
+    ++checked;
+
+    const std::uint64_t before_add = fx.seq.revision();
+    ASSERT_EQ(fx.batch.revision(), before_add);
+    for (NodeId s : senders) {
+      fx.seq.on_edge_added(fx.g_seq, s, v);
+      fx.g_seq.add_edge(s, v);
+    }
+    fx.batch.on_in_edges_added(fx.g_batch, senders, v);
+    for (NodeId s : senders) fx.g_batch.add_edge(s, v);
+
+    ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq)) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(fx.batch, ConflictGraph::build_from(fx.g_batch)));
+    EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
+    EXPECT_EQ(sorted_window_since(fx.batch, before_add),
+              sorted_window_since(fx.seq, before_add));
+
+    // And back out, leaving the old senders in place.
+    const std::uint64_t before_remove = fx.seq.revision();
+    for (NodeId s : senders) {
+      fx.seq.on_edge_removed(fx.g_seq, s, v);
+      fx.g_seq.remove_edge(s, v);
+    }
+    fx.batch.on_in_edges_removed(fx.g_batch, senders, v);
+    for (NodeId s : senders) fx.g_batch.remove_edge(s, v);
+
+    ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq)) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same(fx.batch, ConflictGraph::build_from(fx.g_batch)));
+    EXPECT_EQ(fx.batch.pair_count(), fx.seq.pair_count());
+    EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
+    EXPECT_EQ(sorted_window_since(fx.batch, before_remove),
+              sorted_window_since(fx.seq, before_remove));
+  }
+  EXPECT_GE(checked, 20);
+}
+
+TEST(ConflictGraphBatch, InFanRejectsMalformedFansUntouched) {
+  Rng rng(99);
+  FanFixture fx(8, rng, 0.4);
+  const NodeId v = 0;
+  ASSERT_GT(fx.g_batch.in_degree(v), 0u);
+  std::vector<NodeId> absent;
+  for (NodeId s = 1; s < 8; ++s)
+    if (!fx.g_batch.has_edge(s, v)) absent.push_back(s);
+  ASSERT_GE(absent.size(), 2u);
+  const NodeId present = fx.g_batch.in_neighbors(v)[0];
+
+  using Fan = std::vector<NodeId>;
+  EXPECT_THROW(fx.batch.on_in_edges_added(fx.g_batch, Fan{absent[1], absent[0]}, v),
+               std::invalid_argument);  // not ascending
+  EXPECT_THROW(fx.batch.on_in_edges_added(fx.g_batch, Fan{absent[0], absent[0]}, v),
+               std::invalid_argument);  // duplicate sender
+  Fan with_present = {absent[0], present};
+  std::sort(with_present.begin(), with_present.end());
+  EXPECT_THROW(fx.batch.on_in_edges_added(fx.g_batch, with_present, v),
+               std::invalid_argument);  // edge already present
+  EXPECT_THROW(fx.batch.on_in_edges_removed(fx.g_batch, with_present, v),
+               std::invalid_argument);  // edge absent
+  // A refused fan changes nothing.
+  ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq));
+  EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
+}
+
 TEST(ConflictGraphBatch, EmptyFanIsANoOp) {
   Rng rng(5);
   FanFixture fx(6, rng);
   const std::uint64_t revision = fx.batch.revision();
   fx.batch.on_out_edges_added(fx.g_batch, 0, {});
   fx.batch.on_out_edges_removed(fx.g_batch, 0, {});
+  fx.batch.on_in_edges_added(fx.g_batch, {}, 0);
+  fx.batch.on_in_edges_removed(fx.g_batch, {}, 0);
   EXPECT_EQ(fx.batch.revision(), revision);
+  ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq));
+}
+
+// ------------------------------------------------------------- footprint
+
+TEST(ConflictGraphMemory, CountsTheDeltaScratch) {
+  // The out-fan's partner tally is indexed by node id, so a fan over ids
+  // near 1,000 grows it to ~1,000 entries while adding only a few pairs.
+  Digraph g;
+  ConflictGraph cg;
+  for (int i = 0; i <= 1000; ++i) cg.on_node_added(g.add_node());
+  const std::size_t before = cg.memory_bytes();
+  const std::vector<NodeId> targets = {999, 1000};
+  cg.on_out_edges_added(g, 998, targets);
+  for (NodeId t : targets) g.add_edge(998, t);
+  EXPECT_EQ(cg.pair_count(), 2u);
+  EXPECT_GE(cg.memory_bytes() - before, 1001 * sizeof(std::uint32_t));
 }
 
 }  // namespace
