@@ -1,4 +1,4 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies for five design choices of the reproduction:
 //
 //  A. Matching engine inside Minim's RecodeOnJoin: exact max-weight
 //     (Hungarian, the paper) vs greedy 1/2-approx vs max-cardinality.

@@ -1,11 +1,8 @@
-// cdma_drive: the standalone experiment-orchestrator front-end.
+// cdma_drive: the standalone experiment front-end and serving entry point.
 //
-// Describes an arbitrary scenario grid on the command line, runs it — in
-// process, or as a driver across self-spawned worker processes with
-// --orchestrate=K — and prints the per-cell summary table.  The merged
-// orchestrated result is bit-identical to the single-process run for any
-// split of the (grid point x trial) space, including under injected worker
-// crashes with retry (--crash-unit).
+// Describes an arbitrary scenario grid on the command line, runs it over the
+// thread pool, and prints the per-cell summary table; or, with --serve,
+// runs the online assignment engine.
 //
 // Grid description:
 //   --scenario=KIND     join | power | move | churn (default join)
@@ -19,15 +16,11 @@
 //   --strategies=...    strategy names (default minim,cp,bbb)
 //   --trials=N          Monte-Carlo trials per grid point (default 100)
 //   --seed=S            master seed (default 2001)
-//   --threads=T         worker threads per process (default hardware)
+//   --threads=T         worker threads (default hardware)
 //
 // Output:
-//   --save-experiment=F write the merged per-trial experiment CSV to F
+//   --save-experiment=F write the per-trial experiment CSV to F
 //   --csv-dir=DIR       write DIR/cdma_drive.csv (one summary row per cell)
-//
-// Orchestration (see bench_util.hpp): --orchestrate=K, --units, --split,
-// --max-attempts, --worker-timeout, --shard-dir, --resume, --keep-shards,
-// --crash-unit.
 //
 // Serving (see src/serve/):
 //   --serve             run the online assignment engine instead of a grid
@@ -47,7 +40,7 @@
 // Examples:
 //   cdma_drive --axes=n:40:80:120 --trials=200
 //   cdma_drive --scenario=power --axes=n:60:100,raise_factor:2:4
-//              --orchestrate=8 --split=auto --save-experiment=power_grid.csv
+//              --save-experiment=power_grid.csv
 //   cdma_drive --scenario=move --axes=n:80 --record-trace=move80.trace
 //   cdma_drive --serve --strategy=bbb-bounded < move80.trace
 //   cdma_drive --serve --transport=tcp --strategy=bbb-bounded
@@ -64,6 +57,7 @@
 #include "serve/session.hpp"
 #include "serve/transport.hpp"
 #include "sim/experiment.hpp"
+#include "sim/experiment_io.hpp"
 #include "sim/trace.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
@@ -332,23 +326,12 @@ int main(int argc, char** argv) {
   const std::string record = options.get("record-trace", "");
   if (!record.empty()) return run_record_trace(record, options, experiment);
 
-  if (bench::is_worker(options)) {
-    if (bench::run_worker_unit(options, experiment, run, "cdma_drive"))
-      return 0;
-    std::cerr << "unknown --unit-tag for cdma_drive\n";
-    return 2;
-  }
-
-  std::cout << "=== cdma_drive: scenario grid "
-            << (options.get_int("orchestrate", 0) > 0 ? "(orchestrated)"
-                                                      : "(in-process)")
-            << " ===\n"
+  std::cout << "=== cdma_drive: scenario grid ===\n"
             << experiment.points().size() << " grid points x "
             << experiment.grid().strategies.size() << " strategies x "
             << run.trials << " trials, seed " << run.seed << "\n\n";
 
-  const sim::ExperimentResult result =
-      bench::run_experiment_cli(options, experiment, run, "cdma_drive");
+  const sim::ExperimentResult result = experiment.run(run);
 
   const std::string save = options.get("save-experiment", "");
   if (!save.empty()) {

@@ -15,10 +15,6 @@
 //
 // Every point is the mean over --runs (default 100) seeded Monte-Carlo runs;
 // all strategies replay identical workloads (paired comparison).
-//
-// With --orchestrate=K each sweep runs as K self-spawned worker processes
-// whose merged result is bit-identical to the in-process run (see
-// bench_util.hpp for the orchestration flag set).
 
 #include <iostream>
 
@@ -34,25 +30,13 @@ int main(int argc, char** argv) {
   const std::vector<double> avg_ranges{7.5, 17.5, 27.5, 37.5, 47.5, 57.5, 67.5};
 
   const auto sweep = bench::sweep_options_from(options, {"minim", "cp", "bbb"});
-  const sim::Experiment vs_n(sim::grid_join_vs_n(ns, sweep));
-  const sim::Experiment vs_range(sim::grid_join_vs_avg_range(avg_ranges, sweep));
-  const sim::ExperimentOptions run = sim::experiment_options_from(sweep);
-
-  if (bench::is_worker(options)) {
-    if (bench::run_worker_unit(options, vs_n, run, "fig10-n")) return 0;
-    if (bench::run_worker_unit(options, vs_range, run, "fig10-range")) return 0;
-    std::cerr << "unknown --unit-tag for fig10\n";
-    return 2;
-  }
 
   std::cout << "=== Figure 10: node join ===\n"
             << "N joins on 100x100 field; metrics after the full join "
                "sequence; mean +- 95% CI over runs.\n\n";
 
   {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, vs_n, run, "fig10-n"),
-        /*delta_metrics=*/false);
+    const auto points = sim::sweep_join_vs_n(ns, sweep);
     bench::print_series("Fig 10(a): max color index vs N (minr=20.5, maxr=30.5)",
                         "N", points, bench::Metric::kColor, options, "fig10a");
     bench::print_series("Fig 10(b): total recodings vs N", "N", points,
@@ -64,9 +48,7 @@ int main(int argc, char** argv) {
                         distributed, bench::Metric::kRecodings, options, "fig10c");
   }
   {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, vs_range, run, "fig10-range"),
-        /*delta_metrics=*/false);
+    const auto points = sim::sweep_join_vs_avg_range(avg_ranges, sweep);
     bench::print_series(
         "Fig 10(d): max color index vs avg range (N=100, maxr-minr=5)", "avgR",
         points, bench::Metric::kColor, options, "fig10d");

@@ -26,27 +26,19 @@ int main(int argc, char** argv) {
 
   // `cp-exact` is our reproduction probe: CP with its color rule ported
   // faithfully to the directed model (avoid true CA1/CA2 partners instead
-  // of the whole 2-hop ball).  See EXPERIMENTS.md for why Fig 11(a)'s
-  // Minim-vs-CP ordering is sensitive to this choice.
+  // of the whole 2-hop ball; `CpStrategy::Vicinity` in strategies/cp.hpp).
+  // Fig 11(a)'s Minim-vs-CP ordering is sensitive to this choice;
+  // `FigureShapes.Fig11ColorDirectionWithExactVicinityCp` pins the
+  // direction the paper reports.
   const auto sweep =
       bench::sweep_options_from(options, {"minim", "cp", "cp-exact", "bbb"});
-  const sim::Experiment experiment(sim::grid_power_vs_raise_factor(factors, sweep));
-  const sim::ExperimentOptions run = sim::experiment_options_from(sweep);
-
-  if (bench::is_worker(options)) {
-    if (bench::run_worker_unit(options, experiment, run, "fig11")) return 0;
-    std::cerr << "unknown --unit-tag for fig11\n";
-    return 2;
-  }
 
   std::cout << "=== Figure 11: node power increase ===\n"
             << "N=100 joins, then half the nodes raise range by raisefactor; "
                "delta metrics vs post-join state.\n\n";
 
   {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, experiment, run, "fig11"),
-        /*delta_metrics=*/true);
+    const auto points = sim::sweep_power_vs_raise_factor(factors, sweep);
     bench::print_series("Fig 11(a): delta max color index vs raisefactor",
                         "raisefactor", points, bench::Metric::kColor, options,
                         "fig11a");

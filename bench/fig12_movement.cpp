@@ -27,49 +27,29 @@ int main(int argc, char** argv) {
 
   const auto distributed_sweep = bench::sweep_options_from(options, {"minim", "cp"});
   const auto all_sweep = bench::sweep_options_from(options, {"minim", "cp", "bbb"});
-  const sim::Experiment vs_disp(
-      sim::grid_move_vs_max_displacement(displacements, distributed_sweep));
-  const sim::Experiment vs_rounds(sim::grid_move_vs_rounds(rounds, all_sweep));
-  const sim::Experiment vs_rounds_dist(
-      sim::grid_move_vs_rounds(rounds, distributed_sweep));
-  const sim::ExperimentOptions run = sim::experiment_options_from(all_sweep);
-
-  if (bench::is_worker(options)) {
-    if (bench::run_worker_unit(options, vs_disp, run, "fig12-disp")) return 0;
-    if (bench::run_worker_unit(options, vs_rounds, run, "fig12-rounds")) return 0;
-    if (bench::run_worker_unit(options, vs_rounds_dist, run, "fig12-rounds-dist"))
-      return 0;
-    std::cerr << "unknown --unit-tag for fig12\n";
-    return 2;
-  }
 
   std::cout << "=== Figure 12: node movement ===\n"
             << "N=40 joins, then movement rounds (every node moves once per "
                "round); delta metrics vs post-join state.\n\n";
 
   {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, vs_disp, run, "fig12-disp"),
-        /*delta_metrics=*/true);
+    const auto points =
+        sim::sweep_move_vs_max_displacement(displacements, distributed_sweep);
     bench::print_series("Fig 12(a): delta recodings vs maxdisp (RoundNo=1)",
                         "maxdisp", points, bench::Metric::kRecodings, options,
                         "fig12a");
   }
   {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, vs_rounds, run, "fig12-rounds"),
-        /*delta_metrics=*/true);
+    const auto points = sim::sweep_move_vs_rounds(rounds, all_sweep);
     bench::print_series("Fig 12(b): delta max color vs RoundNo (maxdisp=40)",
                         "RoundNo", points, bench::Metric::kColor, options, "fig12b");
     bench::print_series("Fig 12(c): delta recodings vs RoundNo", "RoundNo", points,
                         bench::Metric::kRecodings, options, "fig12c");
-  }
-  {
-    const auto points = sim::sweep_points_from(
-        bench::run_experiment_cli(options, vs_rounds_dist, run, "fig12-rounds-dist"),
-        /*delta_metrics=*/true);
+    // (d) is the minim/cp sub-series of the same sweep (strategy lanes are
+    // independent) — filtered, not re-simulated.
+    const auto distributed = bench::filter_strategies(points, {"minim", "cp"});
     bench::print_series("Fig 12(d): delta recodings vs RoundNo (distributed only)",
-                        "RoundNo", points, bench::Metric::kRecodings, options,
+                        "RoundNo", distributed, bench::Metric::kRecodings, options,
                         "fig12d");
   }
   return 0;

@@ -3,11 +3,7 @@
 // with trial-range sharding and bit-exact shard merging.
 //
 // Modes:
-//   (default)           run the whole grid, print the summary table; with
-//                       --orchestrate=K the run is driven across K
-//                       self-spawned worker processes (see bench_util.hpp
-//                       for the full orchestration flag set) and the merged
-//                       result is bit-identical to the single-process run
+//   (default)           run the whole grid, print the summary table
 //   --shard=i/k --out=F run global trials of shard i of k, write the shard
 //                       CSV to F (default grid_shard_<i>of<k>.csv)
 //   --merge=F1,F2,...   read shard CSVs, merge, print the summary table
@@ -23,18 +19,16 @@
 //   --factors=...       raise_factor axis values (default 1.5,2.5,3.5,4.5,5.5)
 //   --strategies=...    strategy names (default minim,cp,bbb)
 //   --csv-dir=DIR       also write DIR/grid_study.csv (one row per cell)
-//   --save-experiment=F write the full per-trial experiment CSV to F (the
-//                       artifact CI diffs between orchestrated and
-//                       single-process runs)
+//   --save-experiment=F write the full per-trial experiment CSV to F (with
+//                       --merge: the merged result; byte-identical to the
+//                       single-process run's file)
 //
 // Sharding contract: trial t of grid point p always draws stream
 // p * trials + t regardless of which process runs it, so
 //   grid_study --shard=0/4 --out=s0.csv   ...   --shard=3/4 --out=s3.csv
 //   grid_study --merge=s0.csv,s1.csv,s2.csv,s3.csv
-// prints exactly what an unsharded run would — and
-//   grid_study --orchestrate=4
-// is that whole loop (planning, spawning, retrying, merging) in one flag,
-// able to split grid points as well as trial ranges.
+// prints exactly what an unsharded run would.  Within one process the grid
+// runs over --threads; shards spread it across machines.
 
 #include <algorithm>
 #include <chrono>
@@ -157,7 +151,8 @@ void print_result(const sim::ExperimentResult& result,
 }
 
 /// --save-experiment=F: persist the full per-trial result (exact format) —
-/// the artifact the CI equivalence gate compares across run modes.
+/// the artifact that must not change between a single-process run and a
+/// --shard/--merge run.
 void save_experiment_if_requested(const sim::ExperimentResult& result,
                                   const util::Options& options) {
   const std::string path = options.get("save-experiment", "");
@@ -242,16 +237,6 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   const StudyConfig config = config_from(options);
 
-  // Orchestration worker: run this unit's rectangle, write its shard CSV,
-  // and say nothing on stdout (the driver collects the log).
-  if (bench::is_worker(options)) {
-    if (bench::run_worker_unit(options, make_experiment(config), config.run,
-                               "grid_study"))
-      return 0;
-    std::cerr << "unknown --unit-tag for grid_study\n";
-    return 2;
-  }
-
   std::cout << "=== Grid study: N x raise_factor ===\n"
             << config.ns.size() << " x " << config.factors.size()
             << " grid, strategies:";
@@ -323,8 +308,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const sim::ExperimentResult result = bench::run_experiment_cli(
-      options, make_experiment(config), config.run, "grid_study");
+  const sim::ExperimentResult result = make_experiment(config).run(config.run);
   save_experiment_if_requested(result, options);
   print_result(result, options);
   return 0;

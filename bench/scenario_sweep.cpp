@@ -14,9 +14,6 @@
 //   --strategies=...    strategy names (default minim,cp,bbb)
 //   --serial-check      re-run every kind on 1 thread and verify the result
 //                       is bit-identical (the experiment engine's contract)
-//   --orchestrate=K     drive each scenario's experiment across K
-//                       self-spawned worker processes (bit-identical merge;
-//                       see bench_util.hpp for the full flag set)
 
 #include <algorithm>
 #include <chrono>
@@ -98,17 +95,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> strategies =
       bench::string_list_from(options, "strategies", {"minim", "cp", "bbb"});
 
-  // Orchestration worker: each scenario kind is its own tagged experiment.
-  if (bench::is_worker(options)) {
-    for (const sim::ScenarioKind kind : kKinds)
-      if (bench::run_worker_unit(
-              options, make_kind_experiment(kind, n, churn_duration, strategies),
-              run, kind_name(kind)))
-        return 0;
-    std::cerr << "unknown --unit-tag for scenario_sweep\n";
-    return 2;
-  }
-
   std::cout << "=== Scenario sweep engine ===\n"
             << run.trials << " trials per scenario, seed " << run.seed << "\n\n";
 
@@ -126,8 +112,7 @@ int main(int argc, char** argv) {
         make_kind_experiment(kind, n, churn_duration, strategies);
 
     const auto start = std::chrono::steady_clock::now();
-    const sim::ExperimentResult result =
-        bench::run_experiment_cli(options, experiment, run, kind_name(kind));
+    const sim::ExperimentResult result = experiment.run(run);
     const double elapsed = seconds_since(start);
     parallel_total += elapsed;
 

@@ -35,10 +35,9 @@
 ///    streams, so k processes can each run a slice — split by trial range,
 ///    by grid-point subset (axis-space sharding), or both — and
 ///    `merge_shards` reassembles a result bit-identical to one process
-///    running everything.  `work_plan.hpp` decomposes a grid into such
-///    rectangles; `orchestrator.hpp` schedules them across worker processes.
+///    running everything (`bench_grid_study --shard=i/k`, then `--merge`).
 ///
-/// `run_sweep` (figure sweeps, sweeps.hpp) is a thin adapter over this API.
+/// The figure sweeps (sweeps.hpp) are one-axis grids on this API.
 
 namespace minim::sim {
 

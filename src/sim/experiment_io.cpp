@@ -208,119 +208,6 @@ ExperimentResult read_experiment_csv(std::istream& in) {
   return result;
 }
 
-namespace {
-
-constexpr const char* kManifestMagic = "#minim-manifest v1";
-
-[[noreturn]] void fail_manifest(const std::string& what) {
-  throw std::runtime_error("read_shard_manifest: " + what);
-}
-
-/// Manifest-context parse helpers: same grammar as the experiment-CSV
-/// helpers, but failures name *this* parser — a corrupt manifest must not
-/// point post-mortem debugging at the shard CSVs.
-std::uint64_t manifest_u64(const std::string& s) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0')
-    fail_manifest("bad integer '" + s + "'");
-  return value;
-}
-
-const std::string& manifest_field(const std::vector<std::string>& fields,
-                                  std::size_t index) {
-  if (index >= fields.size()) fail_manifest("line is missing fields");
-  return fields[index];
-}
-
-/// The tail of a comma-split line from `index` on, commas restored.
-std::string manifest_tail(const std::vector<std::string>& fields,
-                          std::size_t index) {
-  std::string tail = manifest_field(fields, index);
-  for (std::size_t f = index + 1; f < fields.size(); ++f)
-    tail += "," + fields[f];
-  return tail;
-}
-
-}  // namespace
-
-void write_shard_manifest(const ShardManifest& manifest, std::ostream& out) {
-  out << kManifestMagic << "\n";
-  out << "#experiment," << manifest.experiment << "\n";
-  out << "#seed," << manifest.seed << "\n";
-  out << "#total_points," << manifest.total_points << "\n";
-  out << "#total_trials," << manifest.total_trials << "\n";
-  out << "unit,point_begin,point_count,trial_begin,trial_count,attempts,"
-         "status,path\n";
-  for (const ShardManifestEntry& entry : manifest.entries) {
-    out << entry.unit << "," << entry.point_begin << "," << entry.point_count
-        << "," << entry.trial_begin << "," << entry.trial_count << ","
-        << entry.attempts << "," << entry.status << "," << entry.path << "\n";
-  }
-}
-
-ShardManifest read_shard_manifest(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestMagic)
-    fail_manifest("missing magic header");
-
-  ShardManifest manifest;
-  bool saw_data_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = split(line, ',');
-    if (line[0] == '#') {
-      const std::string& key = fields[0];
-      if (key == "#experiment")
-        manifest.experiment = manifest_tail(fields, 1);
-      else if (key == "#seed")
-        manifest.seed = manifest_u64(manifest_field(fields, 1));
-      else if (key == "#total_points")
-        manifest.total_points =
-            static_cast<std::size_t>(manifest_u64(manifest_field(fields, 1)));
-      else if (key == "#total_trials")
-        manifest.total_trials =
-            static_cast<std::size_t>(manifest_u64(manifest_field(fields, 1)));
-      else
-        fail_manifest("unknown metadata line '" + key + "'");
-      continue;
-    }
-    if (!saw_data_header) {
-      if (fields[0] != "unit") fail_manifest("missing data header row");
-      saw_data_header = true;
-      continue;
-    }
-    if (fields.size() < 8) fail_manifest("entry row needs 8 fields");
-    ShardManifestEntry entry;
-    entry.unit = static_cast<std::size_t>(manifest_u64(fields[0]));
-    entry.point_begin = static_cast<std::size_t>(manifest_u64(fields[1]));
-    entry.point_count = static_cast<std::size_t>(manifest_u64(fields[2]));
-    entry.trial_begin = static_cast<std::size_t>(manifest_u64(fields[3]));
-    entry.trial_count = static_cast<std::size_t>(manifest_u64(fields[4]));
-    entry.attempts = static_cast<std::size_t>(manifest_u64(fields[5]));
-    entry.status = fields[6];
-    // The path is the tail so it may contain commas.
-    entry.path = manifest_tail(fields, 7);
-    manifest.entries.push_back(std::move(entry));
-  }
-  if (!saw_data_header) fail_manifest("stream ended before the data header");
-  return manifest;
-}
-
-void write_shard_manifest_file(const ShardManifest& manifest,
-                               const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_shard_manifest(manifest, out);
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-ShardManifest read_shard_manifest_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return read_shard_manifest(in);
-}
-
 void write_experiment_csv_file(const ExperimentResult& result,
                                const std::string& path) {
   std::ofstream out(path);

@@ -1,61 +1,19 @@
 #include "sim/sweeps.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/experiment.hpp"
-#include "util/map_reduce.hpp"
 #include "util/require.hpp"
 
 namespace minim::sim {
 
 namespace {
 
-/// One run's (color, recoding) metric per strategy, strategy-ordered.
-struct RunMetrics {
-  std::vector<double> colors;
-  std::vector<double> recodes;
-};
-
-strategies::StrategyFactory factory_or_default(const SweepOptions& options) {
-  if (options.strategy_factory) return options.strategy_factory;
-  return [](const std::string& name) { return strategies::make_strategy(name); };
-}
-
-/// Assembles the one-axis grid every figure sweep shares.
-ExperimentGrid make_figure_grid(GridAxis axis, ScenarioSpec base,
-                                const SweepOptions& options) {
-  ExperimentGrid grid;
-  grid.base = std::move(base);
-  grid.base.validate = options.validate;
-  grid.axes.push_back(std::move(axis));
-  grid.strategies = options.strategies;
-  grid.strategy_factory = options.strategy_factory;
-  return grid;
-}
-
-/// Runs a one-axis grid in process.
-std::vector<SweepPoint> run_grid_sweep(GridAxis axis, ScenarioSpec base,
-                                       bool delta_metrics,
-                                       const SweepOptions& options) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(
-      make_figure_grid(std::move(axis), std::move(base), options));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           delta_metrics);
-}
-
-}  // namespace
-
-ExperimentOptions experiment_options_from(const SweepOptions& options) {
-  ExperimentOptions run;
-  run.trials = options.runs;
-  run.seed = options.seed;
-  run.threads = options.threads;
-  return run;
-}
-
+/// Converts a one-axis experiment result to the figure point list (x-major,
+/// strategy-minor; per-run accumulation in trial order).  With
+/// `delta_metrics` the Δ-versions of both metrics are recorded (Figs 11 and
+/// 12), otherwise the absolute after-setup values (Fig 10).
 std::vector<SweepPoint> sweep_points_from(const ExperimentResult& result,
                                           bool delta_metrics) {
   std::vector<SweepPoint> points;
@@ -79,73 +37,31 @@ std::vector<SweepPoint> sweep_points_from(const ExperimentResult& result,
   return points;
 }
 
-std::vector<SweepPoint> run_sweep(const std::vector<double>& xs,
-                                  const WorkloadFactory& factory, bool delta_metrics,
-                                  const SweepOptions& options) {
-  MINIM_REQUIRE(!xs.empty(), "sweep needs at least one x value");
-  MINIM_REQUIRE(!options.strategies.empty(), "sweep needs at least one strategy");
+/// Runs the one-axis grid every figure sweep shares: `base` with `axis`
+/// swept across the sweep's strategies, runs, seed and threads.
+std::vector<SweepPoint> run_figure_sweep(GridAxis axis, ScenarioSpec base,
+                                         bool delta_metrics,
+                                         const SweepOptions& options) {
   MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
+  ExperimentGrid grid;
+  grid.base = std::move(base);
+  grid.base.validate = options.validate;
+  grid.axes.push_back(std::move(axis));
+  grid.strategies = options.strategies;
+  grid.strategy_factory = options.strategy_factory;
 
-  const std::size_t n_x = xs.size();
-  const std::size_t n_s = options.strategies.size();
-  const std::size_t runs = options.runs;
-  const strategies::StrategyFactory make = factory_or_default(options);
-
-  // Points pre-built x-major, strategy-minor; map_reduce's in-order reduce
-  // then appends run metrics per point in ascending run order.
-  std::vector<SweepPoint> points(n_x * n_s);
-  for (std::size_t xi = 0; xi < n_x; ++xi)
-    for (std::size_t si = 0; si < n_s; ++si) {
-      points[xi * n_s + si].x = xs[xi];
-      points[xi * n_s + si].strategy = options.strategies[si];
-    }
-
-  util::MapReduceOptions mr;
-  mr.seed = options.seed;
-  mr.threads = options.threads;
-  util::map_reduce(
-      n_x * runs, mr,
-      [&](std::size_t task, util::Rng& rng) {
-        const std::size_t xi = task / runs;
-        // One independent stream per (x, run); strategies share the workload.
-        const Workload workload = factory(xs[xi], rng);
-        RunMetrics metrics;
-        metrics.colors.reserve(n_s);
-        metrics.recodes.reserve(n_s);
-        thread_local ReplayArena arena;  // reused across this worker's runs
-        std::vector<std::unique_ptr<core::RecodingStrategy>> objects;
-        std::vector<core::RecodingStrategy*> lanes;
-        objects.reserve(n_s);
-        lanes.reserve(n_s);
-        for (std::size_t si = 0; si < n_s; ++si) {
-          objects.push_back(make(options.strategies[si]));
-          lanes.push_back(objects.back().get());
-        }
-        // Lockstep: one shared network evolution, one assignment per
-        // strategy (bit-identical to per-strategy replays).
-        const std::vector<RunOutcome> outcomes =
-            replay_all(workload, lanes, options.validate, &arena);
-        for (const RunOutcome& outcome : outcomes) {
-          metrics.colors.push_back(delta_metrics ? outcome.delta_max_color()
-                                                 : outcome.final_max_color());
-          metrics.recodes.push_back(delta_metrics ? outcome.delta_recodings()
-                                                  : outcome.total_recodings());
-        }
-        return metrics;
-      },
-      [&](std::size_t task, RunMetrics&& metrics) {
-        const std::size_t xi = task / runs;
-        for (std::size_t si = 0; si < n_s; ++si) {
-          points[xi * n_s + si].color_metric.add(metrics.colors[si]);
-          points[xi * n_s + si].recoding_metric.add(metrics.recodes[si]);
-        }
-      });
-  return points;
+  ExperimentOptions run;
+  run.trials = options.runs;
+  run.seed = options.seed;
+  run.threads = options.threads;
+  return sweep_points_from(Experiment(std::move(grid)).run(run), delta_metrics);
 }
 
-ExperimentGrid grid_join_vs_n(const std::vector<double>& ns,
-                              const SweepOptions& options, double min_range,
-                              double max_range) {
+}  // namespace
+
+std::vector<SweepPoint> sweep_join_vs_n(const std::vector<double>& ns,
+                                        const SweepOptions& options, double min_range,
+                                        double max_range) {
   ScenarioSpec base;
   base.kind = ScenarioKind::kJoin;
   base.workload.min_range = min_range;
@@ -153,21 +69,13 @@ ExperimentGrid grid_join_vs_n(const std::vector<double>& ns,
   GridAxis axis{"n", ns, [](ScenarioSpec& spec, double x) {
                   spec.workload.n = static_cast<std::size_t>(x);
                 }};
-  return make_figure_grid(std::move(axis), std::move(base), options);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/false, options);
 }
 
-std::vector<SweepPoint> sweep_join_vs_n(const std::vector<double>& ns,
-                                        const SweepOptions& options, double min_range,
-                                        double max_range) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(grid_join_vs_n(ns, options, min_range, max_range));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           /*delta_metrics=*/false);
-}
-
-ExperimentGrid grid_join_vs_avg_range(const std::vector<double>& avg_ranges,
-                                      const SweepOptions& options, std::size_t n,
-                                      double spread) {
+std::vector<SweepPoint> sweep_join_vs_avg_range(const std::vector<double>& avg_ranges,
+                                                const SweepOptions& options,
+                                                std::size_t n, double spread) {
   ScenarioSpec base;
   base.kind = ScenarioKind::kJoin;
   base.workload.n = n;
@@ -175,21 +83,13 @@ ExperimentGrid grid_join_vs_avg_range(const std::vector<double>& avg_ranges,
                   spec.workload.min_range = x - spread / 2.0;
                   spec.workload.max_range = x + spread / 2.0;
                 }};
-  return make_figure_grid(std::move(axis), std::move(base), options);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/false, options);
 }
 
-std::vector<SweepPoint> sweep_join_vs_avg_range(const std::vector<double>& avg_ranges,
-                                                const SweepOptions& options,
-                                                std::size_t n, double spread) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(grid_join_vs_avg_range(avg_ranges, options, n, spread));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           /*delta_metrics=*/false);
-}
-
-ExperimentGrid grid_power_vs_raise_factor(const std::vector<double>& raise_factors,
-                                          const SweepOptions& options, std::size_t n,
-                                          double min_range, double max_range) {
+std::vector<SweepPoint> sweep_power_vs_raise_factor(
+    const std::vector<double>& raise_factors, const SweepOptions& options,
+    std::size_t n, double min_range, double max_range) {
   ScenarioSpec base;
   base.kind = ScenarioKind::kPower;
   base.workload.n = n;
@@ -198,20 +98,11 @@ ExperimentGrid grid_power_vs_raise_factor(const std::vector<double>& raise_facto
   GridAxis axis{"raise_factor", raise_factors, [](ScenarioSpec& spec, double x) {
                   spec.raise_factor = x;
                 }};
-  return make_figure_grid(std::move(axis), std::move(base), options);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/true, options);
 }
 
-std::vector<SweepPoint> sweep_power_vs_raise_factor(
-    const std::vector<double>& raise_factors, const SweepOptions& options,
-    std::size_t n, double min_range, double max_range) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(
-      grid_power_vs_raise_factor(raise_factors, options, n, min_range, max_range));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           /*delta_metrics=*/true);
-}
-
-ExperimentGrid grid_move_vs_max_displacement(
+std::vector<SweepPoint> sweep_move_vs_max_displacement(
     const std::vector<double>& max_displacements, const SweepOptions& options,
     std::size_t n, double min_range, double max_range) {
   ScenarioSpec base;
@@ -222,17 +113,25 @@ ExperimentGrid grid_move_vs_max_displacement(
   base.move_rounds = 1;
   GridAxis axis{"max_displacement", max_displacements,
                 [](ScenarioSpec& spec, double x) { spec.max_displacement = x; }};
-  return make_figure_grid(std::move(axis), std::move(base), options);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/true, options);
 }
 
-std::vector<SweepPoint> sweep_move_vs_max_displacement(
-    const std::vector<double>& max_displacements, const SweepOptions& options,
-    std::size_t n, double min_range, double max_range) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(grid_move_vs_max_displacement(
-      max_displacements, options, n, min_range, max_range));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           /*delta_metrics=*/true);
+std::vector<SweepPoint> sweep_move_vs_rounds(const std::vector<double>& rounds,
+                                             const SweepOptions& options, std::size_t n,
+                                             double max_displacement, double min_range,
+                                             double max_range) {
+  ScenarioSpec base;
+  base.kind = ScenarioKind::kMove;
+  base.workload.n = n;
+  base.workload.min_range = min_range;
+  base.workload.max_range = max_range;
+  base.max_displacement = max_displacement;
+  GridAxis axis{"rounds", rounds, [](ScenarioSpec& spec, double x) {
+                  spec.move_rounds = static_cast<std::size_t>(x);
+                }};
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/true, options);
 }
 
 std::vector<SweepPoint> sweep_join_vs_n_constant_density(
@@ -244,8 +143,8 @@ std::vector<SweepPoint> sweep_join_vs_n_constant_density(
                   spec.workload = make_large_n_params(
                       static_cast<std::size_t>(x), mean_degree, placement);
                 }};
-  return run_grid_sweep(std::move(axis), std::move(base),
-                        /*delta_metrics=*/false, options);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/false, options);
 }
 
 std::vector<SweepPoint> sweep_join_vs_cluster_count(
@@ -260,36 +159,8 @@ std::vector<SweepPoint> sweep_join_vs_cluster_count(
                   spec.workload.cluster_count =
                       std::max<std::size_t>(1, static_cast<std::size_t>(x));
                 }};
-  return run_grid_sweep(std::move(axis), std::move(base),
-                        /*delta_metrics=*/false, options);
-}
-
-ExperimentGrid grid_move_vs_rounds(const std::vector<double>& rounds,
-                                   const SweepOptions& options, std::size_t n,
-                                   double max_displacement, double min_range,
-                                   double max_range) {
-  ScenarioSpec base;
-  base.kind = ScenarioKind::kMove;
-  base.workload.n = n;
-  base.workload.min_range = min_range;
-  base.workload.max_range = max_range;
-  base.max_displacement = max_displacement;
-  GridAxis axis{"rounds", rounds, [](ScenarioSpec& spec, double x) {
-                  spec.move_rounds = static_cast<std::size_t>(x);
-                }};
-  return make_figure_grid(std::move(axis), std::move(base), options);
-}
-
-std::vector<SweepPoint> sweep_move_vs_rounds(const std::vector<double>& rounds,
-                                             const SweepOptions& options, std::size_t n,
-                                             double max_displacement, double min_range,
-                                             double max_range) {
-  MINIM_REQUIRE(options.runs > 0, "sweep needs at least one run");
-  const Experiment experiment(grid_move_vs_rounds(rounds, options, n,
-                                                  max_displacement, min_range,
-                                                  max_range));
-  return sweep_points_from(experiment.run(experiment_options_from(options)),
-                           /*delta_metrics=*/true);
+  return run_figure_sweep(std::move(axis), std::move(base),
+                          /*delta_metrics=*/false, options);
 }
 
 }  // namespace minim::sim

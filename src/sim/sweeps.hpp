@@ -1,11 +1,8 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
-#include "sim/replay.hpp"
 #include "sim/workload.hpp"
 #include "strategies/factory.hpp"
 #include "util/stats.hpp"
@@ -15,13 +12,12 @@
 ///
 /// Every figure in the paper is a sweep: an x-axis parameter, one curve per
 /// strategy, each point "the average of the metric measured over 100 runs of
-/// randomly generated ad-hoc networks".  `run_sweep` fans (x, run) pairs
-/// over `util::map_reduce` (item (xi, run) draws stream xi*runs+run),
-/// replays each generated workload once per strategy (paired comparison —
-/// all strategies see the same random networks), and reduces per-run metrics
-/// deterministically.  The figure-specific sweeps below are one-axis
-/// `sim::Experiment` grids with identical stream assignment, converted back
-/// to `SweepPoint`s.
+/// randomly generated ad-hoc networks".  Each sweep below is a one-axis
+/// `sim::Experiment` grid: item (xi, run) draws stream xi*runs+run, each
+/// generated workload is replayed once per strategy (paired comparison —
+/// all strategies see the same random networks), and per-run metrics reduce
+/// in run order, so a sweep is bit-identical for any thread count.  Points
+/// are ordered x-major, strategy-minor.
 
 namespace minim::sim {
 
@@ -44,62 +40,6 @@ struct SweepOptions {
   /// Custom named-strategy constructor; empty = `strategies::make_strategy`.
   strategies::StrategyFactory strategy_factory;
 };
-
-/// Builds the workload for parameter value `x` using the supplied run-local
-/// RNG stream.
-using WorkloadFactory = std::function<Workload(double x, util::Rng& rng)>;
-
-/// Runs the sweep.  With `delta_metrics` the Δ-versions of both metrics are
-/// recorded (Figs 11 and 12), otherwise the absolute after-setup values
-/// (Fig 10).  Points are ordered x-major, strategy-minor.
-std::vector<SweepPoint> run_sweep(const std::vector<double>& xs,
-                                  const WorkloadFactory& factory, bool delta_metrics,
-                                  const SweepOptions& options);
-
-// ---- Figure sweeps as experiment grids -----------------------------------
-//
-// Each figure sweep is a one-axis `ExperimentGrid`; the grid_* builders
-// expose that grid so callers other than the in-process sweep_* wrappers —
-// notably the multi-process orchestrator behind `--orchestrate` — can run
-// it sharded and convert the merged result back to figure points.
-
-/// `ExperimentOptions` carrying a sweep's runs/seed/threads.
-ExperimentOptions experiment_options_from(const SweepOptions& options);
-
-/// Converts a one-axis experiment result to the figure point list (x-major,
-/// strategy-minor; per-run accumulation in trial order).  With
-/// `delta_metrics` the Δ-versions of both metrics are recorded (Figs 11 and
-/// 12), otherwise the absolute after-setup values (Fig 10).
-std::vector<SweepPoint> sweep_points_from(const ExperimentResult& result,
-                                          bool delta_metrics);
-
-/// Fig 10(a-c) grid: joins vs N.
-ExperimentGrid grid_join_vs_n(const std::vector<double>& ns,
-                              const SweepOptions& options,
-                              double min_range = 20.5, double max_range = 30.5);
-
-/// Fig 10(d-f) grid: joins vs average range.
-ExperimentGrid grid_join_vs_avg_range(const std::vector<double>& avg_ranges,
-                                      const SweepOptions& options,
-                                      std::size_t n = 100, double spread = 5.0);
-
-/// Fig 11 grid: power raises vs raisefactor.
-ExperimentGrid grid_power_vs_raise_factor(
-    const std::vector<double>& raise_factors, const SweepOptions& options,
-    std::size_t n = 100, double min_range = 20.5, double max_range = 30.5);
-
-/// Fig 12(a) grid: one movement round vs maxdisp.
-ExperimentGrid grid_move_vs_max_displacement(
-    const std::vector<double>& max_displacements, const SweepOptions& options,
-    std::size_t n = 40, double min_range = 20.5, double max_range = 30.5);
-
-/// Fig 12(b-d) grid: movement rounds vs RoundNo.
-ExperimentGrid grid_move_vs_rounds(const std::vector<double>& rounds,
-                                   const SweepOptions& options,
-                                   std::size_t n = 40,
-                                   double max_displacement = 40.0,
-                                   double min_range = 20.5,
-                                   double max_range = 30.5);
 
 // ---- Figure-specific sweeps (parameters default to the paper's) ----------
 

@@ -20,8 +20,8 @@
 /// and reduce them *in item order* on the calling thread.  That construction
 /// makes the outcome bit-identical for any thread count (including 1) no
 /// matter how the pool schedules the items.  `map_reduce` is that shape
-/// written once: `sim::run_sweep` and `sim::Experiment` are thin layers
-/// over it.
+/// written once, and `sim::Experiment`, the one Monte-Carlo fan-out, is a
+/// thin layer over it.
 ///
 /// Determinism contract:
 ///  * item i's randomness comes only from `Rng::for_stream(seed, stream(i))`

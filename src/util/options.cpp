@@ -53,23 +53,33 @@ std::string Options::get(const std::string& key, const std::string& fallback) co
 std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  std::int64_t value = 0;
+  bool whole = false;
   try {
-    return std::stoll(it->second);
+    std::size_t used = 0;
+    value = std::stoll(it->second, &used);
+    whole = used == it->second.size();
   } catch (const std::exception&) {
-    MINIM_REQUIRE(false, "option --" + key + " expects an integer, got '" + it->second + "'");
+    // No digits, or out of range: reported below like trailing text.
   }
-  return fallback;  // unreachable
+  MINIM_REQUIRE(whole, "option --" + key + " expects an integer, got '" + it->second + "'");
+  return value;
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  double value = 0.0;
+  bool whole = false;
   try {
-    return std::stod(it->second);
+    std::size_t used = 0;
+    value = std::stod(it->second, &used);
+    whole = used == it->second.size();
   } catch (const std::exception&) {
-    MINIM_REQUIRE(false, "option --" + key + " expects a number, got '" + it->second + "'");
+    // No digits, or out of range: reported below like trailing text.
   }
-  return fallback;  // unreachable
+  MINIM_REQUIRE(whole, "option --" + key + " expects a number, got '" + it->second + "'");
+  return value;
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

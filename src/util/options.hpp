@@ -26,16 +26,14 @@ class Options {
   /// Raw string lookup; `fallback` when absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
+  /// Numbers: the whole value must parse ("3x" and "2.9" are not integers,
+  /// "20.5x" is not a number); anything else throws std::invalid_argument.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Flags: `--x`, `--x=true/1/yes/on` are true; `--x=false/0/no/off` false.
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-
-  /// All parsed key/value pairs (key order).  Lets a driver re-render its
-  /// own command line when spawning itself as a worker process.
-  const std::map<std::string, std::string>& values() const { return values_; }
 
   /// Renders all parsed key/value pairs (diagnostics).
   std::string to_string() const;

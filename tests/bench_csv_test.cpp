@@ -2,10 +2,8 @@
 // CMake via MINIM_BENCH_GRID_STUDY):
 //  * the --csv-dir output path (header and row counts) the way a user
 //    drives it;
-//  * the orchestrated driver: --orchestrate spawns worker processes (the
-//    binary re-invoking itself per work unit) whose merged per-trial CSV
-//    must be byte-identical to the single-process run — including with an
-//    injected worker crash that exercises the bounded retry.
+//  * scale-out across machines: two --shard processes merged with --merge
+//    must save a per-trial CSV byte-identical to the single-process run.
 
 #include <gtest/gtest.h>
 
@@ -63,38 +61,39 @@ std::string read_file(const fs::path& path) {
                      std::istreambuf_iterator<char>());
 }
 
-TEST(BenchCsv, OrchestratedRunMatchesSingleProcessByteForByte) {
-  const fs::path dir = fs::temp_directory_path() / "minim_bench_orchestrate_test";
+TEST(BenchCsv, ShardedRunMergesByteForByteWithSingleProcess) {
+  const fs::path dir = fs::temp_directory_path() / "minim_bench_shard_test";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  const std::string grid_args =
-      " --trials=4 --ns=20,30 --factors=2.0,3.0 --strategies=minim,cp";
+  const std::string study = std::string(MINIM_BENCH_GRID_STUDY) +
+                            " --trials=6 --ns=30,40 --factors=2.0,3.0";
+  const auto run = [&dir](const std::string& command) {
+    const std::string logged =
+        command + " > " + (dir / "run.log").string() + " 2>&1";
+    return std::system(logged.c_str());
+  };
   const fs::path single_csv = dir / "single.csv";
-  const fs::path orch_csv = dir / "orchestrated.csv";
+  const fs::path merged_csv = dir / "merged.csv";
+  const fs::path shard0 = dir / "s0.csv";
+  const fs::path shard1 = dir / "s1.csv";
 
-  const std::string single = std::string(MINIM_BENCH_GRID_STUDY) + grid_args +
-                             " --threads=1 --save-experiment=" +
-                             single_csv.string() + " > /dev/null 2>&1";
-  ASSERT_EQ(std::system(single.c_str()), 0) << single;
-
-  // 2 workers, 4 units over both axes, unit 0 crashing on its first attempt.
-  const std::string orchestrated =
-      std::string(MINIM_BENCH_GRID_STUDY) + grid_args +
-      " --orchestrate=2 --units=4 --split=auto --crash-unit=0" +
-      " --shard-dir=" + (dir / "scratch").string() +
-      " --save-experiment=" + orch_csv.string() + " > " +
-      (dir / "driver.log").string() + " 2>&1";
-  ASSERT_EQ(std::system(orchestrated.c_str()), 0)
-      << orchestrated << "\n" << read_file(dir / "driver.log");
+  ASSERT_EQ(run(study + " --threads=1 --save-experiment=" + single_csv.string()),
+            0)
+      << read_file(dir / "run.log");
+  ASSERT_EQ(run(study + " --threads=2 --shard=0/2 --out=" + shard0.string()), 0)
+      << read_file(dir / "run.log");
+  ASSERT_EQ(run(study + " --threads=2 --shard=1/2 --out=" + shard1.string()), 0)
+      << read_file(dir / "run.log");
+  ASSERT_EQ(run(study + " --merge=" + shard0.string() + "," + shard1.string() +
+                " --save-experiment=" + merged_csv.string()),
+            0)
+      << read_file(dir / "run.log");
 
   const std::string expected = read_file(single_csv);
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(read_file(orch_csv), expected)
-      << "orchestrated merge is not byte-identical to the single-process run";
-  // The driver's progress log must show the injected crash being retried.
-  const std::string log = read_file(dir / "driver.log");
-  EXPECT_NE(log.find("failed (exit 1), retrying"), std::string::npos) << log;
+  EXPECT_EQ(read_file(merged_csv), expected)
+      << "--shard/--merge is not byte-identical to the single-process run";
 
   fs::remove_all(dir);
 }

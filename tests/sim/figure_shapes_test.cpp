@@ -74,7 +74,7 @@ TEST(FigureShapes, Fig11RecodingOrdering) {
 TEST(FigureShapes, Fig11ColorDirectionWithExactVicinityCp) {
   // The paper's Fig 11(a) claim — CP slightly better than Minim on
   // delta(max color) — reproduces under the exact-constraint port of CP's
-  // color rule (see EXPERIMENTS.md).
+  // color rule (`CpStrategy::Vicinity::kExactConstraints`).
   const auto points = minim::sim::sweep_power_vs_raise_factor(
       {3.0}, options_with({"minim", "cp-exact"}), /*n=*/60);
   const double minim = point_of(points, 3.0, "minim").color_metric.mean();

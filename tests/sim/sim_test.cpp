@@ -20,7 +20,6 @@ using minim::sim::make_join_workload;
 using minim::sim::make_move_workload;
 using minim::sim::make_power_workload;
 using minim::sim::replay;
-using minim::sim::run_sweep;
 using minim::sim::Simulation;
 using minim::sim::SweepOptions;
 using minim::sim::Workload;

@@ -1,7 +1,6 @@
 // Unit tests for sim/sweeps.cpp itself (previously only exercised through
-// figure-shape assertions): point ordering (x-major, strategy-minor), run
-// accounting, the validate flag actually running CA1/CA2 checks, and the
-// figure-sweep adapters agreeing with the generic engine.
+// figure-shape assertions): point ordering (x-major, strategy-minor) and the
+// validate flag actually running CA1/CA2 checks.
 
 #include <gtest/gtest.h>
 
@@ -15,35 +14,6 @@
 namespace {
 
 using namespace minim;
-
-sim::WorkloadFactory join_factory(std::size_t n) {
-  return [n](double, util::Rng& rng) {
-    sim::WorkloadParams params;
-    params.n = n;
-    return sim::make_join_workload(params, rng);
-  };
-}
-
-TEST(Sweeps, PointsOrderedXMajorStrategyMinor) {
-  sim::SweepOptions options;
-  options.strategies = {"minim", "cp"};
-  options.runs = 3;
-  options.threads = 2;
-  const std::vector<double> xs{10, 20, 30};
-  const auto points =
-      sim::run_sweep(xs, join_factory(8), /*delta_metrics=*/false, options);
-
-  ASSERT_EQ(points.size(), xs.size() * options.strategies.size());
-  std::size_t at = 0;
-  for (double x : xs)
-    for (const std::string& strategy : options.strategies) {
-      EXPECT_EQ(points[at].x, x) << at;
-      EXPECT_EQ(points[at].strategy, strategy) << at;
-      EXPECT_EQ(points[at].color_metric.count(), options.runs) << at;
-      EXPECT_EQ(points[at].recoding_metric.count(), options.runs) << at;
-      ++at;
-    }
-}
 
 TEST(Sweeps, FigureSweepKeepsTheSameOrdering) {
   sim::SweepOptions options;
@@ -101,27 +71,10 @@ strategies::StrategyFactory broken_factory() {
   };
 }
 
-TEST(Sweeps, ValidateFlagRunsTheCa1Ca2Checks) {
+TEST(Sweeps, ValidateFlagReachesTheFigureSweeps) {
   // With enough nodes on the default 100x100 field the all-ones coloring is
   // invalid, so a validating sweep must throw — and a non-validating sweep
   // must sail through, proving the flag is what arms the check.
-  sim::SweepOptions options;
-  options.strategies = {"broken"};
-  options.strategy_factory = broken_factory();
-  options.runs = 2;
-  options.threads = 1;
-
-  options.validate = true;
-  EXPECT_THROW(
-      sim::run_sweep({0.0}, join_factory(16), /*delta_metrics=*/false, options),
-      std::logic_error);
-
-  options.validate = false;
-  EXPECT_NO_THROW(
-      sim::run_sweep({0.0}, join_factory(16), /*delta_metrics=*/false, options));
-}
-
-TEST(Sweeps, ValidateFlagReachesTheFigureSweeps) {
   sim::SweepOptions options;
   options.strategies = {"broken"};
   options.strategy_factory = broken_factory();
@@ -131,42 +84,6 @@ TEST(Sweeps, ValidateFlagReachesTheFigureSweeps) {
   EXPECT_THROW(sim::sweep_join_vs_n({16}, options), std::logic_error);
   options.validate = false;
   EXPECT_NO_THROW(sim::sweep_join_vs_n({16}, options));
-}
-
-TEST(Sweeps, FigureSweepMatchesGenericEngineBitForBit) {
-  // sweep_join_vs_n is an Experiment-grid adapter; run_sweep drives
-  // map_reduce directly.  Both assign stream xi*runs+run to item (xi, run),
-  // so their points must agree bitwise.
-  sim::SweepOptions options;
-  options.strategies = {"minim", "cp", "bbb"};
-  options.runs = 5;
-  options.seed = 77;
-  options.threads = 2;
-
-  const auto via_grid = sim::sweep_join_vs_n({24, 32}, options);
-  const auto via_generic = sim::run_sweep(
-      {24, 32},
-      [](double x, util::Rng& rng) {
-        sim::WorkloadParams params;
-        params.n = static_cast<std::size_t>(x);
-        params.min_range = 20.5;
-        params.max_range = 30.5;
-        return sim::make_join_workload(params, rng);
-      },
-      /*delta_metrics=*/false, options);
-
-  ASSERT_EQ(via_grid.size(), via_generic.size());
-  for (std::size_t i = 0; i < via_grid.size(); ++i) {
-    EXPECT_EQ(via_grid[i].x, via_generic[i].x);
-    EXPECT_EQ(via_grid[i].strategy, via_generic[i].strategy);
-    EXPECT_EQ(via_grid[i].color_metric.mean(), via_generic[i].color_metric.mean());
-    EXPECT_EQ(via_grid[i].color_metric.variance(),
-              via_generic[i].color_metric.variance());
-    EXPECT_EQ(via_grid[i].recoding_metric.mean(),
-              via_generic[i].recoding_metric.mean());
-    EXPECT_EQ(via_grid[i].recoding_metric.variance(),
-              via_generic[i].recoding_metric.variance());
-  }
 }
 
 }  // namespace

@@ -133,9 +133,21 @@ TEST(Options, PositionalCollected) {
 }
 
 TEST(Options, BadIntegerThrows) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Options opts(2, argv);
-  EXPECT_THROW(opts.get_int("n", 0), std::invalid_argument);
+  // The whole value must parse: trailing text or a fraction is a typo, not
+  // a silently truncated integer.
+  for (const char* bad : {"--n=abc", "--n=3x", "--n=2.9"}) {
+    const char* argv[] = {"prog", bad};
+    Options opts(2, argv);
+    EXPECT_THROW(opts.get_int("n", 0), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Options, BadDoubleThrows) {
+  for (const char* bad : {"--r=abc", "--r=20.5x"}) {
+    const char* argv[] = {"prog", bad};
+    Options opts(2, argv);
+    EXPECT_THROW(opts.get_double("r", 0), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Options, DoubleParsing) {
