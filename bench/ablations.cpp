@@ -54,8 +54,8 @@ void minim_variant_row(util::TextTable& table, const std::string& label,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  const auto runs = static_cast<std::size_t>(
-      options.get_int("runs", options.get_bool("fast", false) ? 10 : 60));
+  const auto runs =
+      options.get_count("runs", options.get_bool("fast", false) ? 10 : 60);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
 
   std::cout << "=== Ablations ===\n\n";

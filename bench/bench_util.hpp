@@ -109,10 +109,10 @@ inline sim::SweepOptions sweep_options_from(const util::Options& options,
                                             std::vector<std::string> strategies) {
   sim::SweepOptions sweep;
   sweep.strategies = std::move(strategies);
-  sweep.runs = static_cast<std::size_t>(options.get_int("runs", 100));
+  sweep.runs = options.get_count("runs", 100);
   if (options.get_bool("fast", false)) sweep.runs = 10;
   sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  sweep.threads = static_cast<std::size_t>(options.get_int("threads", 0));
+  sweep.threads = options.get_count("threads", 0);
   return sweep;
 }
 

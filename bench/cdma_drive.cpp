@@ -317,9 +317,9 @@ int main(int argc, char** argv) {
   if (options.has("serve")) return run_serve(options);
 
   sim::ExperimentOptions run;
-  run.trials = static_cast<std::size_t>(options.get_int("trials", 100));
+  run.trials = options.get_count("trials", 100);
   run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  run.threads = static_cast<std::size_t>(options.get_int("threads", 0));
+  run.threads = options.get_count("threads", 0);
 
   const sim::Experiment experiment = make_experiment(options);
 

@@ -31,8 +31,8 @@
 // runs over --threads; shards spread it across machines.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -63,9 +63,9 @@ StudyConfig config_from(const util::Options& options) {
       bench::double_list_from(options, "factors", {1.5, 2.5, 3.5, 4.5, 5.5});
   config.strategies =
       bench::string_list_from(options, "strategies", {"minim", "cp", "bbb"});
-  config.run.trials = static_cast<std::size_t>(options.get_int("trials", 100));
+  config.run.trials = options.get_count("trials", 100);
   config.run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  config.run.threads = static_cast<std::size_t>(options.get_int("threads", 0));
+  config.run.threads = options.get_count("threads", 0);
   return config;
 }
 
@@ -83,15 +83,13 @@ sim::Experiment make_experiment(const StudyConfig& config) {
   return sim::Experiment(std::move(grid));
 }
 
-/// Strict digits-only parse for user-facing shard arguments; raw std::stoull
-/// would terminate with an uncaught exception on a typo.
+/// Strict digits-only parse for user-facing shard arguments: no sign, no
+/// blanks, no overflow (std::from_chars into an unsigned type accepts
+/// none of them).
 bool parse_size(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
 }
 
 /// Global trial range of shard `index` of `count` (contiguous, near-equal).

@@ -213,21 +213,16 @@ void BM_GreedyColorScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyColorScratch);
 
-// ---- BBB event handling: dirty-region vs from-scratch recolor ----
+// ---- BBB event handling: one from-scratch recolor per event ----
 
-void bbb_power_toggle_loop(benchmark::State& state, bool incremental) {
-  // Sparser deployment (200 nodes, ranges 10-15) so a power toggle dirties
-  // a genuinely local region; dense fields degrade to the full path by the
-  // fallback threshold and measure identically.
+void BM_BbbEvent(benchmark::State& state) {
+  // 200 nodes at ranges 10-15: each iteration toggles one node's power and
+  // lets BBB recolor the whole network.
   util::Rng rng(18);
   auto network = random_network(200, 10.5, 15.5, rng);
   net::CodeAssignment assignment;
-  strategies::BbbStrategy::Params params;
-  params.incremental = incremental;
-  strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast, params);
+  strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast);
   const auto nodes = network.nodes();
-  // Seed the strategy's state with one full recolor.
-  bbb.on_join(network, assignment, nodes.back());
   std::size_t i = 0;
   for (auto _ : state) {
     const net::NodeId v = nodes[i % nodes.size()];
@@ -238,16 +233,7 @@ void bbb_power_toggle_loop(benchmark::State& state, bool incremental) {
     ++i;
   }
 }
-
-void BM_BbbEventFullRecolor(benchmark::State& state) {
-  bbb_power_toggle_loop(state, /*incremental=*/false);
-}
-BENCHMARK(BM_BbbEventFullRecolor)->Unit(benchmark::kMicrosecond);
-
-void BM_BbbEventDirtyRegion(benchmark::State& state) {
-  bbb_power_toggle_loop(state, /*incremental=*/true);
-}
-BENCHMARK(BM_BbbEventDirtyRegion)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BbbEvent)->Unit(benchmark::kMicrosecond);
 
 void BM_GridRebuildVsBruteForce(benchmark::State& state) {
   // Cost of one incremental move update (grid-backed) — compare against

@@ -117,12 +117,11 @@ std::vector<Measurement> run_benchmarks(const sim::SweepOptions& sweep,
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   sim::SweepOptions sweep;
-  sweep.runs = static_cast<std::size_t>(options.get_int("runs", 2));
+  sweep.runs = options.get_count("runs", 2);
   sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  const auto trials = static_cast<std::size_t>(options.get_int("trials", 2));
+  const auto trials = options.get_count("trials", 2);
   const bool threads_pinned = options.has("threads");
-  const auto pinned_threads =
-      static_cast<std::size_t>(options.get_int("threads", 0));
+  const auto pinned_threads = options.get_count("threads", 0);
   const std::string out_path = options.get("out", "BENCH_sweep.json");
   const bool check = options.has("check");
   const std::string check_path =

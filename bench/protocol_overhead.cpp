@@ -43,8 +43,8 @@ World build(std::size_t n, double min_r, double max_r, util::Rng& rng) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  const auto runs = static_cast<std::size_t>(
-      options.get_int("runs", options.get_bool("fast", false) ? 10 : 50));
+  const auto runs =
+      options.get_count("runs", options.get_bool("fast", false) ? 10 : 50);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1234));
 
   std::cout << "=== Distributed protocol overhead (Minim) ===\n\n";

@@ -86,10 +86,10 @@ sim::Experiment make_kind_experiment(sim::ScenarioKind kind, std::size_t n,
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   sim::ExperimentOptions run;
-  run.trials = static_cast<std::size_t>(options.get_int("trials", 100));
+  run.trials = options.get_count("trials", 100);
   run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  run.threads = static_cast<std::size_t>(options.get_int("threads", 0));
-  const auto n = static_cast<std::size_t>(options.get_int("n", 100));
+  run.threads = options.get_count("threads", 0);
+  const auto n = options.get_count("n", 100);
   const double churn_duration = options.get_double("churn-duration", 400.0);
   const bool serial_check = options.get_bool("serial-check", false);
   const std::vector<std::string> strategies =

@@ -285,12 +285,9 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   const bool smoke = options.get_bool("smoke", false);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  const auto events = static_cast<std::size_t>(
-      options.get_int("events", smoke ? 2000 : 20000));
-  const auto target_live = static_cast<std::size_t>(
-      options.get_int("target-live", smoke ? 80 : 300));
-  const auto storm_rounds = static_cast<std::size_t>(
-      options.get_int("storm-rounds", smoke ? 20 : 200));
+  const auto events = options.get_count("events", smoke ? 2000 : 20000);
+  const auto target_live = options.get_count("target-live", smoke ? 80 : 300);
+  const auto storm_rounds = options.get_count("storm-rounds", smoke ? 20 : 200);
   const std::vector<std::string> strategies =
       bench::string_list_from(options, "strategies", {"minim", "bbb-bounded"});
   const std::vector<double> batch_size_list =

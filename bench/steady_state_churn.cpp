@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   params.mean_lifetime = options.get_double("mean-lifetime", 240);
   params.move_rate = options.get_double("move-rate", 0.02);
   params.power_rate = options.get_double("power-rate", 0.01);
-  const auto runs = static_cast<std::size_t>(
-      options.get_int("runs", options.get_bool("fast", false) ? 3 : 10));
+  const auto runs =
+      options.get_count("runs", options.get_bool("fast", false) ? 3 : 10);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 314));
 
   std::cout << "=== Steady-state churn (open system) ===\n"

@@ -41,7 +41,7 @@ void print_links(const std::string& title, const radio::BroadcastReport& report)
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   radio::PhyParams phy;
-  phy.packet_bits = static_cast<std::size_t>(options.get_int("packet-bits", 64));
+  phy.packet_bits = options.get_count("packet-bits", 64);
   util::Rng rng(static_cast<std::uint64_t>(options.get_int("seed", 5)));
 
   std::cout << "=== CDMA PHY demo: orthogonal codes vs collisions ===\n\n";

@@ -106,8 +106,7 @@ DayResult run_day(const DayScript& day, core::RecodingStrategy& strategy) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  const auto attendees =
-      static_cast<std::size_t>(options.get_int("attendees", 60));
+  const auto attendees = options.get_count("attendees", 60);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 7));
 
   util::Rng rng(seed);

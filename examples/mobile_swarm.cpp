@@ -66,8 +66,8 @@ std::vector<std::vector<PatrolStep>> plan_patrol(std::size_t units,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  const auto units = static_cast<std::size_t>(options.get_int("units", 24));
-  const auto rounds = static_cast<std::size_t>(options.get_int("rounds", 12));
+  const auto units = options.get_count("units", 24);
+  const auto rounds = options.get_count("rounds", 12);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 3));
 
   util::Rng rng(seed);

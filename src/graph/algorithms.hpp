@@ -36,17 +36,6 @@ std::size_t max_degree(const Digraph& g);
 /// live nodes populated.
 std::vector<std::vector<NodeId>> undirected_adjacency(const Digraph& g);
 
-/// Which vertex wins when several share the minimum remaining degree during
-/// smallest-last elimination.  `kStack` is the library's historical lazy
-/// bucket-stack order (most-recently-pushed first) — the default everywhere;
-/// the id-canonical variants exist for ablations and for soaking the
-/// maintained orderer against an implementation-independent definition.
-enum class DegeneracyTieBreak {
-  kStack,      ///< most-recently-pushed min-degree vertex (legacy default)
-  kLowestId,   ///< lowest id among minimum remaining degree
-  kHighestId,  ///< highest id among minimum remaining degree
-};
-
 /// Reusable scratch for `smallest_last_eliminate`: persistent buckets and
 /// id-indexed side arrays, so a per-event caller (the BBB orderer) performs
 /// no allocation after warmup.
@@ -62,12 +51,14 @@ struct EliminationArena {
 /// `arena.degree` / `arena.in_set` (the caller fills them: degree[v] =
 /// |adj[v] ∩ vertices|, in_set[v] = 1 for v ∈ vertices, both indexed up to
 /// every id adj may name) and writes the *coloring* order (reverse
-/// elimination) into `arena.out`.  The output is a pure function of
-/// (adjacency, vertices, tie) — independent of arena history — which is the
-/// invariant the maintained-orderer soaks rely on.
+/// elimination) into `arena.out`.  Among vertices of minimum remaining
+/// degree the most recently pushed one is eliminated first (a lazy bucket
+/// stack); the committed figure CSVs depend on that tie-break.  The output
+/// is a pure function of (adjacency, vertices) — independent of arena
+/// history — which is the invariant the maintained-orderer soaks rely on.
 template <typename Adj>
 void smallest_last_eliminate(const Adj& adj, const std::vector<NodeId>& vertices,
-                             DegeneracyTieBreak tie, EliminationArena& arena) {
+                             EliminationArena& arena) {
   const std::size_t bound = arena.in_set.size();
   std::size_t max_deg = 0;
   for (NodeId v : vertices) max_deg = std::max(max_deg, arena.degree[v]);
@@ -88,40 +79,13 @@ void smallest_last_eliminate(const Adj& adj, const std::vector<NodeId>& vertices
   std::size_t cursor = 0;
   while (elimination.size() < vertices.size()) {
     while (cursor < buckets.size() && buckets[cursor].empty()) ++cursor;
-    NodeId v;
-    if (tie == DegeneracyTieBreak::kStack) {
-      // Entries may be stale (degree since decreased); skip them lazily.
-      v = buckets[cursor].back();
-      buckets[cursor].pop_back();
-      if (removed[v] || degree[v] != cursor) {
-        if (!removed[v] && degree[v] < cursor) buckets[degree[v]].push_back(v);
-        if (cursor > 0 && !buckets[cursor - 1].empty()) --cursor;
-        continue;
-      }
-    } else {
-      // Id-canonical: purge stale entries, then take the extreme id.  A
-      // purged entry with a lower current degree is re-filed.
-      auto& bucket = buckets[cursor];
-      std::size_t keep = 0;
-      NodeId best = kInvalidNode;
-      for (NodeId w : bucket) {
-        if (removed[w] || degree[w] != cursor) {
-          if (!removed[w] && degree[w] < cursor) buckets[degree[w]].push_back(w);
-          continue;
-        }
-        bucket[keep++] = w;
-        const bool wins = best == kInvalidNode ||
-                          (tie == DegeneracyTieBreak::kLowestId ? w < best
-                                                                : w > best);
-        if (wins) best = w;
-      }
-      bucket.resize(keep);
-      if (best == kInvalidNode) {
-        if (cursor > 0) --cursor;
-        continue;
-      }
-      bucket.erase(std::find(bucket.begin(), bucket.end(), best));
-      v = best;
+    // Entries may be stale (degree since decreased); skip them lazily.
+    const NodeId v = buckets[cursor].back();
+    buckets[cursor].pop_back();
+    if (removed[v] || degree[v] != cursor) {
+      if (!removed[v] && degree[v] < cursor) buckets[degree[v]].push_back(v);
+      if (cursor > 0 && !buckets[cursor - 1].empty()) --cursor;
+      continue;
     }
     removed[v] = 1;
     elimination.push_back(v);
@@ -142,9 +106,8 @@ void smallest_last_eliminate(const Adj& adj, const std::vector<NodeId>& vertices
 /// ids absent from `vertices` are ignored.  The from-scratch reference the
 /// maintained orderer (`strategies::DegeneracyOrderer`) is soaked against.
 template <typename Adj>
-std::vector<NodeId> smallest_last_order(
-    const Adj& adj, const std::vector<NodeId>& vertices,
-    DegeneracyTieBreak tie = DegeneracyTieBreak::kStack) {
+std::vector<NodeId> smallest_last_order(const Adj& adj,
+                                        const std::vector<NodeId>& vertices) {
   std::size_t bound = 0;
   for (NodeId v : vertices) bound = std::max<std::size_t>(bound, v + 1);
 
@@ -158,7 +121,7 @@ std::vector<NodeId> smallest_last_order(
       if (w < bound && arena.in_set[w]) ++d;
     arena.degree[v] = d;
   }
-  smallest_last_eliminate(adj, vertices, tie, arena);
+  smallest_last_eliminate(adj, vertices, arena);
   return std::move(arena.out);
 }
 

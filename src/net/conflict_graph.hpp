@@ -44,9 +44,10 @@
 /// journal tagged with a monotonically increasing revision.  A consumer that
 /// remembers the revision it last synchronized at can ask for "every node
 /// whose conflict neighborhood changed since" and recompute only those
-/// (dirty-region recoloring in `BbbStrategy`).  If the window has been
-/// trimmed away — or the graph was `clear()`ed — the query fails and the
-/// consumer must fall back to a full pass.
+/// (`DegeneracyOrderer`'s degree mirror, rank-bounded propagation in
+/// `BbbStrategy`).  If the window has been trimmed away — or the graph was
+/// `clear()`ed — the query fails and the consumer must fall back to a full
+/// pass.
 namespace minim::net {
 
 using graph::NodeId;

@@ -18,8 +18,8 @@ std::string BbbStrategy::name() const {
 
 const std::vector<net::NodeId>& BbbStrategy::sequence_for(
     const net::AdhocNetwork& net, const std::vector<net::NodeId>& nodes) {
-  if (order_ == ColoringOrder::kSmallestLast && params_.incremental_order) {
-    orderer_.order(net, nodes, graph::DegeneracyTieBreak::kStack, seq_);
+  if (order_ == ColoringOrder::kSmallestLast) {
+    orderer_.order(net, nodes, seq_);
     return seq_;
   }
   seq_ = coloring_sequence(net, nodes, order_);
@@ -33,100 +33,7 @@ void BbbStrategy::snapshot(const net::AdhocNetwork& net,
   last_revision_ = net.conflict_graph().revision();
   const std::size_t bound = net.id_bound();
   last_colors_.assign(bound, net::kNoColor);
-  last_pos_.assign(bound, kNoPos);
-  for (std::uint32_t i = 0; i < sequence.size(); ++i) {
-    const net::NodeId v = sequence[i];
-    last_colors_[v] = assignment.color(v);
-    last_pos_[v] = i;
-  }
-}
-
-bool BbbStrategy::incremental_recolor(const net::AdhocNetwork& net,
-                                      net::CodeAssignment& assignment,
-                                      const std::vector<net::NodeId>& nodes,
-                                      core::RecodeReport& report) {
-  const net::ConflictGraph& cg = net.conflict_graph();
-  if (last_net_ != &net) return false;
-  dirty_.clear();
-  if (!cg.append_dirty_since(last_revision_, dirty_)) return false;
-
-  // The snapshot must describe this assignment: every live node's color has
-  // to match (the engine only clears departed ids in between).  An
-  // out-of-band mutation — tests driving several strategies over one
-  // network — falls back to the from-scratch path.
-  for (net::NodeId v : nodes)
-    if (snapshot_color(v) != assignment.color(v)) return false;
-
-  std::sort(dirty_.begin(), dirty_.end());
-  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-  std::erase_if(dirty_, [&net](net::NodeId v) { return !net.contains(v); });
-  if (static_cast<double>(dirty_.size()) >
-      params_.full_recolor_fraction * static_cast<double>(nodes.size()))
-    return false;
-
-  // The from-scratch greedy's coloring order on the *new* graph.
-  const std::vector<net::NodeId>& sequence = sequence_for(net, nodes);
-  const std::size_t bound = net.id_bound();
-  pos_.assign(bound, kNoPos);
-  for (std::uint32_t i = 0; i < sequence.size(); ++i) pos_[sequence[i]] = i;
-
-  adj_dirty_.assign(bound, 0);
-  for (net::NodeId v : dirty_) adj_dirty_[v] = 1;
-  changed_.assign(bound, 0);
-  new_colors_.assign(bound, net::kNoColor);
-  for (net::NodeId v : nodes) new_colors_[v] = assignment.color(v);
-
-  // Change propagation in coloring order.  A node keeps its color unless
-  // (a) its conflict neighborhood changed, (b) its relative order with a
-  // neighbor flipped, or (c) an earlier-ordered neighbor changed color —
-  // otherwise its lowest-free computation would see the exact inputs of the
-  // previous run, so the from-scratch greedy provably reassigns the same
-  // color.
-  for (std::uint32_t idx = 0; idx < sequence.size(); ++idx) {
-    const net::NodeId u = sequence[idx];
-    const auto neighbors = cg.neighbors(u);
-    bool recompute = adj_dirty_[u] != 0;
-    if (!recompute && (u >= last_pos_.size() || last_pos_[u] == kNoPos))
-      recompute = true;  // unseen node: defensive, implies adj_dirty anyway
-    if (!recompute) {
-      const std::uint32_t pu_old = last_pos_[u];
-      for (net::NodeId w : neighbors) {
-        const std::uint32_t pw_old = w < last_pos_.size() ? last_pos_[w] : kNoPos;
-        if (pw_old == kNoPos) {
-          recompute = true;  // new neighbor (implies adj_dirty; defensive)
-          break;
-        }
-        const bool now_before = pos_[w] < idx;
-        if (now_before != (pw_old < pu_old) || (now_before && changed_[w])) {
-          recompute = true;
-          break;
-        }
-      }
-    }
-    if (!recompute) continue;
-
-    // Lowest color free of the earlier-ordered neighbors' (final) colors.
-    scratch_.reset();
-    for (net::NodeId w : neighbors) {
-      if (pos_[w] >= idx) continue;
-      const net::Color c = new_colors_[w];
-      if (c != net::kNoColor) scratch_.mark(c);
-    }
-    const net::Color fresh = scratch_.lowest_free();
-
-    new_colors_[u] = fresh;
-    changed_[u] = fresh != snapshot_color(u) ? 1 : 0;
-  }
-
-  // Apply and report in ascending node order — the order the from-scratch
-  // path emits its changes in.
-  for (net::NodeId v : nodes) {
-    if (!changed_[v]) continue;
-    assignment.set_color(v, new_colors_[v]);
-    report.changes.push_back(core::Recode{v, snapshot_color(v), new_colors_[v]});
-  }
-  snapshot(net, sequence, assignment);
-  return true;
+  for (net::NodeId v : sequence) last_colors_[v] = assignment.color(v);
 }
 
 bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
@@ -148,11 +55,11 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
       params_.full_recolor_fraction * static_cast<double>(live))
     return false;
 
-  // Foreign-mutation guard.  The full incremental path sweeps every live
-  // node; here that sweep is exactly the O(n) this mode removes, so only the
-  // dirty region is checked — an out-of-band recolor of an untouched node is
-  // *not* detected by the bounded path (bench/sim drive one strategy per
-  // assignment, which is the supported regime).
+  // Foreign-mutation guard.  Sweeping every live node would be exactly the
+  // O(n) this mode removes, so only the dirty region is checked — an
+  // out-of-band recolor of an untouched node is *not* detected by the
+  // bounded path (bench/sim drive one strategy per assignment, which is the
+  // supported regime).
   for (net::NodeId v : dirty_)
     if (net.contains(v) && snapshot_color(v) != assignment.color(v))
       return false;
@@ -401,7 +308,6 @@ core::RecodeReport BbbStrategy::global_recolor(const net::AdhocNetwork& net,
   // Rank-bounded mode never materializes the live node set on the absorbed
   // path — that enumeration is the O(n) it exists to remove.
   const bool bounded_mode = params_.bounded_propagation &&
-                            params_.incremental &&
                             order_ == ColoringOrder::kSmallestLast;
   if (bounded_mode &&
       bounded_recolor(net, assignment, report, batch_events, joiners, reborn)) {
@@ -410,32 +316,27 @@ core::RecodeReport BbbStrategy::global_recolor(const net::AdhocNetwork& net,
     return report;
   }
 
+  // From-scratch recolor; remember the previous assignment to count changes.
   net.nodes(nodes_);
   const std::vector<net::NodeId>& nodes = nodes_;
-  if (!bounded_mode && params_.incremental && order_ != ColoringOrder::kDSatur &&
-      incremental_recolor(net, assignment, nodes, report)) {
-    finalize_report(net, assignment, report);
-    return report;
-  }
-
-  // From-scratch recolor; remember the previous assignment to count changes.
   old_colors_.clear();
   old_colors_.reserve(nodes.size());
   for (net::NodeId v : nodes) old_colors_.push_back(assignment.color(v));
 
   if (order_ == ColoringOrder::kDSatur) {
     color_network(net, order_, assignment);
-    last_net_ = nullptr;  // DSATUR's dynamic order seeds no incremental state
   } else {
     for (net::NodeId v : nodes) assignment.clear(v);
     const std::vector<net::NodeId>& sequence = sequence_for(net, nodes);
+    greedy_color_in_sequence(net, sequence, assignment);
     if (bounded_mode) {
+      // Reseed the rank index and the snapshot the next bounded event
+      // propagates from.
       orderer_.rebuild_ranks(net, sequence);
       ++counters_.full_events;
       counters_.full_ranks += sequence.size();
+      snapshot(net, sequence, assignment);
     }
-    greedy_color_in_sequence(net, sequence, assignment);
-    snapshot(net, sequence, assignment);
   }
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -477,13 +378,11 @@ core::RecodeReport BbbStrategy::on_batch(const net::AdhocNetwork& net,
                                          const core::BatchRepairContext& ctx) {
   MINIM_REQUIRE(!ctx.events.empty(), "BBB: on_batch requires at least one event");
   // A reborn id is a departure of its previous occupant followed by a fresh
-  // join reusing the id.  Blank the per-id snapshot state exactly as the
-  // sequential leave would have, so the new occupant does not inherit the
-  // previous one's color or order position.
-  for (net::NodeId v : ctx.reborn) {
+  // join reusing the id.  Blank its snapshot color exactly as the sequential
+  // leave would have, so the new occupant does not inherit the previous
+  // one's color.
+  for (net::NodeId v : ctx.reborn)
     if (v < last_colors_.size()) last_colors_[v] = net::kNoColor;
-    if (v < last_pos_.size()) last_pos_[v] = kNoPos;
-  }
   const core::BatchedEvent& last = ctx.events.back();
   return global_recolor(net, assignment, last.event, last.subject,
                         ctx.events.size(), ctx.joiners, ctx.reborn);

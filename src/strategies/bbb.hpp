@@ -20,37 +20,30 @@
 /// color index (it ignores history and colors from scratch) but pathological
 /// in #recodings, which is exactly the contrast Figures 10-12 show.
 ///
-/// ## Dirty-region recoloring
+/// ## From-scratch recoloring
 ///
-/// Recoloring from scratch per event made BBB dominate every wall-clock
-/// profile.  This implementation instead *replays* the from-scratch greedy
-/// incrementally: it keeps the previous output (colors + ordering
-/// positions), asks the network's cached conflict graph which nodes'
-/// conflict neighborhoods changed since, and recomputes a node's color only
-/// when its
-/// adjacency changed, its relative order with a neighbor flipped, or an
-/// earlier-ordered neighbor's color changed — classic change propagation
-/// over the greedy's dependency order.  Every kept color provably equals
-/// what the from-scratch greedy would assign, so reports and max colors are
-/// bit-identical to the full recolor (the equivalence is soaked in
-/// tests/strategies/bbb_incremental_test.cpp).  When the dirty set exceeds
-/// `Params::full_recolor_fraction` of the network — or the journal window
-/// is gone, or the order is DSATUR (whose dynamic ordering has no static
-/// dependency structure) — it falls back to the from-scratch path.
+/// Every event clears the live nodes' colors and greedy-colors them again in
+/// the chosen order: smallest-last comes from the journal-synced
+/// `DegeneracyOrderer` (bit-identical to `graph::smallest_last_order`, see
+/// ordering.hpp), the other orders from `coloring_sequence`.  So BBB's colors
+/// equal `color_network` on the current network after every event
+/// (tests/strategies/bbb_incremental_test.cpp holds it to that), and its
+/// report lists, in ascending node order, every node whose color moved.
+/// Each event costs O(V + E) on the conflict graph.
 ///
 /// ## Rank-bounded propagation
 ///
-/// Dirty-region recoloring still *walks* the full stored order per event to
-/// find the nodes worth recomputing — the last per-event O(n) term.  With
-/// `Params::bounded_propagation` the walk disappears: the orderer maintains
-/// a persistent rank index (see ordering.hpp), the event's journal-dirty
-/// nodes seed a frontier of pending ranks — a two-level bitmap, one bit per
-/// rank plus one summary bit per 64-rank word — and propagation pops ranks
-/// in ascending order, recomputing a node's lowest-free color from its
-/// earlier-ranked neighbors and pushing only the later-ranked neighbors of
-/// nodes whose color actually changed.  The pop order guarantees every
-/// earlier-ranked color read is final, so the result is bit-identical to a
-/// from-scratch greedy over the *maintained* sequence (the fuzz harness in
+/// The from-scratch pass touches every node even when one node twitches.
+/// With `Params::bounded_propagation` it runs only as a fallback: the
+/// orderer maintains a persistent rank index (see ordering.hpp), the
+/// event's journal-dirty nodes seed a frontier of pending ranks — a
+/// two-level bitmap, one bit per rank plus one summary bit per 64-rank
+/// word — and propagation pops ranks in ascending order, recomputing a
+/// node's lowest-free color from its earlier-ranked neighbors and pushing
+/// only the later-ranked neighbors of nodes whose color actually changed.
+/// The pop order guarantees every earlier-ranked color read is final, so
+/// the result is bit-identical to a from-scratch greedy over the
+/// *maintained* sequence (the fuzz harness in
 /// tests/strategies/bbb_bounded_fuzz_test.cpp holds it to that per event).
 /// The maintained sequence itself drifts from true smallest-last between
 /// rebuilds; the coloring-quality cost of that drift is an explicit,
@@ -89,25 +82,14 @@ class BbbStrategy final : public core::RecodingStrategy {
  public:
   /// Recoloring engine knobs; the defaults are the production behavior.
   struct Params {
-    /// Dirty-region change propagation (bit-identical to full recolor).
-    /// Disable to force the from-scratch path on every event — the
-    /// reference the equivalence tests compare against.
-    bool incremental = true;
-    /// Fall back to a full recolor when more than this fraction of the
-    /// live nodes had conflict-neighborhood changes.
+    /// Bounded mode: fall back to a full recolor when more than this
+    /// fraction of the live nodes had conflict-neighborhood changes.
     double full_recolor_fraction = 0.5;
-    /// Serve the smallest-last ordering from the journal-synced
-    /// `DegeneracyOrderer` (bit-identical to from-scratch
-    /// `graph::smallest_last_order`).  Disable to recompute the ordering
-    /// from an adjacency scan per event — the soak reference.
-    bool incremental_order = true;
-    /// The orderer's full-degree-rebuild threshold
-    /// (`DegeneracyOrderer::Params::rebuild_fraction`).
-    double order_rebuild_fraction = 0.25;
-    /// Rank-bounded propagation: replace the per-event full-order walk with
-    /// a rank-bitmap frontier over maintained ranks (smallest-last only;
-    /// see the file comment).  Bit-identical to a from-scratch greedy over
-    /// the maintained sequence; order *quality* may drift between rebuilds.
+    /// Rank-bounded propagation: repair through a rank-bitmap frontier over
+    /// maintained ranks instead of recoloring from scratch (smallest-last
+    /// only; see the file comment).  Bit-identical to a from-scratch greedy
+    /// over the maintained sequence; order *quality* may drift between
+    /// rebuilds.
     bool bounded_propagation = false;
     /// Per-event propagation budget as a fraction of the live node count
     /// (floor 32 processed ranks).  Exceeding it abandons the event to the
@@ -142,9 +124,8 @@ class BbbStrategy final : public core::RecodingStrategy {
   BbbStrategy(ColoringOrder order, Params params)
       : order_(order),
         params_(params),
-        orderer_(DegeneracyOrderer::Params{params.incremental_order,
-                                           params.order_rebuild_fraction,
-                                           params.rank_rebuild_fraction}) {}
+        orderer_(DegeneracyOrderer::Params{
+            .rank_rebuild_fraction = params.rank_rebuild_fraction}) {}
 
   std::string name() const override;
 
@@ -159,7 +140,7 @@ class BbbStrategy final : public core::RecodingStrategy {
                                      net::CodeAssignment& assignment, net::NodeId n,
                                      double old_range) override;
 
-  /// Every BBB handler replays the from-scratch greedy over the *current*
+  /// Every BBB handler runs the from-scratch greedy over the *current*
   /// network — the final assignment is a pure function of the final graph
   /// (plus, in bounded mode, the maintained sequence, which the batch
   /// absorption maintains exactly as a sequential replay would while all
@@ -186,11 +167,9 @@ class BbbStrategy final : public core::RecodingStrategy {
   }
 
  private:
-  static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
-
   /// The coloring sequence of this event, served from the maintained
-  /// orderer for smallest-last (when enabled) and from
-  /// `coloring_sequence` otherwise.  Returns a reference to `seq_`.
+  /// orderer for smallest-last and from `coloring_sequence` otherwise.
+  /// Returns a reference to `seq_`.
   const std::vector<net::NodeId>& sequence_for(const net::AdhocNetwork& net,
                                                const std::vector<net::NodeId>& nodes);
 
@@ -205,15 +184,6 @@ class BbbStrategy final : public core::RecodingStrategy {
                                     std::size_t batch_events = 1,
                                     std::span<const net::NodeId> joiners = {},
                                     std::span<const net::NodeId> reborn = {});
-
-  /// The dirty-region path.  Returns false — without touching `assignment`
-  /// — when the cached state cannot prove equivalence (unknown network,
-  /// trimmed journal, externally mutated assignment, dirty set too large);
-  /// the caller then runs the from-scratch path.
-  bool incremental_recolor(const net::AdhocNetwork& net,
-                           net::CodeAssignment& assignment,
-                           const std::vector<net::NodeId>& nodes,
-                           core::RecodeReport& report);
 
   /// One propagation frontier's working state: the pending ranks, the nodes
   /// whose color changed, the free-color scratch, and the pop count.  The
@@ -294,8 +264,8 @@ class BbbStrategy final : public core::RecodingStrategy {
                : snapshot_color(v);
   }
 
-  /// Records this event's output (colors + ordering positions + journal
-  /// revision) as the base of the next event's change propagation.
+  /// Records a bounded-mode from-scratch pass's output (colors + journal
+  /// revision) as the base of the next event's bounded propagation.
   void snapshot(const net::AdhocNetwork& net,
                 const std::vector<net::NodeId>& sequence,
                 const net::CodeAssignment& assignment);
@@ -308,24 +278,17 @@ class BbbStrategy final : public core::RecodingStrategy {
   Params params_;
   Counters counters_;
 
-  // Previous output (valid when last_net_ != nullptr): id-indexed colors
-  // and greedy-order positions, plus the conflict-journal revision they
-  // correspond to.
+  // Bounded mode's previous output (valid when last_net_ != nullptr):
+  // id-indexed colors plus the conflict-journal revision they correspond to.
   const net::AdhocNetwork* last_net_ = nullptr;
   std::uint64_t last_revision_ = 0;
   std::vector<net::Color> last_colors_;
-  std::vector<std::uint32_t> last_pos_;
 
   // Per-event scratch (reused across events; no per-node allocation).
   std::vector<net::NodeId> dirty_;
   std::vector<net::NodeId> nodes_;
   std::vector<net::NodeId> seq_;
-  std::vector<std::uint32_t> pos_;
-  std::vector<net::Color> new_colors_;
-  std::vector<std::uint8_t> adj_dirty_;
-  std::vector<std::uint8_t> changed_;
   std::vector<net::Color> old_colors_;
-  ColorScratch scratch_;
   DegeneracyOrderer orderer_;
 
   // Rank-bounded propagation scratch.  The epoch stamp makes per-event

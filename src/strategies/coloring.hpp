@@ -39,7 +39,7 @@ const char* to_string(ColoringOrder order);
 /// conflict neighbors, read the saturation / lowest free color, unmark.
 /// Replaces the per-node collect-sort-unique pattern — no allocation after
 /// warmup, O(deg) per node.  Shared by the greedy/DSATUR loops and BBB's
-/// dirty-region recoloring, which must stay bit-identical to them.
+/// rank-bounded propagation, which must stay bit-identical to them.
 class ColorScratch {
  public:
   void mark(net::Color c) {

@@ -8,8 +8,7 @@
 /// \file factory.hpp
 /// \brief Construct strategies by name for benches and examples.
 ///
-/// Known names: "minim", "minim-greedy", "minim-cardinality", "cp",
-/// "cp-lowest", "bbb", "bbb-dsatur", "bbb-largest", "bbb-identity".
+/// `known_strategy_names()` lists every accepted name.
 
 namespace minim::strategies {
 

@@ -24,7 +24,7 @@ void DegeneracyOrderer::sync_degrees(const net::ConflictGraph& cg) {
   bool repaired = false;
   // Keyed on the graph's process-unique nonce, not its address: a fresh
   // graph living where a destroyed one did must not inherit the mirror.
-  if (params_.incremental && last_nonce_ == cg.nonce()) {
+  if (last_nonce_ == cg.nonce()) {
     // Joiners extend the row table; their fresh ids are journaled dirty, so
     // zero-extending the mirror keeps the repair complete.
     if (degrees_.size() < rows) degrees_.resize(rows, 0);
@@ -52,7 +52,6 @@ void DegeneracyOrderer::sync_degrees(const net::ConflictGraph& cg) {
 
 void DegeneracyOrderer::order(const net::AdhocNetwork& net,
                               const std::vector<net::NodeId>& vertices,
-                              graph::DegeneracyTieBreak tie,
                               std::vector<net::NodeId>& out) {
   MINIM_REQUIRE(vertices.size() == net.node_count(),
                 "DegeneracyOrderer: vertices must be the full live node set");
@@ -71,7 +70,7 @@ void DegeneracyOrderer::order(const net::AdhocNetwork& net,
   std::copy(degrees_.begin(), degrees_.begin() + static_cast<std::ptrdiff_t>(copy),
             arena_.degree.begin());
 
-  smallest_last_eliminate(CachedAdjacency{&cg}, vertices, tie, arena_);
+  smallest_last_eliminate(CachedAdjacency{&cg}, vertices, arena_);
   out = arena_.out;
 }
 

@@ -10,10 +10,10 @@
 /// \file ordering.hpp
 /// \brief Incrementally maintained degeneracy (smallest-last) ordering.
 ///
-/// PR 3 made BBB's recoloring local, which left the smallest-last *ordering*
-/// as the dominant per-event term: every event recomputed the vertex degrees
-/// from an O(V+E) adjacency scan and rebuilt the bucket structure from
-/// freshly allocated storage.  `DegeneracyOrderer` removes both costs:
+/// BBB recolors from scratch at every event in smallest-last order.
+/// Computing that order from scratch costs an O(V+E) adjacency scan for the
+/// vertex degrees and a bucket structure in freshly allocated storage, per
+/// event.  `DegeneracyOrderer` removes both costs:
 ///
 /// * it mirrors every node's conflict degree, synchronized from the conflict
 ///   cache's dirty journal — a bounded repair touching only the nodes whose
@@ -24,10 +24,11 @@
 ///   so a steady-state event performs no allocation.
 ///
 /// The produced order is bit-identical to from-scratch
-/// `graph::smallest_last_order` on the current graph for every tie-break —
-/// both run the same `smallest_last_eliminate` core on equal inputs, and the
-/// randomized event soaks in tests/strategies/ordering_test.cpp hold it to
-/// that.  BBB's dirty-region recoloring depends on exactly this equivalence.
+/// `graph::smallest_last_order` on the current graph — both run the same
+/// `smallest_last_eliminate` core on equal inputs, and the randomized event
+/// soaks in tests/strategies/ordering_test.cpp hold it to that.  BBB's
+/// colors, and with them the committed figure CSVs, depend on exactly this
+/// equivalence.
 ///
 /// ## Maintained ranks (rank-bounded BBB)
 ///
@@ -59,10 +60,6 @@ namespace minim::strategies {
 class DegeneracyOrderer {
  public:
   struct Params {
-    /// Serve degrees from the journal-synced mirror.  Disable to recompute
-    /// the mirror from the conflict rows on every order (the reference
-    /// behavior the equivalence soaks compare against).
-    bool incremental = true;
     /// Full degree rebuild when more than this fraction of the id space was
     /// journaled dirty since the last order (raw journal entries, so repeats
     /// count — a deliberately conservative trigger).
@@ -98,7 +95,7 @@ class DegeneracyOrderer {
   /// full live node set (ascending) — the precondition under which the
   /// degree mirror equals the conflict row sizes.
   void order(const net::AdhocNetwork& net, const std::vector<net::NodeId>& vertices,
-             graph::DegeneracyTieBreak tie, std::vector<net::NodeId>& out);
+             std::vector<net::NodeId>& out);
 
   // ---------------------------------------------------- maintained ranks
 

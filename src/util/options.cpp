@@ -66,6 +66,13 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
   return value;
 }
 
+std::size_t Options::get_count(const std::string& key, std::size_t fallback) const {
+  const std::int64_t value = get_int(key, static_cast<std::int64_t>(fallback));
+  MINIM_REQUIRE(value >= 0, "option --" + key + " expects a count (>= 0), got '" +
+                                get(key, "") + "'");
+  return static_cast<std::size_t>(value);
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

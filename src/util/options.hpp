@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -29,6 +30,9 @@ class Options {
   /// Numbers: the whole value must parse ("3x" and "2.9" are not integers,
   /// "20.5x" is not a number); anything else throws std::invalid_argument.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count (runs, trials, threads, sizes): an integer as for `get_int`
+  /// that must not be negative, so "-1" throws instead of wrapping to 2^64-1.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Flags: `--x`, `--x=true/1/yes/on` are true; `--x=false/0/no/off` false.
   bool get_bool(const std::string& key, bool fallback) const;

@@ -3,9 +3,11 @@
 //  * the --csv-dir output path (header and row counts) the way a user
 //    drives it;
 //  * scale-out across machines: two --shard processes merged with --merge
-//    must save a per-trial CSV byte-identical to the single-process run.
+//    must save a per-trial CSV byte-identical to the single-process run;
+//  * --shard=i/k takes digits only: a sign or a blank exits 2.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -94,6 +96,32 @@ TEST(BenchCsv, ShardedRunMergesByteForByteWithSingleProcess) {
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(read_file(merged_csv), expected)
       << "--shard/--merge is not byte-identical to the single-process run";
+
+  fs::remove_all(dir);
+}
+
+TEST(BenchCsv, ShardArgumentsAreDigitsOnly) {
+  const fs::path dir = fs::temp_directory_path() / "minim_bench_shard_args_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const fs::path out = dir / "shard.csv";
+  const std::string study = std::string(MINIM_BENCH_GRID_STUDY) +
+                            " --trials=2 --ns=20 --factors=2.0"
+                            " --strategies=minim --threads=1 --out=" +
+                            out.string();
+  // "1/-4" used to run shard 1 of 2^64-4.
+  for (const char* shard :
+       {"'--shard=+1/4'", "'--shard=1/-4'", "'--shard= 1/4'"}) {
+    const std::string command = study + " " + shard + " > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_FALSE(fs::exists(out)) << command;
+  }
+  // The same study with a well-formed shard runs and writes its file.
+  ASSERT_EQ(std::system((study + " --shard=1/4 > /dev/null 2>&1").c_str()), 0);
+  EXPECT_TRUE(fs::exists(out));
 
   fs::remove_all(dir);
 }

@@ -1,6 +1,8 @@
-// Dirty-region BBB must be bit-identical to the from-scratch recolor: same
-// RecodeReports (change lists), same assignments, same max colors, across
-// every static coloring order and randomized event soaks.
+// BBB recolors from scratch at every event: after each event its colors must
+// equal `color_network` on the current network, and its report must list
+// exactly the nodes whose color moved, across every coloring order and
+// randomized event soaks.  The bounded path's foreign-mutation guard is
+// pinned here too.
 
 #include <gtest/gtest.h>
 
@@ -9,113 +11,108 @@
 #include "net/constraints.hpp"
 #include "net/network.hpp"
 #include "strategies/bbb.hpp"
+#include "strategies/coloring.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using minim::core::Recode;
 using minim::core::RecodeReport;
 using minim::net::AdhocNetwork;
 using minim::net::CodeAssignment;
-using minim::net::NodeConfig;
+using minim::net::Color;
 using minim::net::NodeId;
 using minim::strategies::BbbStrategy;
+using minim::strategies::color_network;
 using minim::strategies::ColoringOrder;
 using minim::util::Rng;
 
-BbbStrategy::Params full_only() {
-  BbbStrategy::Params params;
-  params.incremental = false;
-  return params;
-}
-
-void expect_reports_equal(const RecodeReport& a, const RecodeReport& b,
-                          int event_index) {
-  ASSERT_EQ(a.event, b.event) << "event " << event_index;
-  ASSERT_EQ(a.subject, b.subject) << "event " << event_index;
-  ASSERT_EQ(a.max_color_after, b.max_color_after) << "event " << event_index;
-  ASSERT_EQ(a.changes.size(), b.changes.size()) << "event " << event_index;
-  for (std::size_t i = 0; i < a.changes.size(); ++i) {
-    EXPECT_EQ(a.changes[i].node, b.changes[i].node) << "event " << event_index;
-    EXPECT_EQ(a.changes[i].old_color, b.changes[i].old_color)
+/// Asserts that `asg` holds the from-scratch `color_network` colors, and
+/// that `report` lists, in ascending node order, every node whose color
+/// differs from `before` (the colors of `nodes` right before the strategy
+/// ran).
+void expect_from_scratch(const AdhocNetwork& net, ColoringOrder order,
+                         const std::vector<NodeId>& nodes,
+                         const std::vector<Color>& before,
+                         const CodeAssignment& asg, const RecodeReport& report,
+                         int event_index) {
+  CodeAssignment expected;
+  color_network(net, order, expected);
+  std::vector<Recode> moved;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Color now = asg.color(nodes[i]);
+    ASSERT_EQ(now, expected.color(nodes[i]))
+        << "node " << nodes[i] << " after event " << event_index;
+    if (now != before[i]) moved.push_back(Recode{nodes[i], before[i], now});
+  }
+  ASSERT_EQ(report.max_color_after, expected.max_color()) << "event " << event_index;
+  ASSERT_EQ(report.changes.size(), moved.size()) << "event " << event_index;
+  for (std::size_t i = 0; i < moved.size(); ++i) {
+    EXPECT_EQ(report.changes[i].node, moved[i].node) << "event " << event_index;
+    EXPECT_EQ(report.changes[i].old_color, moved[i].old_color)
         << "event " << event_index;
-    EXPECT_EQ(a.changes[i].new_color, b.changes[i].new_color)
+    EXPECT_EQ(report.changes[i].new_color, moved[i].new_color)
         << "event " << event_index;
   }
 }
 
-/// Drives one randomized join/move/power/leave history through two BBB
-/// instances — dirty-region vs forced-full — sharing the network but owning
-/// separate assignments, asserting identical behavior after every event.
-void soak(ColoringOrder order, BbbStrategy::Params incremental_params,
-          std::uint64_t seed, int events) {
+/// Drives one randomized join/move/power/leave history through BBB and
+/// checks it against the from-scratch coloring after every event.
+void soak(ColoringOrder order, std::uint64_t seed, int events) {
   Rng rng(seed);
   AdhocNetwork net;
-  CodeAssignment incremental_asg;
-  CodeAssignment full_asg;
-  BbbStrategy incremental(order, incremental_params);
-  BbbStrategy full(order, full_only());
+  CodeAssignment asg;
+  BbbStrategy bbb(order);
   std::vector<NodeId> live;
 
   for (int event = 0; event < events; ++event) {
     const double roll = rng.uniform(0, 1);
-    RecodeReport a;
-    RecodeReport b;
+    std::vector<NodeId> nodes;
+    std::vector<Color> before;
+    const auto record_before = [&] {
+      nodes = net.nodes();
+      before.clear();
+      for (NodeId v : nodes) before.push_back(asg.color(v));
+    };
+    RecodeReport report;
     if (live.size() < 5 || roll < 0.4) {
       const NodeId id = net.add_node(
           {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)});
       live.push_back(id);
-      a = incremental.on_join(net, incremental_asg, id);
-      b = full.on_join(net, full_asg, id);
+      record_before();
+      report = bbb.on_join(net, asg, id);
     } else if (roll < 0.6) {
       const NodeId v = live[rng.below(live.size())];
       net.set_position(v, {rng.uniform(0, 100), rng.uniform(0, 100)});
-      a = incremental.on_move(net, incremental_asg, v);
-      b = full.on_move(net, full_asg, v);
+      record_before();
+      report = bbb.on_move(net, asg, v);
     } else if (roll < 0.85) {
       const NodeId v = live[rng.below(live.size())];
       const double old_range = net.config(v).range;
       net.set_range(v, rng.uniform(0, 40));
-      a = incremental.on_power_change(net, incremental_asg, v, old_range);
-      b = full.on_power_change(net, full_asg, v, old_range);
+      record_before();
+      report = bbb.on_power_change(net, asg, v, old_range);
     } else {
       const std::size_t index = rng.below(live.size());
       const NodeId v = live[index];
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
       net.remove_node(v);
-      incremental_asg.clear(v);
-      full_asg.clear(v);
-      a = incremental.on_leave(net, incremental_asg, v);
-      b = full.on_leave(net, full_asg, v);
+      asg.clear(v);
+      record_before();
+      report = bbb.on_leave(net, asg, v);
     }
 
-    ASSERT_NO_FATAL_FAILURE(expect_reports_equal(a, b, event));
-    for (NodeId v : net.nodes())
-      ASSERT_EQ(incremental_asg.color(v), full_asg.color(v))
-          << "node " << v << " after event " << event;
-    ASSERT_TRUE(minim::net::is_valid(net, incremental_asg)) << "event " << event;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_from_scratch(net, order, nodes, before, asg, report, event));
+    ASSERT_TRUE(minim::net::is_valid(net, asg)) << "event " << event;
   }
 }
 
 class BbbIncrementalOrder : public ::testing::TestWithParam<ColoringOrder> {};
 
 TEST_P(BbbIncrementalOrder, MatchesFullRecolorOverRandomizedEvents) {
-  soak(GetParam(), BbbStrategy::Params{}, 9001, 90);
-  soak(GetParam(), BbbStrategy::Params{}, 9002, 90);
-}
-
-TEST_P(BbbIncrementalOrder, MatchesWithAggressiveDirtyThreshold) {
-  // Never fall back on size: stresses the change-propagation path alone.
-  BbbStrategy::Params params;
-  params.full_recolor_fraction = 1.0;
-  soak(GetParam(), params, 9003, 90);
-}
-
-TEST_P(BbbIncrementalOrder, MatchesWithZeroThresholdAlwaysFullPath) {
-  // Threshold 0 forces the fallback whenever anything changed: the two
-  // instances literally run the same code, pinning the fallback wiring.
-  BbbStrategy::Params params;
-  params.full_recolor_fraction = 0.0;
-  soak(GetParam(), params, 9004, 50);
+  soak(GetParam(), 9001, 90);
+  soak(GetParam(), 9002, 90);
 }
 
 INSTANTIATE_TEST_SUITE_P(StaticOrders, BbbIncrementalOrder,
@@ -124,12 +121,12 @@ INSTANTIATE_TEST_SUITE_P(StaticOrders, BbbIncrementalOrder,
                                            ColoringOrder::kIdentity));
 
 TEST(BbbIncremental, DSaturAlwaysUsesFullPathAndStaysValid) {
-  soak(ColoringOrder::kDSatur, BbbStrategy::Params{}, 9005, 60);
+  soak(ColoringOrder::kDSatur, 9005, 60);
 }
 
 TEST(BbbIncremental, SurvivesForeignAssignmentMutation) {
-  // An out-of-band color change invalidates the snapshot; the strategy must
-  // detect it and still produce the from-scratch result.
+  // An out-of-band color change must not leak into the next event: BBB
+  // recolors every node, so it lands on the from-scratch result.
   Rng rng(77);
   AdhocNetwork net;
   CodeAssignment asg;
@@ -141,18 +138,61 @@ TEST(BbbIncremental, SurvivesForeignAssignmentMutation) {
     bbb.on_join(net, asg, ids.back());
   }
   // Clobber a color behind the strategy's back.
-  asg.set_color(ids[4], asg.color(ids[4]) + 17);
-
-  CodeAssignment reference_asg;
-  BbbStrategy reference(ColoringOrder::kSmallestLast, full_only());
-  for (NodeId v : net.nodes()) reference_asg.set_color(v, asg.color(v));
+  const Color clobbered = asg.color(ids[4]) + 17;
+  asg.set_color(ids[4], clobbered);
 
   const double old_range = net.config(ids[2]).range;
   net.set_range(ids[2], old_range * 1.5);
-  const auto a = bbb.on_power_change(net, asg, ids[2], old_range);
-  const auto b = reference.on_power_change(net, reference_asg, ids[2], old_range);
-  expect_reports_equal(a, b, 0);
-  for (NodeId v : net.nodes()) EXPECT_EQ(asg.color(v), reference_asg.color(v));
+  const RecodeReport report = bbb.on_power_change(net, asg, ids[2], old_range);
+  CodeAssignment expected;
+  color_network(net, ColoringOrder::kSmallestLast, expected);
+  for (NodeId v : net.nodes()) EXPECT_EQ(asg.color(v), expected.color(v)) << v;
+  bool reported = false;
+  for (const Recode& change : report.changes)
+    if (change.node == ids[4]) reported = change.old_color == clobbered;
+  EXPECT_TRUE(reported) << "the clobbered node's repair is not reported";
+}
+
+TEST(BbbIncremental, BoundedGuardFallsBackWhenADirtyNodeWasRecolored) {
+  // The bounded path checks only the journal-dirty nodes' colors against
+  // its snapshot.  Raising x's range gives x new conflict partners, so x is
+  // journal-dirty.  With x's color clobbered first, the event must fall
+  // back to the from-scratch path and land on the from-scratch colors; the
+  // twin run without the clobber absorbs the same event, so the guard is
+  // what forces the fallback.
+  for (const bool clobber : {false, true}) {
+    AdhocNetwork net;
+    CodeAssignment asg;
+    BbbStrategy::Params params;
+    params.bounded_propagation = true;
+    params.propagation_slack = 1.0;  // a budget of every node: no bailout
+    BbbStrategy bbb(ColoringOrder::kSmallestLast, params);
+    // A 10 x 10 lattice, spacing 10, range 10.5: each node reaches its four
+    // axis neighbors.
+    std::vector<NodeId> ids;
+    for (int row = 0; row < 10; ++row)
+      for (int col = 0; col < 10; ++col)
+        ids.push_back(net.add_node({{10.0 * col, 10.0 * row}, 10.5}));
+    bbb.on_join(net, asg, ids.back());  // seeds the ranks and the snapshot
+    const BbbStrategy::Counters before = bbb.counters();
+
+    const NodeId x = ids[44];
+    if (clobber) asg.set_color(x, asg.color(x) + 17);
+    const double old_range = net.config(x).range;
+    net.set_range(x, 14.5);  // now reaches the diagonal neighbors too
+    bbb.on_power_change(net, asg, x, old_range);
+
+    const BbbStrategy::Counters& after = bbb.counters();
+    EXPECT_EQ(after.full_events, before.full_events + (clobber ? 1 : 0))
+        << "clobber=" << clobber;
+    EXPECT_EQ(after.bounded_events, before.bounded_events + (clobber ? 0 : 1))
+        << "clobber=" << clobber;
+    ASSERT_TRUE(minim::net::is_valid(net, asg)) << "clobber=" << clobber;
+    if (!clobber) continue;
+    CodeAssignment expected;
+    color_network(net, ColoringOrder::kSmallestLast, expected);
+    for (NodeId v : net.nodes()) EXPECT_EQ(asg.color(v), expected.color(v)) << v;
+  }
 }
 
 }  // namespace

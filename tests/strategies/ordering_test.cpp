@@ -2,10 +2,10 @@
 //
 // The maintained orderer must produce, after ANY event sequence, exactly the
 // order a from-scratch `graph::smallest_last_order` computes on the current
-// conflict graph — for every tie-break.  BBB's dirty-region recoloring (and
-// therefore the committed figure CSVs) depends on this bit-identity, so the
-// soak drives a network through a randomized mix of joins, leaves, moves and
-// power changes and compares after every single event.
+// conflict graph.  BBB's colors (and therefore the committed figure CSVs)
+// depend on this bit-identity, so the soak drives a network through a
+// randomized mix of joins, leaves, moves and power changes and compares
+// after every single event.
 
 #include "strategies/ordering.hpp"
 
@@ -20,22 +20,16 @@
 
 namespace {
 
-using minim::graph::DegeneracyTieBreak;
 using minim::net::AdhocNetwork;
 using minim::net::NodeId;
 using minim::strategies::DegeneracyOrderer;
 
-constexpr DegeneracyTieBreak kAllTieBreaks[] = {
-    DegeneracyTieBreak::kStack, DegeneracyTieBreak::kLowestId,
-    DegeneracyTieBreak::kHighestId};
-
 std::vector<NodeId> reference_order(const AdhocNetwork& net,
-                                    const std::vector<NodeId>& vertices,
-                                    DegeneracyTieBreak tie) {
+                                    const std::vector<NodeId>& vertices) {
   // From-scratch reference over a materialized adjacency copy — shares no
   // state with the orderer's cached-span path.
   const auto adj = minim::strategies::conflict_adjacency(net);
-  return minim::graph::smallest_last_order(adj, vertices, tie);
+  return minim::graph::smallest_last_order(adj, vertices);
 }
 
 /// One random event; returns a one-line description for failure messages.
@@ -73,12 +67,9 @@ TEST(DegeneracyOrderer, MatchesFromScratchAcrossEventSoakAndTieBreaks) {
     for (int event = 0; event < 120; ++event) {
       const std::string what = random_event(net, live, rng);
       const std::vector<NodeId> vertices = net.nodes();
-      for (const DegeneracyTieBreak tie : kAllTieBreaks) {
-        orderer.order(net, vertices, tie, out);
-        ASSERT_EQ(out, reference_order(net, vertices, tie))
-            << "round " << round << ", event " << event << " (" << what
-            << "), tie-break " << static_cast<int>(tie);
-      }
+      orderer.order(net, vertices, out);
+      ASSERT_EQ(out, reference_order(net, vertices))
+          << "round " << round << ", event " << event << " (" << what << ")";
     }
     // The soak must actually exercise the bounded-repair path, not fall
     // back to degree rebuilds throughout.
@@ -99,8 +90,8 @@ TEST(DegeneracyOrderer, ZeroThresholdForcesDegreeRebuildEveryEvent) {
   for (int event = 0; event < 30; ++event) {
     live.push_back(net.add_node({{rng.uniform(0, 100), rng.uniform(0, 100)},
                                  rng.uniform(15.0, 45.0)}));
-    orderer.order(net, live, DegeneracyTieBreak::kStack, out);
-    EXPECT_EQ(out, reference_order(net, live, DegeneracyTieBreak::kStack));
+    orderer.order(net, live, out);
+    EXPECT_EQ(out, reference_order(net, live));
   }
   // First order rebuilds because the graph is new; every later one because
   // the (never-empty) dirty set exceeds the zero threshold.
@@ -119,8 +110,8 @@ TEST(DegeneracyOrderer, GenerousThresholdRepairsInPlace) {
   std::vector<NodeId> live;
   for (int event = 0; event < 30; ++event) {
     random_event(net, live, rng);
-    orderer.order(net, live, DegeneracyTieBreak::kStack, out);
-    EXPECT_EQ(out, reference_order(net, live, DegeneracyTieBreak::kStack));
+    orderer.order(net, live, out);
+    EXPECT_EQ(out, reference_order(net, live));
   }
   EXPECT_EQ(orderer.counters().degree_rebuilds, 1u);  // first sight only
   EXPECT_EQ(orderer.counters().threshold_fallbacks, 0u);
@@ -141,10 +132,10 @@ TEST(DegeneracyOrderer, ThresholdBoundaryIsExclusive) {
     DegeneracyOrderer orderer(params);
     std::vector<NodeId> out;
     std::vector<NodeId> live{first};
-    orderer.order(net, live, DegeneracyTieBreak::kStack, out);  // sync
+    orderer.order(net, live, out);  // sync
     live.push_back(net.add_node({{90, 90}, 20.0}));
-    orderer.order(net, live, DegeneracyTieBreak::kStack, out);
-    EXPECT_EQ(out, reference_order(net, live, DegeneracyTieBreak::kStack));
+    orderer.order(net, live, out);
+    EXPECT_EQ(out, reference_order(net, live));
     EXPECT_EQ(orderer.counters().threshold_fallbacks, expect_repair ? 0u : 1u);
     EXPECT_EQ(orderer.counters().repaired_nodes > 0, expect_repair);
   }
@@ -158,33 +149,15 @@ TEST(DegeneracyOrderer, ResetNetworkFallsBackViaJournal) {
   std::vector<NodeId> live;
   for (int event = 0; event < 10; ++event) random_event(net, live, rng);
   std::vector<NodeId> vertices = net.nodes();
-  orderer.order(net, vertices, DegeneracyTieBreak::kStack, out);
+  orderer.order(net, vertices, out);
 
   net.reset(100.0, 100.0);  // clears the conflict graph and its journal
   live.clear();
   for (int event = 0; event < 10; ++event) random_event(net, live, rng);
   vertices = net.nodes();
-  orderer.order(net, vertices, DegeneracyTieBreak::kStack, out);
-  EXPECT_EQ(out, reference_order(net, vertices, DegeneracyTieBreak::kStack));
+  orderer.order(net, vertices, out);
+  EXPECT_EQ(out, reference_order(net, vertices));
   EXPECT_GE(orderer.counters().journal_fallbacks, 1u);
-}
-
-TEST(DegeneracyOrderer, NonIncrementalModeAlwaysRebuilds) {
-  minim::util::Rng rng(34);
-  AdhocNetwork net;
-  DegeneracyOrderer::Params params;
-  params.incremental = false;
-  DegeneracyOrderer orderer(params);
-  std::vector<NodeId> out;
-  std::vector<NodeId> live;
-  for (int event = 0; event < 15; ++event) {
-    random_event(net, live, rng);
-    std::vector<NodeId> vertices = net.nodes();
-    orderer.order(net, vertices, DegeneracyTieBreak::kStack, out);
-    EXPECT_EQ(out, reference_order(net, vertices, DegeneracyTieBreak::kStack));
-  }
-  EXPECT_EQ(orderer.counters().degree_rebuilds, 15u);
-  EXPECT_EQ(orderer.counters().repaired_nodes, 0u);
 }
 
 }  // namespace

@@ -142,6 +142,19 @@ TEST(Options, BadIntegerThrows) {
   }
 }
 
+TEST(Options, CountRejectsNegativeValues) {
+  // A negative count must throw rather than wrap to about 2^64 threads or
+  // trials; zero and positive counts pass through.
+  const char* argv[] = {"prog", "--threads=-1", "--trials=0", "--runs=12",
+                        "--n=3x"};
+  Options opts(5, argv);
+  EXPECT_THROW(opts.get_count("threads", 0), std::invalid_argument);
+  EXPECT_EQ(opts.get_count("trials", 5), 0u);
+  EXPECT_EQ(opts.get_count("runs", 5), 12u);
+  EXPECT_EQ(opts.get_count("absent", 7), 7u);
+  EXPECT_THROW(opts.get_count("n", 0), std::invalid_argument);
+}
+
 TEST(Options, BadDoubleThrows) {
   for (const char* bad : {"--r=abc", "--r=20.5x"}) {
     const char* argv[] = {"prog", bad};
