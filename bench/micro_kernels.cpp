@@ -149,6 +149,26 @@ void BM_ConflictGraphIncrementalMove(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictGraphIncrementalMove)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 
+void BM_ConflictGraphDenseChurn(benchmark::State& state) {
+  // perfbench dense-churn's field: 300 nodes on 100x100, ranges 10-25
+  // (out-degree ~28, conflict rows ~75 partners).  Each iteration is one
+  // uniform relocation plus one leave-and-rejoin, so it runs every kind of
+  // fan: out and in, stale and fresh.  The rejoin takes the freed id back,
+  // so ids stay 0..299.
+  constexpr std::size_t kNodes = 300;
+  util::Rng rng(18);
+  auto network = random_network(kNodes, 10.0, 25.0, rng);
+  for (auto _ : state) {
+    const auto mover = static_cast<net::NodeId>(rng.below(kNodes));
+    network.set_position(mover, {rng.uniform(0, 100), rng.uniform(0, 100)});
+    network.remove_node(static_cast<net::NodeId>(rng.below(kNodes)));
+    network.add_node({{rng.uniform(0, 100), rng.uniform(0, 100)},
+                      rng.uniform(10.0, 25.0)});
+    benchmark::DoNotOptimize(network.conflict_graph().pair_count());
+  }
+}
+BENCHMARK(BM_ConflictGraphDenseChurn)->Unit(benchmark::kMicrosecond);
+
 // ---- greedy coloring: scratch-buffer loops vs per-node allocation ----
 
 /// The pre-cache greedy loop, kept verbatim for comparison: enumerate

@@ -31,6 +31,10 @@
 /// `CountedRowPool` is the same structure with a parallel per-element `u32`
 /// payload (the conflict cache's witness multiplicities); the ids and counts
 /// pools share one set of row refs, so `ids(v)` stays a contiguous span.
+/// Besides single-entry insert/erase it updates a row in bulk, in place:
+/// counts are bumped or dropped through `counts_mut`, new ids go in with one
+/// backward merge (`insert_batch`), and zeroed entries leave in one
+/// compaction pass (`erase_zero_counts`).
 namespace minim::graph {
 
 using NodeId = std::uint32_t;
@@ -232,23 +236,68 @@ class CountedRowPool {
     ++ref.size;
   }
 
-  /// Overwrites row `r` with the given parallel arrays (sorted ids).  Grows
-  /// the row's slot when needed; prior contents are discarded, so the source
-  /// spans must not alias this pool.
-  void replace_row(std::uint32_t r, std::span<const NodeId> ids,
-                   std::span<const std::uint32_t> counts) {
+  /// Mutable counts of row `r`, parallel to `ids(r)`.  A caller may bump or
+  /// drop them in place; an entry whose count reaches zero stays until
+  /// `erase_zero_counts`.
+  std::span<std::uint32_t> counts_mut(std::uint32_t r) {
+    if (r >= refs_.size()) return {};
+    const detail::RowRef& ref = refs_[r];
+    return {counts_.data() + ref.offset, ref.size};
+  }
+
+  /// Inserts the sorted `ids`, each absent from row `r`, with the parallel
+  /// `counts`.  One backward merge into the row's slot: the slot grows at
+  /// most once, and only the entries above the smallest new id move.
+  void insert_batch(std::uint32_t r, std::span<const NodeId> ids,
+                    std::span<const std::uint32_t> counts) {
+    if (ids.empty()) return;
     ensure_row(r);
-    if (refs_[r].capacity < ids.size()) {
-      // The row is about to be overwritten wholesale — don't pay to carry
-      // its old contents into the new slot.
-      refs_[r].size = 0;
-      grow_to(r, static_cast<std::uint32_t>(ids.size()));
-    }
+    const auto added = static_cast<std::uint32_t>(ids.size());
+    if (refs_[r].size + added > refs_[r].capacity)
+      grow_to(r, refs_[r].size + added);
     detail::RowRef& ref = refs_[r];
-    std::memcpy(ids_.data() + ref.offset, ids.data(), ids.size() * sizeof(NodeId));
-    std::memcpy(counts_.data() + ref.offset, counts.data(),
-                counts.size() * sizeof(std::uint32_t));
-    ref.size = static_cast<std::uint32_t>(ids.size());
+    NodeId* row_ids = ids_.data() + ref.offset;
+    std::uint32_t* row_counts = counts_.data() + ref.offset;
+    // Fill [0, write) from the back; once every new id is placed, the
+    // entries below stand where they were.
+    std::size_t old = ref.size;
+    std::size_t fresh = ids.size();
+    std::size_t write = ref.size + added;
+    while (fresh > 0) {
+      --write;
+      if (old > 0 && row_ids[old - 1] > ids[fresh - 1]) {
+        --old;
+        row_ids[write] = row_ids[old];
+        row_counts[write] = row_counts[old];
+      } else {
+        --fresh;
+        row_ids[write] = ids[fresh];
+        row_counts[write] = counts[fresh];
+      }
+    }
+    ref.size += added;
+  }
+
+  /// Drops every zero-count entry of row `r` in one pass, keeping the rest
+  /// in order, and appends the dropped ids to `erased` (ascending).  Never
+  /// relocates.
+  void erase_zero_counts(std::uint32_t r, std::vector<NodeId>& erased) {
+    if (r >= refs_.size()) return;
+    detail::RowRef& ref = refs_[r];
+    NodeId* row_ids = ids_.data() + ref.offset;
+    std::uint32_t* row_counts = counts_.data() + ref.offset;
+    std::uint32_t kept = static_cast<std::uint32_t>(
+        std::find(row_counts, row_counts + ref.size, 0u) - row_counts);
+    for (std::uint32_t i = kept; i < ref.size; ++i) {
+      if (row_counts[i] == 0) {
+        erased.push_back(row_ids[i]);
+        continue;
+      }
+      row_ids[kept] = row_ids[i];
+      row_counts[kept] = row_counts[i];
+      ++kept;
+    }
+    ref.size = kept;
   }
 
   /// Erases `v` from row `r`.  Requires `v` present.  Never relocates.

@@ -25,13 +25,9 @@ constexpr std::size_t kJournalCap = 1 << 15;
 std::size_t ConflictGraph::memory_bytes() const {
   return rows_.memory_bytes() +
          (journal_.capacity() + partner_scratch_.capacity() +
-          merged_ids_.capacity() + fan_union_.capacity() +
-          fan_others_.capacity()) *
+          flips_.capacity() + fan_union_.capacity() + fan_others_.capacity()) *
              sizeof(NodeId) +
-         (partner_delta_.capacity() + merged_counts_.capacity() +
-          tally_.capacity()) *
-             sizeof(std::uint32_t) +
-         partner_new_.capacity();
+         (tally_.capacity() + flip_counts_.capacity()) * sizeof(std::uint32_t);
 }
 
 std::uint32_t ConflictGraph::multiplicity(NodeId u, NodeId v) const {
@@ -143,109 +139,124 @@ void ConflictGraph::collect_edge_partners(const graph::Digraph& g, NodeId u,
     partner_scratch_.push_back(w);
   }
   if (!placed) partner_scratch_.push_back(v);
-  partner_delta_.clear();  // empty = every partner carries one witness
 }
 
-void ConflictGraph::append_edge_partners(const graph::Digraph& g, NodeId u,
-                                         NodeId v) {
-  partner_scratch_.push_back(v);
-  for (NodeId w : g.in_neighbors(v))
-    if (w != u) partner_scratch_.push_back(w);
+void ConflictGraph::cover_tally(const graph::Digraph& g, NodeId max_id) {
+  const std::size_t bound = std::max<std::size_t>(g.id_bound(), max_id + 1);
+  if (tally_.size() < bound) tally_.resize(bound, 0);
 }
 
-void ConflictGraph::aggregate_partner_multiset(NodeId id_bound) {
-  // Tally every occurrence, keeping each id's first one in place; a fan's
-  // partner list repeats co-senders many times over, so sorting just the
-  // unique ids is far cheaper than sorting the list.
-  if (tally_.size() < id_bound) tally_.resize(id_bound, 0);
-  std::size_t unique = 0;
-  for (NodeId w : partner_scratch_)
-    if (tally_[w]++ == 0) partner_scratch_[unique++] = w;
-  partner_scratch_.resize(unique);
-  std::sort(partner_scratch_.begin(), partner_scratch_.end());
-  partner_delta_.resize(unique);
-  for (std::size_t i = 0; i < unique; ++i) {
-    partner_delta_[i] = tally_[partner_scratch_[i]];
-    tally_[partner_scratch_[i]] = 0;
-  }
-}
-
-void ConflictGraph::merge_row(NodeId u, std::span<const NodeId> partners,
-                              std::span<const std::uint32_t> deltas, int delta,
-                              NodeId skip) {
-  // Merge pass over (row u, partners) into scratch — no per-partner search
-  // or shifting of the hot row.  Nothing may hold a row span across the
-  // write-back: replace_row may relocate the pool.
+template <class Witnesses>
+void ConflictGraph::update_row(NodeId u, std::span<const NodeId> partners,
+                               int delta, Witnesses witnesses) {
+  // One walk over the row's own ids bumps or drops the marked counts in
+  // place.  A row holds a fan's partners scattered among several times as
+  // many others, so the walk must not branch on the mark: `witnesses` is
+  // arithmetic on it, and unmarked ids add or subtract zero.
   const std::span<const NodeId> ids = rows_.ids(u);
-  const std::span<const std::uint32_t> counts = rows_.counts(u);
-  // An empty delta array means "one witness per partner" — the single-edge
-  // and in-fan paths (whose partner lists are unique) skip filling it.
-  const bool uniform = deltas.empty();
-  const auto delta_of = [deltas, uniform](std::size_t j) -> std::uint32_t {
-    return uniform ? 1 : deltas[j];
-  };
-  merged_ids_.clear();
-  merged_counts_.clear();
-  partner_new_.assign(partners.size(), 0);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ids.size() || j < partners.size()) {
-    if (j < partners.size() && partners[j] == skip) {
-      ++j;
-    } else if (j >= partners.size() ||
-               (i < ids.size() && ids[i] < partners[j])) {
-      merged_ids_.push_back(ids[i]);
-      merged_counts_.push_back(counts[i]);
-      ++i;
-    } else if (i >= ids.size() || partners[j] < ids[i]) {
-      MINIM_REQUIRE(delta > 0, "conflict graph: retracting an unknown witness");
-      merged_ids_.push_back(partners[j]);
-      merged_counts_.push_back(delta_of(j));
-      partner_new_[j] = 1;  // pair went 0 -> positive
-      ++j;
+  const std::span<std::uint32_t> counts = rows_.counts_mut(u);
+  std::size_t matched = 0;
+  std::size_t vanished = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t change = witnesses(tally_[ids[i]]);
+    if (delta > 0) {
+      counts[i] += change;
     } else {
-      std::uint32_t count = counts[i];
-      if (delta > 0) {
-        count += delta_of(j);
-      } else {
-        MINIM_REQUIRE(count >= delta_of(j),
-                      "conflict graph: retracting an unknown witness");
-        count -= delta_of(j);
-      }
-      if (count > 0) {
-        merged_ids_.push_back(ids[i]);
-        merged_counts_.push_back(count);
-      } else {
-        partner_new_[j] = 1;  // pair went positive -> 0
-      }
-      ++i;
-      ++j;
+      MINIM_REQUIRE(counts[i] >= change,
+                    "conflict graph: retracting an unknown witness");
+      counts[i] -= change;
+      vanished += counts[i] == 0 ? 1 : 0;
+    }
+    matched += change != 0 ? 1 : 0;
+  }
+  const std::size_t expected =
+      partners.size() -
+      (std::binary_search(partners.begin(), partners.end(), u) ? 1 : 0);
+  flips_.clear();
+  if (delta < 0) {
+    MINIM_REQUIRE(matched == expected,
+                  "conflict graph: retracting an unknown witness");
+    // Pairs down to zero witnesses leave the row (pair went positive -> 0).
+    if (vanished > 0) rows_.erase_zero_counts(u, flips_);
+    return;
+  }
+  if (matched == expected) return;
+  // Partners the row lacks are new pairs (0 -> positive): find them by one
+  // read-only pass over both sorted lists, then merge them in.
+  flip_counts_.clear();
+  std::size_t i = 0;
+  for (NodeId p : partners) {
+    if (p == u) continue;
+    while (i < ids.size() && ids[i] < p) ++i;
+    if (i < ids.size() && ids[i] == p) continue;
+    flips_.push_back(p);
+    flip_counts_.push_back(witnesses(tally_[p]));
+  }
+  rows_.insert_batch(u, flips_, flip_counts_);
+}
+
+void ConflictGraph::apply_out_fan(const graph::Digraph& g, NodeId u,
+                                  std::span<const NodeId> targets, int delta) {
+  MINIM_REQUIRE(std::is_sorted(targets.begin(), targets.end()) &&
+                    std::adjacent_find(targets.begin(), targets.end()) ==
+                        targets.end(),
+                "conflict graph: edge fan must be ascending and deduped");
+  for (NodeId v : targets) {
+    if (delta > 0) {
+      MINIM_REQUIRE(!g.has_edge(u, v),
+                    "conflict graph: edge delta already applied");
+    } else {
+      MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
     }
   }
-  rows_.replace_row(u, merged_ids_, merged_counts_);
-}
+  const NodeId max_id = std::max(u, targets.back());
+  if (delta > 0) rows_.ensure_row(max_id);
+  cover_tally(g, max_id);
 
-std::size_t ConflictGraph::merge_row_journaled(NodeId u,
-                                               std::span<const NodeId> partners,
-                                               int delta, NodeId skip) {
-  merge_row(u, partners, {}, delta, skip);
-  std::size_t transitions = 0;
-  for (char flipped : partner_new_) {
-    if (!flipped) continue;
-    mark_dirty(u);
-    ++transitions;
+  // Tally the fan's partner multiset straight from the in-rows: edge u→v
+  // witnesses (u, v) and (u, w) for every other sender w of v.  A partner
+  // witnessing several edges (a co-sender to two targets) counts each, and
+  // its first occurrence keeps its place in `partner_scratch_`.
+  std::size_t occurrences = targets.size();
+  for (NodeId v : targets) occurrences += g.in_degree(v);
+  partner_scratch_.resize(occurrences);
+  std::size_t unique = 0;
+  const auto tally = [this, &unique](NodeId w) {
+    partner_scratch_[unique] = w;
+    unique += tally_[w]++ == 0 ? 1 : 0;
+  };
+  for (NodeId v : targets) {
+    tally(v);
+    for (NodeId w : g.in_neighbors(v))
+      if (w != u) tally(w);
   }
-  return transitions;
-}
+  // Order the unique partners.  Where the id space is small next to the
+  // fan (a dense field), one branch-free scan of the tally beats sorting.
+  if (tally_.size() <= 16 * unique) {
+    partner_scratch_.resize(tally_.size());
+    unique = 0;
+    for (NodeId w = 0; w < tally_.size(); ++w) {
+      partner_scratch_[unique] = w;
+      unique += tally_[w] != 0 ? 1 : 0;
+    }
+    partner_scratch_.resize(unique);
+  } else {
+    partner_scratch_.resize(unique);
+    std::sort(partner_scratch_.begin(), partner_scratch_.end());
+  }
+  update_row(u, partner_scratch_, delta,
+             [](std::uint32_t witnesses) { return witnesses; });
 
-void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
-  merge_row(u, partner_scratch_, partner_delta_, delta, graph::kInvalidNode);
-  const bool uniform = partner_delta_.empty();
-  for (std::size_t p = 0; p < partner_scratch_.size(); ++p) {
-    const NodeId w = partner_scratch_[p];
-    const std::uint32_t witnesses = uniform ? 1 : partner_delta_[p];
+  // One reciprocal touch per partner, ascending; each pair that appeared or
+  // vanished journals both ends.
+  std::size_t flip = 0;
+  for (NodeId w : partner_scratch_) {
+    const std::uint32_t witnesses = tally_[w];
+    tally_[w] = 0;
+    const bool flipped = flip < flips_.size() && flips_[flip] == w;
+    if (flipped) ++flip;
     if (delta > 0) {
-      if (partner_new_[p]) {
+      if (flipped) {
         rows_.insert(w, u, witnesses);
         ++pair_count_;
         mark_dirty(u);
@@ -254,7 +265,7 @@ void ConflictGraph::apply_partner_witnesses(NodeId u, int delta) {
         *rows_.find(w, u) += witnesses;
       }
     } else {
-      if (partner_new_[p]) {
+      if (flipped) {
         rows_.erase(w, u);
         --pair_count_;
         mark_dirty(u);
@@ -299,17 +310,39 @@ void ConflictGraph::apply_in_fan(const graph::Digraph& g,
   }
   fan_union_.insert(
       std::lower_bound(fan_union_.begin(), fan_union_.end(), v), v);
-  if (delta > 0) rows_.ensure_row(std::max(v, senders.back()));
+  const NodeId max_id = std::max(v, senders.back());
+  if (delta > 0) rows_.ensure_row(max_id);
+  cover_tally(g, max_id);
 
   // Per-edge deltas in ascending sender order would give, in total: one
   // witness to every (s, v), to every (s, o) with o another sender of v,
-  // and to every pair of fan members.  Merge each touched row once.
-  std::size_t transitions =
-      merge_row_journaled(v, senders, delta, graph::kInvalidNode);
-  for (NodeId s : senders)
-    transitions += merge_row_journaled(s, fan_union_, delta, s);
-  for (NodeId o : fan_others_)
-    transitions += merge_row_journaled(o, senders, delta, graph::kInvalidNode);
+  // and to every pair of fan members.  Mark the fan once in the tally —
+  // every member kMember, the senders kMember | kSender — and update each
+  // touched row in place: v and the other senders take the senders, each
+  // sender takes the rest of the fan.  Rows journal themselves once per
+  // pair that appeared or vanished, in the order v, senders, other senders.
+  constexpr std::uint32_t kMember = 1;
+  constexpr std::uint32_t kSender = 2;
+  for (NodeId w : fan_union_) tally_[w] = kMember;
+  for (NodeId s : senders) tally_[s] = kMember | kSender;
+  const auto sender = [](std::uint32_t mark) { return (mark & kSender) >> 1; };
+  const auto member = [](std::uint32_t mark) { return mark & kMember; };
+  std::size_t transitions = 0;
+  const auto journal_flips = [&](NodeId r) {
+    for (std::size_t k = 0; k < flips_.size(); ++k) mark_dirty(r);
+    transitions += flips_.size();
+  };
+  update_row(v, senders, delta, sender);
+  journal_flips(v);
+  for (NodeId s : senders) {
+    update_row(s, fan_union_, delta, member);
+    journal_flips(s);
+  }
+  for (NodeId o : fan_others_) {
+    update_row(o, senders, delta, sender);
+    journal_flips(o);
+  }
+  for (NodeId w : fan_union_) tally_[w] = 0;
   // Every transition was seen from both of its rows.
   if (delta > 0) {
     pair_count_ += transitions / 2;
@@ -322,49 +355,25 @@ void ConflictGraph::on_edge_added(const graph::Digraph& g, NodeId u, NodeId v) {
   MINIM_REQUIRE(!g.has_edge(u, v), "conflict graph: edge delta already applied");
   rows_.ensure_row(std::max(u, v));
   collect_edge_partners(g, u, v);
-  apply_partner_witnesses(u, +1);
+  for (NodeId w : partner_scratch_) add_witness(u, w);
 }
 
 void ConflictGraph::on_edge_removed(const graph::Digraph& g, NodeId u, NodeId v) {
   MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
   collect_edge_partners(g, u, v);
-  apply_partner_witnesses(u, -1);
+  for (NodeId w : partner_scratch_) retract_witness(u, w);
 }
 
 void ConflictGraph::on_out_edges_added(const graph::Digraph& g, NodeId u,
                                        std::span<const NodeId> targets) {
   if (targets.empty()) return;
-  MINIM_REQUIRE(std::is_sorted(targets.begin(), targets.end()) &&
-                    std::adjacent_find(targets.begin(), targets.end()) ==
-                        targets.end(),
-                "conflict graph: edge fan must be ascending and deduped");
-  NodeId max_id = u;
-  partner_scratch_.clear();
-  for (NodeId v : targets) {
-    MINIM_REQUIRE(!g.has_edge(u, v),
-                  "conflict graph: edge delta already applied");
-    max_id = std::max(max_id, v);
-    append_edge_partners(g, u, v);
-  }
-  rows_.ensure_row(max_id);
-  aggregate_partner_multiset(g.id_bound());
-  apply_partner_witnesses(u, +1);
+  apply_out_fan(g, u, targets, +1);
 }
 
 void ConflictGraph::on_out_edges_removed(const graph::Digraph& g, NodeId u,
                                          std::span<const NodeId> targets) {
   if (targets.empty()) return;
-  MINIM_REQUIRE(std::is_sorted(targets.begin(), targets.end()) &&
-                    std::adjacent_find(targets.begin(), targets.end()) ==
-                        targets.end(),
-                "conflict graph: edge fan must be ascending and deduped");
-  partner_scratch_.clear();
-  for (NodeId v : targets) {
-    MINIM_REQUIRE(g.has_edge(u, v), "conflict graph: retracting an absent edge");
-    append_edge_partners(g, u, v);
-  }
-  aggregate_partner_multiset(g.id_bound());
-  apply_partner_witnesses(u, -1);
+  apply_out_fan(g, u, targets, -1);
 }
 
 void ConflictGraph::on_in_edges_added(const graph::Digraph& g,

@@ -33,8 +33,12 @@
 /// The owner (`AdhocNetwork`) reports deltas *before* applying them to the
 /// digraph; this class never mutates the digraph it reads.  It reports a
 /// node's out-edges and in-edges as fans (`on_out_edges_*`,
-/// `on_in_edges_*`), each merging every touched row once; the per-edge
-/// `on_edge_added` / `on_edge_removed` are the reference the fans are
+/// `on_in_edges_*`).  A fan marks its partners once in an id-indexed tally
+/// and updates every touched row in place: one walk over the row's own ids
+/// bumps or drops the marked counts, partners the row lacks go in with one
+/// backward merge, and pairs that lost their last witness are compacted
+/// out in one pass.  The per-edge `on_edge_added` / `on_edge_removed`,
+/// which apply one witness at a time, are the reference the fans are
 /// tested against.
 ///
 /// ## Dirty journal
@@ -132,9 +136,10 @@ class ConflictGraph {
   /// of them is applied).  Witness-equivalent to calling `on_edge_added`
   /// per target in order — a fan of u's own out-edges never changes the
   /// partner set of its later edges, so pre-state collection is exact — but
-  /// the combined partner multiset merges into row u *once* for the whole
-  /// fan instead of once per edge.  A join's k edges thus cost one sorted
-  /// merge of u's row, not k.
+  /// the combined partner multiset, tallied from the targets' in-rows,
+  /// updates row u in place *once* for the whole fan, then touches each
+  /// partner's row once, in ascending partner order.  A join's k edges thus
+  /// cost one walk of u's row, not k.
   void on_out_edges_added(const graph::Digraph& g, NodeId u,
                           std::span<const NodeId> targets);
 
@@ -148,7 +153,8 @@ class ConflictGraph {
   /// Equivalent to `on_edge_added` per sender in ascending order: v gains
   /// the senders, each sender gains v, v's other senders and the rest of
   /// the fan, and each of v's other senders gains the fan — every touched
-  /// row merged once.  The journal receives the same entries as the
+  /// row updated in place once, in the order v, senders ascending, other
+  /// senders ascending.  The journal receives the same entries as the
   /// per-edge calls, possibly in another order.
   void on_in_edges_added(const graph::Digraph& g, std::span<const NodeId> senders,
                          NodeId v);
@@ -183,35 +189,23 @@ class ConflictGraph {
   /// Fills `partner_scratch_` with the sorted witness partners of edge
   /// u→v in `g` ({v} ∪ in(v) \ {u}; the edge must not be applied yet).
   void collect_edge_partners(const graph::Digraph& g, NodeId u, NodeId v);
-  /// Appends the witness partners of edge u→v to `partner_scratch_`
-  /// without clearing it (batch collection; the result is re-sorted and
-  /// aggregated by `aggregate_partner_multiset`).
-  void append_edge_partners(const graph::Digraph& g, NodeId u, NodeId v);
-  /// Aggregates `partner_scratch_` (ids below `id_bound`) into parallel
-  /// (`partner_scratch_`, `partner_delta_`) arrays: unique ascending ids
-  /// with per-id witness multiplicities.  A partner can witness several of
-  /// a fan's edges (a co-sender to two targets), so deltas exceed 1.
-  /// Duplicates are counted in the id-indexed `tally_`, so only the unique
-  /// ids are sorted; the tally is zero again on return.
-  void aggregate_partner_multiset(NodeId id_bound);
-  /// Merges one batch of witnesses into row u alone: partner j gains
-  /// (delta=+1) or loses (delta=-1) `deltas[j]` witnesses, one each when
-  /// `deltas` is empty; a partner equal to `skip` is passed over.  Flags in
-  /// `partner_new_` (parallel to `partners`) each pair that appeared or
-  /// vanished.  Reciprocal rows and the journal are the caller's.
-  void merge_row(NodeId u, std::span<const NodeId> partners,
-                 std::span<const std::uint32_t> deltas, int delta, NodeId skip);
-  /// `merge_row` with one witness per partner, journaling u once per pair
-  /// that appeared or vanished; returns how many did.  Both rows of a pair
-  /// are merged by the in-fan paths, so each transition journals both ends.
-  std::size_t merge_row_journaled(NodeId u, std::span<const NodeId> partners,
-                                  int delta, NodeId skip);
-  /// Adds (delta=+1) or retracts (delta=-1) `partner_delta_[i]` witnesses
-  /// for every pair (u, partner_scratch_[i]), as a single merge over row u
-  /// plus one reciprocal touch per partner — equivalent to the same
-  /// witnesses applied through add_witness/retract_witness one at a time,
-  /// minus their repeated row-u searches and re-merges.
-  void apply_partner_witnesses(NodeId u, int delta);
+  /// Grows `tally_` to cover every id of `g` and `max_id`.
+  void cover_tally(const graph::Digraph& g, NodeId max_id);
+  /// Adds (delta=+1) or retracts (delta=-1) one batch of witnesses on row u
+  /// alone, in place: each id of the row gains or loses
+  /// `witnesses(tally_[id])` (branch-free arithmetic on the mark, zero for
+  /// unmarked ids), and every id of `partners` (ascending; u itself is
+  /// passed over) must carry some.  One walk over the row updates the
+  /// counts; partners the row lacks go in with one `insert_batch`, and pairs
+  /// that lost their last witness leave with one `erase_zero_counts`.
+  /// Leaves in `flips_` the partners whose pair appeared or vanished,
+  /// ascending.  Reciprocal rows and the journal are the caller's.
+  template <class Witnesses>
+  void update_row(NodeId u, std::span<const NodeId> partners, int delta,
+                  Witnesses witnesses);
+  /// Shared body of on_out_edges_added (delta=+1) / on_out_edges_removed.
+  void apply_out_fan(const graph::Digraph& g, NodeId u,
+                     std::span<const NodeId> targets, int delta);
   /// Shared body of on_in_edges_added (delta=+1) / on_in_edges_removed.
   void apply_in_fan(const graph::Digraph& g, std::span<const NodeId> senders,
                     NodeId v, int delta);
@@ -220,19 +214,15 @@ class ConflictGraph {
   /// Sorted pooled rows; the parallel count of `ids(v)[i]` is the witness
   /// multiplicity of the pair.
   graph::CountedRowPool rows_;
-  // Edge-delta scratch (see apply_partner_witnesses).
+  /// Witness partners of the edge or fan at hand, ascending.
   std::vector<NodeId> partner_scratch_;
-  /// Parallel to partner_scratch_: witnesses per partner.  Left empty by
-  /// the single-edge path, meaning "one witness each" — the per-event hot
-  /// path pays no batch bookkeeping.
-  std::vector<std::uint32_t> partner_delta_;
-  std::vector<NodeId> merged_ids_;
-  std::vector<std::uint32_t> merged_counts_;
-  /// Parallel to merge_row's partners: the pair went 0 ↔ positive.
-  std::vector<char> partner_new_;
-  /// Id-indexed duplicate counts for aggregate_partner_multiset; all zero
-  /// between calls.
+  /// Id-indexed marks, all zero between calls: an out-fan's witnesses per
+  /// partner, or an in-fan's member kinds (see apply_in_fan).
   std::vector<std::uint32_t> tally_;
+  /// update_row's output: the partners whose pair appeared or vanished,
+  /// ascending, and the witnesses each new one starts with.
+  std::vector<NodeId> flips_;
+  std::vector<std::uint32_t> flip_counts_;
   // In-fan scratch (see apply_in_fan).
   std::vector<NodeId> fan_union_;   ///< {v} ∪ in(v) ∪ senders, ascending
   std::vector<NodeId> fan_others_;  ///< in(v) \ senders, ascending

@@ -1,6 +1,7 @@
 // Pooled CSR row storage: sortedness, growth/relocation, compaction, arena
-// reuse, and the replace_row bulk path — randomized against a
-// vector-of-vectors reference.
+// reuse, and the counted pool's in-place bulk path (batch insert, zero-count
+// compaction) the conflict graph's fans use — randomized against
+// vector-of-vectors and map references.
 
 #include "graph/row_pool.hpp"
 
@@ -122,34 +123,87 @@ TEST(CountedRowPool, CountsFollowIdsThroughGrowthAndCompaction) {
   }
 }
 
-TEST(CountedRowPool, ReplaceRowOverwritesAndGrows) {
-  CountedRowPool pool;
-  pool.insert(0, 5, 2);
-  pool.insert(0, 9, 1);
-  pool.insert(1, 1, 7);  // neighbor row must be untouched by the replace
+void expect_counted_row(const CountedRowPool& pool, std::uint32_t r,
+                        const std::map<NodeId, std::uint32_t>& reference) {
+  const auto ids = pool.ids(r);
+  const auto counts = pool.counts(r);
+  ASSERT_EQ(ids.size(), reference.size()) << "row " << r;
+  std::size_t i = 0;
+  for (const auto& [id, count] : reference) {
+    ASSERT_EQ(ids[i], id) << "row " << r << " entry " << i;
+    ASSERT_EQ(counts[i], count) << "row " << r << " id " << id;
+    ++i;
+  }
+}
 
+TEST(CountedRowPool, BatchInsertAndZeroCompactionMatchReference) {
+  constexpr NodeId kNoId = 999999;
+  // Rows take sorted batches of absent ids (anywhere in the row: front,
+  // middle, back) and lose counts in bulk, some to zero, mirrored into one
+  // map per row.  Rows are created in order, so the early batches grow the
+  // newest row at the pool tail in place; later ones outgrow slots in the
+  // middle of the pool and relocate.  The zero-count compaction must report
+  // exactly the ids whose counts reached zero.
+  minim::util::Rng rng(2024);
+  CountedRowPool pool;
+  std::vector<std::map<NodeId, std::uint32_t>> reference(24);
   std::vector<NodeId> ids;
   std::vector<std::uint32_t> counts;
-  for (NodeId v = 0; v < 50; ++v) {
-    ids.push_back(v * 2);
-    counts.push_back(v + 1);
+  for (int step = 0; step < 6000; ++step) {
+    const auto r = static_cast<std::uint32_t>(
+        step < 48 ? step / 2 : rng.below(reference.size()));
+    auto& ref = reference[r];
+    if (step < 48 || rng.chance(0.55)) {
+      ids.clear();
+      const std::size_t want = 1 + rng.below(48);
+      for (std::size_t k = 0; k < want; ++k) {
+        const auto v = static_cast<NodeId>(rng.below(1000));
+        if (ref.count(v) == 0) ids.push_back(v);
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      counts.clear();
+      for (NodeId v : ids) {
+        counts.push_back(static_cast<std::uint32_t>(1 + rng.below(5)));
+        ref[v] = counts.back();
+      }
+      pool.insert_batch(r, ids, counts);
+    } else {
+      const auto row_ids = pool.ids(r);
+      const auto row_counts = pool.counts_mut(r);
+      std::vector<NodeId> zeroed;
+      for (std::size_t i = 0; i < row_ids.size(); ++i) {
+        if (!rng.chance(0.4)) continue;
+        const auto drop = static_cast<std::uint32_t>(1 + rng.below(row_counts[i]));
+        row_counts[i] -= drop;
+        auto it = ref.find(row_ids[i]);
+        it->second -= drop;
+        if (it->second == 0) {
+          ref.erase(it);
+          zeroed.push_back(row_ids[i]);
+        }
+      }
+      std::vector<NodeId> erased = {kNoId};  // appended to, not cleared
+      pool.erase_zero_counts(r, erased);
+      zeroed.insert(zeroed.begin(), kNoId);
+      ASSERT_EQ(erased, zeroed) << "step " << step;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_counted_row(pool, r, ref)) << "step " << step;
+    if (step % 250 == 0) {
+      for (std::uint32_t row = 0; row < reference.size(); ++row)
+        ASSERT_NO_FATAL_FAILURE(expect_counted_row(pool, row, reference[row]))
+            << "step " << step;
+    }
   }
-  pool.replace_row(0, ids, counts);
-  ASSERT_EQ(pool.size(0), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(pool.ids(0)[i], ids[i]);
-    EXPECT_EQ(pool.counts(0)[i], counts[i]);
-  }
-  EXPECT_EQ(to_vec(pool.ids(1)), (std::vector<NodeId>{1}));
-  EXPECT_EQ(pool.counts(1)[0], 7u);
-
-  // Shrinking replace reuses the slot in place.
-  const std::vector<NodeId> small_ids{3};
-  const std::vector<std::uint32_t> small_counts{4};
-  pool.replace_row(0, small_ids, small_counts);
-  ASSERT_EQ(pool.size(0), 1u);
-  EXPECT_EQ(pool.ids(0)[0], 3u);
-  EXPECT_EQ(pool.counts(0)[0], 4u);
+  for (std::uint32_t row = 0; row < reference.size(); ++row)
+    ASSERT_NO_FATAL_FAILURE(expect_counted_row(pool, row, reference[row]));
+  // Empty batches and rows without zeros are no-ops.
+  const std::vector<NodeId> before = to_vec(pool.ids(3));
+  std::vector<NodeId> erased;
+  pool.insert_batch(3, {}, {});
+  pool.erase_zero_counts(3, erased);
+  EXPECT_EQ(to_vec(pool.ids(3)), before);
+  EXPECT_TRUE(erased.empty());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "net/constraints.hpp"
@@ -99,35 +100,158 @@ TEST(ConflictGraphDeltas, PartnersMatchConstraintEnumeration) {
 
 // --------------------------------------------------- randomized event soak
 
-class ConflictGraphSoak : public ::testing::TestWithParam<std::uint64_t> {};
+/// One soak run: a seed and the shape of the network it churns.
+struct SoakCase {
+  std::uint64_t seed = 0;
+  /// perfbench dense-churn's field (300 nodes on 100x100, ranges 10-25,
+  /// relocations, 3x raises restored later) instead of the small mixed one.
+  bool dense_churn = false;
+};
 
-TEST_P(ConflictGraphSoak, IncrementalEqualsBruteForceRebuild) {
-  Rng rng(GetParam());
+// Prints the seed alone for the mixed shape, so those tests keep the names
+// they had when the seed was the whole parameter.
+void PrintTo(const SoakCase& soak, std::ostream* os) {
+  if (soak.dense_churn) *os << "dense_churn_";
+  *os << soak.seed;
+}
+
+/// Partner lists of every row below `bound`.
+std::vector<std::vector<NodeId>> partner_lists(const ConflictGraph& cg,
+                                               NodeId bound) {
+  std::vector<std::vector<NodeId>> rows(bound);
+  for (NodeId v = 0; v < bound; ++v) {
+    const auto row = cg.neighbors(v);
+    rows[v].assign(row.begin(), row.end());
+  }
+  return rows;
+}
+
+/// Runs one event, then checks the cache against the brute-force oracle and
+/// that every node whose partner list changed is in the event's journal
+/// window — the dirty set the bounded BBB repair starts from.
+template <class Event>
+void check_event(AdhocNetwork& net, Event&& event) {
+  const ConflictGraph& cg = net.conflict_graph();
+  const std::uint64_t since = cg.revision();
+  const auto before = partner_lists(cg, net.id_bound());
+  event();
+  ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(net));
+  std::vector<NodeId> window;
+  ASSERT_TRUE(cg.append_dirty_since(since, window));
+  std::sort(window.begin(), window.end());
+  const NodeId bound = std::max(net.id_bound(), static_cast<NodeId>(before.size()));
+  for (NodeId v = 0; v < bound; ++v) {
+    const auto after = cg.neighbors(v);
+    const std::vector<NodeId> empty;
+    const std::vector<NodeId>& old = v < before.size() ? before[v] : empty;
+    if (std::equal(after.begin(), after.end(), old.begin(), old.end())) continue;
+    ASSERT_TRUE(std::binary_search(window.begin(), window.end(), v))
+        << "node " << v << " changed partners but is not journaled";
+  }
+}
+
+/// The small mixed soak: ~40 nodes on 100x100, ranges 10-35, joins, moves,
+/// power changes both ways and leaves.
+void mixed_soak(Rng& rng) {
   AdhocNetwork net;
   std::vector<NodeId> live;
-
   for (int event = 0; event < 120; ++event) {
     const double roll = rng.uniform(0, 1);
-    if (live.size() < 5 || roll < 0.35) {  // join
-      live.push_back(net.add_node(
-          {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)}));
-    } else if (roll < 0.55) {  // move
-      const NodeId v = live[rng.below(live.size())];
-      net.set_position(v, {rng.uniform(0, 100), rng.uniform(0, 100)});
-    } else if (roll < 0.85) {  // power change (raise or cut)
-      const NodeId v = live[rng.below(live.size())];
-      net.set_range(v, rng.uniform(0, 40));
-    } else {  // leave
+    ASSERT_NO_FATAL_FAILURE(check_event(net, [&] {
+      if (live.size() < 5 || roll < 0.35) {  // join
+        live.push_back(net.add_node(
+            {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 35)}));
+      } else if (roll < 0.55) {  // move
+        const NodeId v = live[rng.below(live.size())];
+        net.set_position(v, {rng.uniform(0, 100), rng.uniform(0, 100)});
+      } else if (roll < 0.85) {  // power change (raise or cut)
+        const NodeId v = live[rng.below(live.size())];
+        net.set_range(v, rng.uniform(0, 40));
+      } else {  // leave
+        const std::size_t index = rng.below(live.size());
+        net.remove_node(live[index]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+      }
+    })) << "event " << event;
+  }
+}
+
+/// Dense-churn's shape: rows of ~75 partners and in-fans of ~28 senders,
+/// so every fan runs the in-place insert and vanish paths at full size.
+/// Population stays near 300 through leaves and joins; a raise triples a
+/// node's range and is restored 4-12 events later unless the node left.
+void dense_churn_soak(Rng& rng) {
+  constexpr std::size_t kPopulation = 300;
+  const auto place = [&] {
+    return minim::util::Vec2{rng.uniform(0, 100), rng.uniform(0, 100)};
+  };
+  AdhocNetwork net;
+  std::vector<NodeId> live;
+  std::vector<double> base_range;
+  for (std::size_t i = 0; i < kPopulation; ++i) {
+    const double range = rng.uniform(10, 25);
+    live.push_back(net.add_node({place(), range}));
+    base_range.resize(std::max<std::size_t>(base_range.size(), live.back() + 1));
+    base_range[live.back()] = range;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(net));
+  // The shape the soak is for: conflict rows of dense-churn's size.
+  ASSERT_GT(2.0 * static_cast<double>(net.conflict_graph().pair_count()) /
+                static_cast<double>(net.node_count()),
+            60.0);
+
+  struct Restore {
+    int due;
+    NodeId node;
+  };
+  std::vector<Restore> restores;
+  for (int event = 0; event < 120; ++event) {
+    const auto due = std::find_if(restores.begin(), restores.end(),
+                                  [&](const Restore& r) { return r.due <= event; });
+    ASSERT_NO_FATAL_FAILURE(check_event(net, [&] {
+      if (due != restores.end()) {  // restore a raised range
+        net.set_range(due->node, base_range[due->node]);
+        restores.erase(due);
+        return;
+      }
+      const double roll = rng.uniform(0, 1);
       const std::size_t index = rng.below(live.size());
-      net.remove_node(live[index]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
-    }
-    ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(net)) << "event " << event;
+      const NodeId v = live[index];
+      const bool raised = std::any_of(restores.begin(), restores.end(),
+                                      [&](const Restore& r) { return r.node == v; });
+      if (roll < 0.15 && !raised) {  // 3x raise
+        net.set_range(v, 3.0 * base_range[v]);
+        restores.push_back({event + 4 + static_cast<int>(rng.below(9)), v});
+      } else if (roll < 0.35 && live.size() > kPopulation * 9 / 10) {  // leave
+        net.remove_node(v);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+        std::erase_if(restores, [&](const Restore& r) { return r.node == v; });
+      } else if (roll < 0.55 && live.size() < kPopulation * 11 / 10) {  // join
+        const double range = rng.uniform(10, 25);
+        live.push_back(net.add_node({place(), range}));
+        base_range.resize(std::max<std::size_t>(base_range.size(), live.back() + 1));
+        base_range[live.back()] = range;
+      } else {  // uniform relocation
+        net.set_position(v, place());
+      }
+    })) << "event " << event;
+  }
+}
+
+class ConflictGraphSoak : public ::testing::TestWithParam<SoakCase> {};
+
+TEST_P(ConflictGraphSoak, IncrementalEqualsBruteForceRebuild) {
+  Rng rng(GetParam().seed);
+  if (GetParam().dense_churn) {
+    dense_churn_soak(rng);
+  } else {
+    mixed_soak(rng);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictGraphSoak,
-                         ::testing::Values(101u, 202u, 303u));
+                         ::testing::Values(SoakCase{101u}, SoakCase{202u},
+                                           SoakCase{303u}, SoakCase{404u, true}));
 
 // ------------------------------------------------------------- the journal
 
@@ -249,6 +373,16 @@ struct FanFixture {
       }
   }
 
+  /// Widens the id space with `count` nodes that have no edges.
+  void add_isolated(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId a = g_seq.add_node();
+      EXPECT_EQ(a, g_batch.add_node());
+      seq.on_node_added(a);
+      batch.on_node_added(a);
+    }
+  }
+
   void add_edge_both(NodeId u, NodeId v) {
     seq.on_edge_added(g_seq, u, v);
     g_seq.add_edge(u, v);
@@ -271,6 +405,9 @@ TEST(ConflictGraphBatch, FanAddAndRemoveEqualSequentialEdgeDeltas) {
   for (int round = 0; round < 25; ++round) {
     const std::size_t n = 6 + static_cast<std::size_t>(rng.below(8));
     FanFixture fx(n, rng);
+    // Odd rounds widen the id space far past the fan, as on a sparse
+    // field: the fan's partners are then sorted, not scanned off the tally.
+    if (round % 2 == 1) fx.add_isolated(400);
 
     // A fan from a random source to every non-neighbor (dense on purpose:
     // targets share co-senders, so single pairs collect several witnesses
@@ -398,6 +535,54 @@ TEST(ConflictGraphBatch, InFanRejectsMalformedFansUntouched) {
   EXPECT_THROW(fx.batch.on_in_edges_removed(fx.g_batch, with_present, v),
                std::invalid_argument);  // edge absent
   // A refused fan changes nothing.
+  ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq));
+  EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
+}
+
+TEST(ConflictGraphBatch, OutFanRejectsMalformedFansUntouched) {
+  Rng rng(98);
+  FanFixture fx(8, rng, 0.4);
+  const NodeId u = 0;
+  std::vector<NodeId> absent;
+  std::vector<NodeId> present;
+  for (NodeId v = 1; v < 8; ++v)
+    (fx.g_batch.has_edge(u, v) ? present : absent).push_back(v);
+  ASSERT_GE(absent.size(), 2u);
+  ASSERT_GE(present.size(), 1u);
+  // Each bad edge comes after a good one, so a check made only when its
+  // target is reached would come after a write.
+  const auto absent_below = std::find_if(absent.begin(), absent.end(), [&](NodeId a) {
+    return a < present.back();
+  });
+  const auto present_below = std::find_if(present.begin(), present.end(), [&](NodeId p) {
+    return p < absent.back();
+  });
+  ASSERT_NE(absent_below, absent.end());
+  ASSERT_NE(present_below, present.end());
+
+  using Fan = std::vector<NodeId>;
+  EXPECT_THROW(fx.batch.on_out_edges_added(fx.g_batch, u, Fan{absent[1], absent[0]}),
+               std::invalid_argument);  // not ascending
+  EXPECT_THROW(fx.batch.on_out_edges_added(fx.g_batch, u, Fan{absent[0], absent[0]}),
+               std::invalid_argument);  // duplicate target
+  EXPECT_THROW(
+      fx.batch.on_out_edges_added(fx.g_batch, u, Fan{*absent_below, present.back()}),
+      std::invalid_argument);  // edge already present
+  EXPECT_THROW(
+      fx.batch.on_out_edges_removed(fx.g_batch, u, Fan{*present_below, absent.back()}),
+      std::invalid_argument);  // edge absent
+  // A refused fan changes nothing: rows, counts, pair count, journal.
+  ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq));
+  EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
+
+  // And leaves no scratch behind: a good fan afterwards still matches the
+  // per-edge reference.
+  fx.batch.on_out_edges_added(fx.g_batch, u, absent);
+  for (NodeId v : absent) {
+    fx.g_batch.add_edge(u, v);
+    fx.seq.on_edge_added(fx.g_seq, u, v);
+    fx.g_seq.add_edge(u, v);
+  }
   ASSERT_NO_FATAL_FAILURE(expect_same(fx.batch, fx.seq));
   EXPECT_EQ(fx.batch.revision(), fx.seq.revision());
 }
