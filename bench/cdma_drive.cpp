@@ -1,26 +1,46 @@
-// cdma_drive: the standalone experiment front-end and serving entry point.
+// cdma_drive: the experiment front-end and serving entry point.
 //
-// Describes an arbitrary scenario grid on the command line, runs it over the
-// thread pool, and prints the per-cell summary table; or, with --serve,
-// runs the online assignment engine.
+// Describes any scenario grid on the command line, runs it over the thread
+// pool and prints the per-cell summary table; spreads one grid over
+// machines with --shard/--merge; or, with --serve, runs the online
+// assignment engine.
 //
 // Grid description:
 //   --scenario=KIND     join | power | move | churn (default join)
 //   --axes=LIST         comma-separated axes, each "name:v1:v2:...", e.g.
 //                         --axes=n:40:60:80,raise_factor:1.5:2.5:3.5
 //                       (grid = cartesian product, axis-0-major).  Axis
-//                       vocabulary: n, raise_factor, max_displacement,
-//                       move_rounds, min_range, max_range, avg_range,
-//                       clusters, cluster_sigma, churn_duration,
-//                       arrival_rate, mean_lifetime.  Default: n:40:60:80.
+//                       vocabulary (bench_util.hpp): n, raise_factor,
+//                       max_displacement, move_rounds, min_range,
+//                       max_range, avg_range, clusters, cluster_sigma,
+//                       churn_duration, arrival_rate, mean_lifetime.
+//                       Default: n:40:60:80.
 //   --strategies=...    strategy names (default minim,cp,bbb)
 //   --trials=N          Monte-Carlo trials per grid point (default 100)
 //   --seed=S            master seed (default 2001)
 //   --threads=T         worker threads (default hardware)
 //
-// Output:
+// Output: one row per (grid point, strategy) with events, recodings and max
+// color (mean +- stddev), and the change in max color and recodings since
+// the joins (Fig 11/12's deltas: 0 for join, the totals for churn) as
+// mean +- 95% CI.
 //   --save-experiment=F write the per-trial experiment CSV to F
 //   --csv-dir=DIR       write DIR/cdma_drive.csv (one summary row per cell)
+//   --selfcheck[=k]     after the run, run the grid again at --threads=1 and
+//                       as k shards (default 3) round-tripped through the
+//                       experiment CSV; exit 1 unless both reproduce the
+//                       run's experiment CSV byte for byte
+//   --record-trace=F    write grid point 0's workload as a trace that
+//                       --serve replays, instead of running the grid
+//
+// Across machines: trial t of grid point p always draws stream
+// p * trials + t, whichever process runs it, so
+//   --shard=i/k --out=F run global trials of shard i of k of the grid and
+//                       write its experiment CSV to F (default
+//                       grid_shard_<i>of<k>.csv)
+//   --merge=F1,F2,...   merge shard files of any grid and report the result
+//                       (table, --csv-dir, --save-experiment) exactly as the
+//                       single-process run would
 //
 // Serving (see src/serve/):
 //   --serve             run the online assignment engine instead of a grid
@@ -35,20 +55,25 @@
 //   --quiet             ingest without response lines
 //   --flush-each        apply + flush per request line (no pipelining)
 //   --max-batch=K       most events coalesced per engine batch (default 512)
-//   --record-trace=F    write grid point 0's workload as a replayable trace
+//
+// A flag the chosen mode (grid or --serve) does not read exits 2, as does a
+// positional argument outside --merge.
 //
 // Examples:
 //   cdma_drive --axes=n:40:80:120 --trials=200
-//   cdma_drive --scenario=power --axes=n:60:100,raise_factor:2:4
-//              --save-experiment=power_grid.csv
+//   cdma_drive --scenario=power --axes=n:40:60:80:100,raise_factor:1.5:2.5:3.5:4.5:5.5
+//              --save-experiment=power_grid.csv        (the grid study)
+//   cdma_drive --scenario=move --axes=n:100,move_rounds:3 --selfcheck
 //   cdma_drive --scenario=move --axes=n:80 --record-trace=move80.trace
 //   cdma_drive --serve --strategy=bbb-bounded < move80.trace
 //   cdma_drive --serve --transport=tcp --strategy=bbb-bounded
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,140 +87,107 @@
 #include "util/csv.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace minim;
 
-sim::ScenarioKind scenario_from(const std::string& name) {
-  if (name == "join") return sim::ScenarioKind::kJoin;
-  if (name == "power") return sim::ScenarioKind::kPower;
-  if (name == "move") return sim::ScenarioKind::kMove;
-  if (name == "churn") return sim::ScenarioKind::kChurn;
-  std::cerr << "unknown scenario \"" << name
-            << "\" (expected join|power|move|churn)\n";
-  std::exit(2);
+/// Every flag each mode reads.  Anything else exits 2: a stale or misspelt
+/// flag would otherwise run the default grid.
+const std::vector<std::string> kGridFlags{
+    "scenario", "axes", "strategies", "trials", "seed", "threads",
+    "save-experiment", "csv-dir", "selfcheck", "shard", "out", "merge",
+    "record-trace"};
+const std::vector<std::string> kServeFlags{
+    "serve", "transport", "port", "strategy", "recolor-threads", "validate",
+    "quiet", "flush-each", "max-batch"};
+
+/// Names on stderr every flag this mode does not read, and every positional
+/// argument outside --merge; true when there is none.
+bool arguments_ok(const util::Options& options) {
+  const bool serve = options.has("serve");
+  std::vector<std::string> stray;
+  for (const std::string& key :
+       options.keys_outside(serve ? kServeFlags : kGridFlags))
+    stray.push_back("--" + key);
+  if (!options.has("merge"))
+    stray.insert(stray.end(), options.positional().begin(),
+                 options.positional().end());
+  for (const std::string& arg : stray)
+    std::cerr << "cdma_drive: unexpected argument " << arg
+              << (serve ? " with --serve" : "") << "\n";
+  return stray.empty();
 }
 
-/// The named-axis vocabulary: how one CLI axis name maps onto the spec.
-sim::GridAxis axis_from_name(const std::string& name,
-                             std::vector<double> values) {
-  using Spec = sim::ScenarioSpec;
-  auto axis = [&](void (*apply)(Spec&, double)) {
-    return sim::GridAxis{name, std::move(values), apply};
-  };
-  if (name == "n")
-    return axis([](Spec& s, double x) {
-      s.workload.n = static_cast<std::size_t>(x);
-    });
-  if (name == "raise_factor")
-    return axis([](Spec& s, double x) { s.raise_factor = x; });
-  if (name == "max_displacement")
-    return axis([](Spec& s, double x) { s.max_displacement = x; });
-  if (name == "move_rounds")
-    return axis([](Spec& s, double x) {
-      s.move_rounds = static_cast<std::size_t>(x);
-    });
-  if (name == "min_range")
-    return axis([](Spec& s, double x) { s.workload.min_range = x; });
-  if (name == "max_range")
-    return axis([](Spec& s, double x) { s.workload.max_range = x; });
-  if (name == "avg_range")
-    return axis([](Spec& s, double x) {
-      // The paper's Fig 10(d-f) parameterization: a 5-unit spread around x.
-      s.workload.min_range = x - 2.5;
-      s.workload.max_range = x + 2.5;
-    });
-  if (name == "clusters")
-    return axis([](Spec& s, double x) {
-      s.workload.placement = sim::Placement::kClustered;
-      s.workload.cluster_count =
-          std::max<std::size_t>(1, static_cast<std::size_t>(x));
-    });
-  if (name == "cluster_sigma")
-    return axis([](Spec& s, double x) {
-      s.workload.placement = sim::Placement::kClustered;
-      s.workload.cluster_sigma = x;
-    });
-  if (name == "churn_duration")
-    return axis([](Spec& s, double x) { s.churn.duration = x; });
-  if (name == "arrival_rate")
-    return axis([](Spec& s, double x) { s.churn.arrival_rate = x; });
-  if (name == "mean_lifetime")
-    return axis([](Spec& s, double x) { s.churn.mean_lifetime = x; });
-  std::cerr << "unknown axis \"" << name
-            << "\" (expected n|raise_factor|max_displacement|move_rounds|"
-               "min_range|max_range|avg_range|clusters|cluster_sigma|"
-               "churn_duration|arrival_rate|mean_lifetime)\n";
-  std::exit(2);
+/// Strict digits-only parse for user-facing shard arguments: no sign, no
+/// blanks, no overflow (std::from_chars into an unsigned type accepts
+/// none of them).
+bool parse_size(const std::string& text, std::size_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
 }
 
-/// Parses "--axes=name:v1:v2,name:v1" into grid axes.
-std::vector<sim::GridAxis> axes_from(const util::Options& options) {
-  const std::string raw = options.get("axes", "n:40:60:80");
-  std::vector<sim::GridAxis> axes;
-  for (const std::string& field : bench::split_list(raw)) {
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= field.size()) {
-      const std::size_t colon = field.find(':', start);
-      parts.push_back(field.substr(
-          start, colon == std::string::npos ? colon : colon - start));
-      if (colon == std::string::npos) break;
-      start = colon + 1;
-    }
-    if (parts.size() < 2) {
-      std::cerr << "--axes entry \"" << field << "\" wants name:v1[:v2...]\n";
-      std::exit(2);
-    }
-    std::vector<double> values;
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      try {
-        values.push_back(std::stod(parts[i]));
-      } catch (const std::exception&) {
-        std::cerr << "--axes entry \"" << field << "\": bad value \""
-                  << parts[i] << "\"\n";
-        std::exit(2);
-      }
-    }
-    axes.push_back(axis_from_name(parts[0], std::move(values)));
+/// `run` narrowed to the global trial range of shard `index` of `count`
+/// (contiguous, near-equal).
+sim::ExperimentOptions shard_slice(sim::ExperimentOptions run,
+                                   std::size_t index, std::size_t count) {
+  const std::size_t base = run.trials / count;
+  const std::size_t extra = run.trials % count;
+  run.trial_begin = index * base + std::min(index, extra);
+  run.trial_count = base + (index < extra ? 1 : 0);
+  return run;
+}
+
+std::string experiment_csv(const sim::ExperimentResult& result) {
+  std::ostringstream out;
+  sim::write_experiment_csv(result, out);
+  return out.str();
+}
+
+std::string mean_pm(const util::RunningStats& stat, double spread) {
+  return util::fmt_fixed(stat.mean(), 2) + " +- " + util::fmt_fixed(spread, 2);
+}
+
+/// --save-experiment, then the summary table and its --csv-dir CSV.
+void report(const sim::ExperimentResult& result, const util::Options& options) {
+  const std::string save = options.get("save-experiment", "");
+  if (!save.empty()) {
+    sim::write_experiment_csv_file(result, save);
+    std::cout << "[csv] wrote " << save << " (full per-trial experiment)\n";
   }
-  return axes;
-}
 
-sim::Experiment make_experiment(const util::Options& options) {
-  sim::ExperimentGrid grid;
-  grid.base.kind = scenario_from(options.get("scenario", "join"));
-  grid.axes = axes_from(options);
-  grid.strategies =
-      bench::string_list_from(options, "strategies", {"minim", "cp", "bbb"});
-  return sim::Experiment(std::move(grid));
-}
-
-void print_result(const sim::ExperimentResult& result,
-                  const util::Options& options) {
-  util::TextTable table("cdma_drive: per-cell summary (mean +- stddev)");
+  util::TextTable table(
+      "cdma_drive: per-cell summary (mean +- stddev; d = change since the "
+      "joins, mean +- 95% CI)");
   std::vector<std::string> header = result.axis_names;
   for (const char* column : {"strategy", "events", "recodings", "max color",
-                             "trials"})
+                             "d max color", "d recodings", "trials"})
     header.push_back(column);
   table.set_header(header);
 
   std::vector<std::vector<std::string>> csv_rows;
   for (std::size_t p = 0; p < result.point_count(); ++p)
     for (std::size_t s = 0; s < result.strategy_count(); ++s) {
-      const sim::TotalsSummary summary = sim::summarize(result.cell(p, s));
+      const sim::ExperimentCell& cell = result.cell(p, s);
+      const sim::TotalsSummary summary = sim::summarize(cell);
+      util::RunningStats d_color;
+      util::RunningStats d_recodings;
+      for (const sim::ExperimentTrial& trial : cell.trials) {
+        d_color.add(trial.delta_max_color());
+        d_recodings.add(trial.delta_recodings());
+      }
       std::vector<std::string> row;
       for (double coord : result.points[p])
         row.push_back(util::fmt_fixed(coord, 2));
       row.push_back(result.strategies[s]);
-      row.push_back(util::fmt_fixed(summary.events.mean(), 2) + " +- " +
-                    util::fmt_fixed(summary.events.stddev(), 2));
-      row.push_back(util::fmt_fixed(summary.recodings.mean(), 2) + " +- " +
-                    util::fmt_fixed(summary.recodings.stddev(), 2));
-      row.push_back(util::fmt_fixed(summary.max_color.mean(), 2) + " +- " +
-                    util::fmt_fixed(summary.max_color.stddev(), 2));
+      row.push_back(mean_pm(summary.events, summary.events.stddev()));
+      row.push_back(mean_pm(summary.recodings, summary.recodings.stddev()));
+      row.push_back(mean_pm(summary.max_color, summary.max_color.stddev()));
+      row.push_back(mean_pm(d_color, d_color.ci95_halfwidth()));
+      row.push_back(mean_pm(d_recodings, d_recodings.ci95_halfwidth()));
       row.push_back(std::to_string(summary.events.count()));
       table.add_row(row);
 
@@ -204,10 +196,12 @@ void print_result(const sim::ExperimentResult& result,
         csv_row.push_back(util::fmt_fixed(coord, 3));
       csv_row.push_back(result.strategies[s]);
       csv_row.push_back(std::to_string(summary.events.count()));
-      csv_row.push_back(util::fmt_fixed(summary.events.mean(), 6));
-      csv_row.push_back(util::fmt_fixed(summary.recodings.mean(), 6));
-      csv_row.push_back(util::fmt_fixed(summary.recodings.stddev(), 6));
-      csv_row.push_back(util::fmt_fixed(summary.max_color.mean(), 6));
+      for (double value :
+           {summary.events.mean(), summary.recodings.mean(),
+            summary.recodings.stddev(), summary.max_color.mean(),
+            d_color.mean(), d_color.ci95_halfwidth(), d_recodings.mean(),
+            d_recodings.ci95_halfwidth()})
+        csv_row.push_back(util::fmt_fixed(value, 6));
       csv_rows.push_back(std::move(csv_row));
     }
   std::cout << table.render() << "\n";
@@ -217,14 +211,92 @@ void print_result(const sim::ExperimentResult& result,
     auto stream = util::open_csv(csv_dir + "/cdma_drive.csv");
     util::CsvWriter csv(stream);
     std::vector<std::string> csv_header = result.axis_names;
-    for (const char* column : {"strategy", "trials", "events_mean",
-                               "recodings_mean", "recodings_stddev",
-                               "max_color_mean"})
+    for (const char* column :
+         {"strategy", "trials", "events_mean", "recodings_mean",
+          "recodings_stddev", "max_color_mean", "d_color_mean", "d_color_ci95",
+          "d_recodings_mean", "d_recodings_ci95"})
       csv_header.push_back(column);
     csv.header(csv_header);
     for (const auto& row : csv_rows) csv.row(row);
     std::cout << "[csv] wrote " << csv_dir << "/cdma_drive.csv\n";
   }
+}
+
+/// --selfcheck: the grid at --threads=1, and as `shard_count` shards
+/// round-tripped through the experiment CSV and merged, must both write
+/// `expected` (the run's experiment CSV) byte for byte.
+int run_selfcheck(const sim::Experiment& experiment,
+                  const sim::ExperimentOptions& run,
+                  const std::string& expected, std::size_t shard_count) {
+  sim::ExperimentOptions serial = run;
+  serial.threads = 1;
+  const bool serial_ok = experiment_csv(experiment.run(serial)) == expected;
+
+  std::string merged;
+  try {
+    std::vector<sim::ExperimentResult> shards;
+    for (std::size_t i = 0; i < shard_count; ++i) {
+      const sim::ExperimentOptions slice = shard_slice(run, i, shard_count);
+      std::stringstream io(experiment_csv(experiment.run(slice)));
+      shards.push_back(sim::read_experiment_csv(io));
+    }
+    merged = experiment_csv(sim::merge_shards(std::move(shards)));
+  } catch (const std::exception& error) {
+    std::cerr << "selfcheck: " << error.what() << "\n";
+  }
+  const bool shards_ok = merged == expected;
+  std::cout << "selfcheck, experiment CSV byte for byte: --threads=1 re-run "
+            << (serial_ok ? "PASS" : "FAIL") << ", " << shard_count
+            << " shards via the CSV " << (shards_ok ? "PASS" : "FAIL") << "\n";
+  return serial_ok && shards_ok ? 0 : 1;
+}
+
+/// --shard=i/k: run shard i's global trials and write its experiment CSV.
+int run_shard(const util::Options& options, const sim::Experiment& experiment,
+              const sim::ExperimentOptions& run) {
+  const std::string shard = options.get("shard", "");
+  const std::size_t slash = shard.find('/');
+  std::size_t index = 0;
+  std::size_t count = 0;
+  if (slash == std::string::npos || !parse_size(shard.substr(0, slash), index) ||
+      !parse_size(shard.substr(slash + 1), count)) {
+    std::cerr << "--shard wants i/k (e.g. --shard=0/4)\n";
+    return 2;
+  }
+  if (count == 0 || index >= count) {
+    std::cerr << "--shard=" << shard << " out of range\n";
+    return 2;
+  }
+  const sim::ExperimentOptions slice = shard_slice(run, index, count);
+  const std::string out = options.get(
+      "out", "grid_shard_" + std::to_string(index) + "of" +
+                 std::to_string(count) + ".csv");
+  sim::write_experiment_csv_file(experiment.run(slice), out);
+  std::cout << "shard " << index << "/" << count << ": global trials ["
+            << slice.trial_begin << ", " << slice.trial_begin + slice.trial_count
+            << ") -> " << out << "\n";
+  return 0;
+}
+
+/// --merge=F1,F2,... (plus any positional paths): reassemble shard files.
+int run_merge(const util::Options& options) {
+  std::vector<std::string> paths = bench::string_list_from(options, "merge", {});
+  paths.insert(paths.end(), options.positional().begin(),
+               options.positional().end());
+  if (paths.empty()) {
+    std::cerr << "--merge wants shard files (--merge=s0.csv,s1.csv,...)\n";
+    return 2;
+  }
+  std::vector<sim::ExperimentResult> shards;
+  for (const std::string& path : paths)
+    shards.push_back(sim::read_experiment_csv_file(path));
+  const sim::ExperimentResult merged = sim::merge_shards(std::move(shards));
+  std::cout << "=== cdma_drive: " << paths.size() << " shards merged ===\n"
+            << merged.point_count() << " grid points x " << merged.strategy_count()
+            << " strategies x " << merged.total_trials << " trials, seed "
+            << merged.seed << "\n\n";
+  report(merged, options);
+  return 0;
 }
 
 /// --record-trace=F: dump grid point 0's workload as a replayable trace.
@@ -313,18 +385,31 @@ int run_serve(const util::Options& options) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  if (!arguments_ok(options)) return 2;
 
   if (options.has("serve")) return run_serve(options);
+  if (options.has("merge")) return run_merge(options);
 
   sim::ExperimentOptions run;
   run.trials = options.get_count("trials", 100);
   run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   run.threads = options.get_count("threads", 0);
 
-  const sim::Experiment experiment = make_experiment(options);
+  const sim::Experiment experiment = bench::make_experiment(
+      options.get("scenario", "join"), options.get("axes", "n:40:60:80"),
+      bench::string_list_from(options, "strategies", {"minim", "cp", "bbb"}));
 
   const std::string record = options.get("record-trace", "");
   if (!record.empty()) return run_record_trace(record, options, experiment);
+  if (options.has("shard")) return run_shard(options, experiment, run);
+
+  // `--selfcheck` = 3 shards; `--selfcheck=k` picks the shard count (>= 2).
+  std::size_t selfcheck_shards = 3;
+  const std::string raw = options.get("selfcheck", "");
+  if (!raw.empty() && !parse_size(raw, selfcheck_shards)) {
+    std::cerr << "--selfcheck wants a shard count (--selfcheck=4)\n";
+    return 2;
+  }
 
   std::cout << "=== cdma_drive: scenario grid ===\n"
             << experiment.points().size() << " grid points x "
@@ -332,12 +417,8 @@ int main(int argc, char** argv) {
             << run.trials << " trials, seed " << run.seed << "\n\n";
 
   const sim::ExperimentResult result = experiment.run(run);
-
-  const std::string save = options.get("save-experiment", "");
-  if (!save.empty()) {
-    sim::write_experiment_csv_file(result, save);
-    std::cout << "[csv] wrote " << save << " (full per-trial experiment)\n";
-  }
-  print_result(result, options);
-  return 0;
+  report(result, options);
+  if (!options.has("selfcheck")) return 0;
+  return run_selfcheck(experiment, run, experiment_csv(result),
+                       std::max<std::size_t>(2, selfcheck_shards));
 }

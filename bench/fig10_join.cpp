@@ -26,17 +26,14 @@ int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
 
-  const std::vector<double> ns{40, 50, 60, 70, 80, 90, 100, 110, 120};
-  const std::vector<double> avg_ranges{7.5, 17.5, 27.5, 37.5, 47.5, 57.5, 67.5};
-
-  const auto sweep = bench::sweep_options_from(options, {"minim", "cp", "bbb"});
+  const auto sweep = bench::sweep_options_from(options, bench::kFig10Strategies);
 
   std::cout << "=== Figure 10: node join ===\n"
             << "N joins on 100x100 field; metrics after the full join "
                "sequence; mean +- 95% CI over runs.\n\n";
 
   {
-    const auto points = sim::sweep_join_vs_n(ns, sweep);
+    const auto points = sim::sweep_join_vs_n(bench::kFig10Ns, sweep);
     bench::print_series("Fig 10(a): max color index vs N (minr=20.5, maxr=30.5)",
                         "N", points, bench::Metric::kColor, options, "fig10a");
     bench::print_series("Fig 10(b): total recodings vs N", "N", points,
@@ -48,7 +45,7 @@ int main(int argc, char** argv) {
                         distributed, bench::Metric::kRecodings, options, "fig10c");
   }
   {
-    const auto points = sim::sweep_join_vs_avg_range(avg_ranges, sweep);
+    const auto points = sim::sweep_join_vs_avg_range(bench::kFig10AvgRanges, sweep);
     bench::print_series(
         "Fig 10(d): max color index vs avg range (N=100, maxr-minr=5)", "avgR",
         points, bench::Metric::kColor, options, "fig10d");

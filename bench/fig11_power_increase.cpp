@@ -22,23 +22,14 @@ int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
 
-  const std::vector<double> factors{1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0};
-
-  // `cp-exact` is our reproduction probe: CP with its color rule ported
-  // faithfully to the directed model (avoid true CA1/CA2 partners instead
-  // of the whole 2-hop ball; `CpStrategy::Vicinity` in strategies/cp.hpp).
-  // Fig 11(a)'s Minim-vs-CP ordering is sensitive to this choice;
-  // `FigureShapes.Fig11ColorDirectionWithExactVicinityCp` pins the
-  // direction the paper reports.
-  const auto sweep =
-      bench::sweep_options_from(options, {"minim", "cp", "cp-exact", "bbb"});
+  const auto sweep = bench::sweep_options_from(options, bench::kFig11Strategies);
 
   std::cout << "=== Figure 11: node power increase ===\n"
             << "N=100 joins, then half the nodes raise range by raisefactor; "
                "delta metrics vs post-join state.\n\n";
 
   {
-    const auto points = sim::sweep_power_vs_raise_factor(factors, sweep);
+    const auto points = sim::sweep_power_vs_raise_factor(bench::kFig11RaiseFactors, sweep);
     bench::print_series("Fig 11(a): delta max color index vs raisefactor",
                         "raisefactor", points, bench::Metric::kColor, options,
                         "fig11a");

@@ -83,18 +83,6 @@ namespace {
 
 using namespace minim;
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) out.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 /// Measurement-name suffix for a strategy.  "minim" owns the historical
 /// unsuffixed names; everyone else appends ".<strategy>" so baselines for
 /// different strategies never collide.
@@ -259,7 +247,7 @@ int main(int argc, char** argv) {
   if (smoke)
     ns = {static_cast<double>(options.get_int("smoke-n", 10000))};
   const std::vector<std::string> strategy_list =
-      split_list(options.get("strategy", "minim"));
+      bench::split_list(options.get("strategy", "minim"));
   if (strategy_list.empty()) {
     std::cerr << "--strategy: empty strategy list\n";
     return 2;

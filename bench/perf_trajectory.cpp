@@ -1,8 +1,9 @@
 // Perf-trajectory harness: times the repo's slowest bench workloads — the
 // paper-size x-grids behind the fig10_join / fig11_power_increase smokes,
-// plus the grid-study engine — and records the wall clocks in
-// BENCH_sweep.json (schema v2: an append-only *trajectory* of labeled
-// entries, so the committed file shows each optimization's before/after).
+// plus bench_cdma_drive's N x raise_factor grid study — and records the wall
+// clocks in BENCH_sweep.json (schema v2: an append-only *trajectory* of
+// labeled entries, so the committed file shows each optimization's
+// before/after).
 //
 // Modes:
 //   default       run the benches and append a labeled entry to --out
@@ -74,39 +75,25 @@ std::vector<Measurement> run_benchmarks(const sim::SweepOptions& sweep,
   // The exact sweeps bench_fig10_join runs (paper-size x-grids; the
   // distributed-only sub-figures are filtered, not re-simulated).
   measurements.push_back(timed("bench.fig10_join" + suffix, [&] {
-    const std::vector<double> ns{40, 50, 60, 70, 80, 90, 100, 110, 120};
-    const std::vector<double> avg_ranges{7.5, 17.5, 27.5, 37.5, 47.5, 57.5, 67.5};
     sim::SweepOptions all = sweep;
-    all.strategies = {"minim", "cp", "bbb"};
-    sim::sweep_join_vs_n(ns, all);
-    sim::sweep_join_vs_avg_range(avg_ranges, all);
+    all.strategies = bench::kFig10Strategies;
+    sim::sweep_join_vs_n(bench::kFig10Ns, all);
+    sim::sweep_join_vs_avg_range(bench::kFig10AvgRanges, all);
   }));
 
   // The exact sweep bench_fig11_power_increase runs.
   measurements.push_back(timed("bench.fig11_power_increase" + suffix, [&] {
-    const std::vector<double> factors{1.0, 1.5, 2.0, 2.5, 3.0,  3.5,
-                                      4.0, 4.5, 5.0, 5.5, 6.0};
     sim::SweepOptions all = sweep;
-    all.strategies = {"minim", "cp", "cp-exact", "bbb"};
-    sim::sweep_power_vs_raise_factor(factors, all);
+    all.strategies = bench::kFig11Strategies;
+    sim::sweep_power_vs_raise_factor(bench::kFig11RaiseFactors, all);
   }));
 
-  // The grid-study default grid (bench/grid_study.cpp).
+  // The grid study: bench_cdma_drive's N x raise_factor power grid.
   measurements.push_back(timed("bench.grid_study" + suffix, [&] {
-    sim::ExperimentGrid grid;
-    grid.base.kind = sim::ScenarioKind::kPower;
-    grid.axes.push_back(sim::GridAxis{
-        "n", {40, 60, 80, 100}, [](sim::ScenarioSpec& spec, double x) {
-          spec.workload.n = static_cast<std::size_t>(x);
-        }});
-    grid.axes.push_back(sim::GridAxis{
-        "raise_factor", {1.5, 2.5, 3.5, 4.5, 5.5},
-        [](sim::ScenarioSpec& spec, double x) { spec.raise_factor = x; }});
-    sim::ExperimentOptions run;
-    run.trials = trials;
-    run.seed = sweep.seed;
-    run.threads = sweep.threads;
-    sim::Experiment(std::move(grid)).run(run);
+    bench::make_experiment("power",
+                           "n:40:60:80:100,raise_factor:1.5:2.5:3.5:4.5:5.5",
+                           {"minim", "cp", "bbb"})
+        .run({.trials = trials, .seed = sweep.seed, .threads = sweep.threads});
   }));
 
   return measurements;

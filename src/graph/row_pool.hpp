@@ -19,12 +19,14 @@
 /// (offset, size, capacity) triple.  Rows stay sorted (the engine's
 /// invariant) and mutate in place while they fit; a row that outgrows its
 /// slot relocates to the pool tail with doubled capacity, abandoning its old
-/// slot.  Abandoned space is reclaimed by compaction once it exceeds half the
-/// pool.  `clear()` resets the watermark but keeps the allocation — the
+/// slot.  Abandoned slots are not reclaimed: each relocation at least
+/// doubles a row's capacity, so the slots a row has abandoned sum to less
+/// than its live capacity, and abandoned space stays under half the pool.
+/// `clear()` resets the watermark but keeps the allocation — the
 /// arena-reuse contract of `sim::replay`.
 ///
-/// Invalidation rule: any mutating call may relocate rows or compact the
-/// pool, so spans returned by `row()` are invalidated by *any* subsequent
+/// Invalidation rule: any mutating call may relocate rows, so spans
+/// returned by `row()` are invalidated by *any* subsequent
 /// mutation of the same pool (erase-only sequences do not relocate, but
 /// callers should not rely on that beyond the documented uses).
 ///
@@ -86,8 +88,7 @@ class RowPool {
       if (it != end && *it == v) return false;
       at = static_cast<std::uint32_t>(it - base);
     }
-    // The index stays valid across grow(): relocation and compaction both
-    // preserve row contents.
+    // The index stays valid across grow(): relocation preserves row contents.
     if (refs_[r].size == refs_[r].capacity) grow(r);
     detail::RowRef& ref = refs_[r];
     NodeId* base = pool_.data() + ref.offset;
@@ -120,7 +121,6 @@ class RowPool {
   void clear() {
     for (detail::RowRef& ref : refs_) ref = detail::RowRef{};
     pool_.clear();
-    abandoned_ = 0;
   }
 
   /// Heap bytes reachable from this pool (capacities, not sizes).
@@ -144,33 +144,12 @@ class RowPool {
     pool_.resize(pool_.size() + new_cap);
     std::memcpy(pool_.data() + new_offset, pool_.data() + ref.offset,
                 ref.size * sizeof(NodeId));
-    abandoned_ += ref.capacity;
     ref.offset = new_offset;
     ref.capacity = new_cap;
-    if (abandoned_ > pool_.size() / 2 && pool_.size() > 4096) compact();
-  }
-
-  /// Rewrites the pool in row order, dropping abandoned slots.  The
-  /// double-buffer is released afterwards: compaction is rare (amortized
-  /// against the growth that caused it), and holding a pool-sized spare
-  /// allocation would double the structure's real footprint.
-  void compact() {
-    std::vector<NodeId> compacted;
-    compacted.reserve(pool_.size() - abandoned_);
-    for (detail::RowRef& ref : refs_) {
-      const auto new_offset = static_cast<std::uint32_t>(compacted.size());
-      compacted.insert(compacted.end(), pool_.begin() + ref.offset,
-                       pool_.begin() + ref.offset + ref.size);
-      compacted.resize(new_offset + ref.capacity);
-      ref.offset = new_offset;
-    }
-    pool_ = std::move(compacted);
-    abandoned_ = 0;
   }
 
   std::vector<NodeId> pool_;
   std::vector<detail::RowRef> refs_;
-  std::size_t abandoned_ = 0;
 };
 
 /// `RowPool` with a parallel `u32` count per element (same offsets in a
@@ -319,7 +298,6 @@ class CountedRowPool {
     for (detail::RowRef& ref : refs_) ref = detail::RowRef{};
     ids_.clear();
     counts_.clear();
-    abandoned_ = 0;
   }
 
   std::size_t memory_bytes() const {
@@ -348,38 +326,13 @@ class CountedRowPool {
                 ref.size * sizeof(NodeId));
     std::memcpy(counts_.data() + new_offset, counts_.data() + ref.offset,
                 ref.size * sizeof(std::uint32_t));
-    abandoned_ += ref.capacity;
     ref.offset = new_offset;
     ref.capacity = new_cap;
-    if (abandoned_ > ids_.size() / 2 && ids_.size() > 4096) compact();
-  }
-
-  /// See RowPool::compact — the double-buffers are released afterwards so
-  /// the footprint report stays honest.
-  void compact() {
-    std::vector<NodeId> new_ids;
-    std::vector<std::uint32_t> new_counts;
-    new_ids.reserve(ids_.size() - abandoned_);
-    new_counts.reserve(ids_.size() - abandoned_);
-    for (detail::RowRef& ref : refs_) {
-      const auto new_offset = static_cast<std::uint32_t>(new_ids.size());
-      new_ids.insert(new_ids.end(), ids_.begin() + ref.offset,
-                     ids_.begin() + ref.offset + ref.size);
-      new_counts.insert(new_counts.end(), counts_.begin() + ref.offset,
-                        counts_.begin() + ref.offset + ref.size);
-      new_ids.resize(new_offset + ref.capacity);
-      new_counts.resize(new_offset + ref.capacity);
-      ref.offset = new_offset;
-    }
-    ids_ = std::move(new_ids);
-    counts_ = std::move(new_counts);
-    abandoned_ = 0;
   }
 
   std::vector<NodeId> ids_;
   std::vector<std::uint32_t> counts_;
   std::vector<detail::RowRef> refs_;
-  std::size_t abandoned_ = 0;
 };
 
 }  // namespace minim::graph

@@ -35,9 +35,10 @@
 ///    streams, so k processes can each run a slice — split by trial range,
 ///    by grid-point subset (axis-space sharding), or both — and
 ///    `merge_shards` reassembles a result bit-identical to one process
-///    running everything (`bench_grid_study --shard=i/k`, then `--merge`).
+///    running everything (`bench_cdma_drive --shard=i/k`, then `--merge`).
 ///
-/// The figure sweeps (sweeps.hpp) are one-axis grids on this API.
+/// The figure sweeps (sweeps.hpp) are one-axis grids on this API;
+/// `bench_cdma_drive` runs any grid from the command line.
 
 namespace minim::sim {
 

@@ -13,8 +13,9 @@
 /// self-describing CSV (metadata preamble + one row per (cell, trial)) and
 /// read it back *exactly*: integers verbatim, doubles with 17 significant
 /// digits, so a write/read/merge round-trip stays bit-identical to the
-/// in-memory result.  `bench/grid_study.cpp --shard i/k --out ... --merge`
-/// is the end-to-end demonstration.
+/// in-memory result.  `bench_cdma_drive --shard=i/k --out=F` and
+/// `--merge=F1,...` are the end-to-end demonstration, and its `--selfcheck`
+/// compares these bytes against the unsharded run's.
 
 namespace minim::sim {
 

@@ -99,6 +99,15 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   return fallback;  // unreachable
 }
 
+std::vector<std::string> Options::keys_outside(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& entry : values_)
+    if (std::find(known.begin(), known.end(), entry.first) == known.end())
+      unknown.push_back(entry.first);
+  return unknown;
+}
+
 std::string Options::to_string() const {
   std::ostringstream os;
   for (const auto& [k, v] : values_) os << "--" << k << "=" << v << " ";

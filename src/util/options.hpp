@@ -39,6 +39,10 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// The parsed keys not in `known`, in sorted order: a harness rejects them
+  /// rather than silently running its defaults under a misspelt flag.
+  std::vector<std::string> keys_outside(const std::vector<std::string>& known) const;
+
   /// Renders all parsed key/value pairs (diagnostics).
   std::string to_string() const;
 

@@ -40,6 +40,13 @@ struct JoinSweep {
   double max_range;
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, padding included, so the name changed per build.
+void PrintTo(const JoinSweep& sweep, std::ostream* os) {
+  *os << "seed" << sweep.seed << "_n" << sweep.n << "_range" << sweep.min_range
+      << "-" << sweep.max_range;
+}
+
 class MinimJoinTheorems : public ::testing::TestWithParam<JoinSweep> {};
 
 TEST_P(MinimJoinTheorems, CorrectnessAfterEveryJoin) {

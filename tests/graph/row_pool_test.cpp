@@ -1,7 +1,7 @@
-// Pooled CSR row storage: sortedness, growth/relocation, compaction, arena
-// reuse, and the counted pool's in-place bulk path (batch insert, zero-count
-// compaction) the conflict graph's fans use — randomized against
-// vector-of-vectors and map references.
+// Pooled CSR row storage: sortedness, growth/relocation (abandoned slots
+// are never reclaimed), arena reuse, and the counted pool's in-place bulk
+// path (batch insert, zero-count compaction of a row) the conflict graph's
+// fans use — randomized against vector-of-vectors and map references.
 
 #include "graph/row_pool.hpp"
 
@@ -82,7 +82,7 @@ TEST(RowPool, ClearResetsContentButKeepsRows) {
   EXPECT_EQ(to_vec(pool.row(1)), (std::vector<NodeId>{42}));
 }
 
-TEST(CountedRowPool, CountsFollowIdsThroughGrowthAndCompaction) {
+TEST(CountedRowPool, CountsFollowIdsThroughGrowthAndRelocation) {
   minim::util::Rng rng(99);
   CountedRowPool pool;
   std::vector<std::map<NodeId, std::uint32_t>> reference(16);

@@ -178,6 +178,14 @@ struct RandomInstanceParams {
   bool paper_weights;  // 3/1 scheme vs arbitrary weights in [1, 9]
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, padding included, so the name changed per build.
+void PrintTo(const RandomInstanceParams& params, std::ostream* os) {
+  *os << params.max_left << "x" << params.max_right << "_density"
+      << params.density
+      << (params.paper_weights ? "_paper_weights" : "_weights_1-9");
+}
+
 class HungarianOracleTest : public ::testing::TestWithParam<RandomInstanceParams> {};
 
 TEST_P(HungarianOracleTest, MatchesBruteForceWeight) {

@@ -152,6 +152,13 @@ struct ChurnParams {
   double max_range;
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, padding included, so the name changed per build.
+void PrintTo(const ChurnParams& params, std::ostream* os) {
+  *os << "seed" << params.seed << "_events" << params.events << "_range"
+      << params.min_range << "-" << params.max_range;
+}
+
 class NetworkChurnTest : public ::testing::TestWithParam<ChurnParams> {};
 
 TEST_P(NetworkChurnTest, IncrementalGraphMatchesBruteForce) {

@@ -14,6 +14,14 @@
 #include "strategies/coloring.hpp"
 #include "util/rng.hpp"
 
+namespace minim::strategies {
+
+// Names the parameterized cases by order; gtest's default prints the enum's
+// raw bytes.
+void PrintTo(ColoringOrder order, std::ostream* os) { *os << to_string(order); }
+
+}  // namespace minim::strategies
+
 namespace {
 
 using minim::core::Recode;

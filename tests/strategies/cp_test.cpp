@@ -164,6 +164,16 @@ struct CpSoakParams {
   CpStrategy::Vicinity vicinity = CpStrategy::Vicinity::kTwoHopBall;
 };
 
+// Names each case by its contents; gtest's default would print the raw
+// bytes, padding included, so the name changed per build.
+void PrintTo(const CpSoakParams& params, std::ostream* os) {
+  *os << "seed" << params.seed
+      << (params.order == CpStrategy::Order::kHighestFirst ? "_highest_first"
+                                                           : "_lowest_first")
+      << (params.vicinity == CpStrategy::Vicinity::kTwoHopBall ? "_two_hop_ball"
+                                                               : "_exact");
+}
+
 class CpSoakTest : public ::testing::TestWithParam<CpSoakParams> {};
 
 TEST_P(CpSoakTest, MixedEventsStayValid) {

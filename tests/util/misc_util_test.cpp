@@ -132,6 +132,16 @@ TEST(Options, PositionalCollected) {
   EXPECT_EQ(opts.positional()[1], "more");
 }
 
+TEST(Options, KeysOutsideListsOnlyUnknownKeys) {
+  const char* argv[] = {"prog", "--trials=2", "--ns=30,40", "--serial-check",
+                        "input.txt", "--factors", "2.0"};
+  Options opts(7, argv);
+  EXPECT_EQ(opts.keys_outside({"trials", "seed"}),
+            (std::vector<std::string>{"factors", "ns", "serial-check"}));
+  EXPECT_TRUE(opts.keys_outside({"factors", "ns", "serial-check", "trials"}).empty());
+  EXPECT_TRUE(Options().keys_outside({}).empty());
+}
+
 TEST(Options, BadIntegerThrows) {
   // The whole value must parse: trailing text or a fraction is a typo, not
   // a silently truncated integer.
