@@ -54,6 +54,7 @@ void minim_variant_row(util::TextTable& table, const std::string& label,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "ablations", bench::kSweepFlags);
   const auto runs =
       options.get_count("runs", options.get_bool("fast", false) ? 10 : 60);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
 
   // ---- C: CP identity order ----
   {
-    util::Options forwarded = options;
     auto sweep =
         bench::sweep_options_from(options, {"cp", "cp-lowest", "cp-exact", "minim"});
     sweep.runs = runs;

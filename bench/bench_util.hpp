@@ -6,12 +6,14 @@
 // per strategy, mean over runs with the 95% CI half-width), optionally
 // dumped as raw CSV for offline plotting.
 //
-// Every figure harness honours:
+// Every figure harness honours (kSweepFlags):
 //   --runs=N       Monte-Carlo runs per point (default 100, as in the paper)
 //   --seed=S       master seed (default 2001)
 //   --threads=T    worker threads (default: hardware)
 //   --csv-dir=DIR  write <name>.csv series files into DIR
 //   --fast         shorthand for --runs=10 (CI smoke)
+// and, like every harness, exits 2 on a flag it does not read
+// (exit_on_unread_flags).
 
 #include <algorithm>
 #include <cstdio>
@@ -73,6 +75,29 @@ inline MemoryProfile memory_profile(const net::AdhocNetwork& network) {
                              static_cast<double>(profile.nodes);
   return profile;
 }
+
+/// Names on stderr each flag in `options` outside `read`, and each
+/// positional argument unless `positional_ok`, then exits 2 if there was
+/// any: a misspelt or stale flag would otherwise run the harness on its
+/// defaults.
+inline void exit_on_unread_flags(const util::Options& options,
+                                 const std::string& harness,
+                                 const std::vector<std::string>& read,
+                                 bool positional_ok = false) {
+  std::vector<std::string> stray;
+  for (const std::string& key : options.keys_outside(read))
+    stray.push_back("--" + key);
+  if (!positional_ok)
+    stray.insert(stray.end(), options.positional().begin(),
+                 options.positional().end());
+  for (const std::string& arg : stray)
+    std::cerr << harness << ": unexpected argument " << arg << "\n";
+  if (!stray.empty()) std::exit(2);
+}
+
+/// The flags `sweep_options_from` and `print_series` read.
+inline const std::vector<std::string> kSweepFlags{"runs", "seed", "threads",
+                                                  "csv-dir", "fast"};
 
 /// Splits `raw` on `separator` (a comma by default), dropping empty fields.
 inline std::vector<std::string> split_list(const std::string& raw,

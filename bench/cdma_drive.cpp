@@ -48,9 +48,6 @@
 //                       with --serve < file
 //   --port=P            TCP port for --transport=tcp (default 0 = ephemeral)
 //   --strategy=NAME     recoding strategy (default minim)
-//   --recolor-threads=N component-parallel batched recoloring for
-//                       bbb-bounded (1 = serial, 0 = hardware cores);
-//                       bit-identical results at every setting
 //   --validate          CA1/CA2 check after every event (slow)
 //   --quiet             ingest without response lines
 //   --flush-each        apply + flush per request line (no pipelining)
@@ -94,32 +91,16 @@ namespace {
 
 using namespace minim;
 
-/// Every flag each mode reads.  Anything else exits 2: a stale or misspelt
-/// flag would otherwise run the default grid.
+/// Every flag each mode reads.  Anything else exits 2, as does a positional
+/// argument outside --merge: a stale or misspelt flag would otherwise run
+/// the default grid.
 const std::vector<std::string> kGridFlags{
     "scenario", "axes", "strategies", "trials", "seed", "threads",
     "save-experiment", "csv-dir", "selfcheck", "shard", "out", "merge",
     "record-trace"};
 const std::vector<std::string> kServeFlags{
-    "serve", "transport", "port", "strategy", "recolor-threads", "validate",
-    "quiet", "flush-each", "max-batch"};
-
-/// Names on stderr every flag this mode does not read, and every positional
-/// argument outside --merge; true when there is none.
-bool arguments_ok(const util::Options& options) {
-  const bool serve = options.has("serve");
-  std::vector<std::string> stray;
-  for (const std::string& key :
-       options.keys_outside(serve ? kServeFlags : kGridFlags))
-    stray.push_back("--" + key);
-  if (!options.has("merge"))
-    stray.insert(stray.end(), options.positional().begin(),
-                 options.positional().end());
-  for (const std::string& arg : stray)
-    std::cerr << "cdma_drive: unexpected argument " << arg
-              << (serve ? " with --serve" : "") << "\n";
-  return stray.empty();
-}
+    "serve", "transport", "port", "strategy", "validate", "quiet",
+    "flush-each", "max-batch"};
 
 /// Strict digits-only parse for user-facing shard arguments: no sign, no
 /// blanks, no overflow (std::from_chars into an unsigned type accepts
@@ -279,6 +260,8 @@ int run_shard(const util::Options& options, const sim::Experiment& experiment,
 }
 
 /// --merge=F1,F2,... (plus any positional paths): reassemble shard files.
+/// An unreadable or malformed file, or shards that do not tile one grid,
+/// exit 2 with the reason.
 int run_merge(const util::Options& options) {
   std::vector<std::string> paths = bench::string_list_from(options, "merge", {});
   paths.insert(paths.end(), options.positional().begin(),
@@ -287,10 +270,16 @@ int run_merge(const util::Options& options) {
     std::cerr << "--merge wants shard files (--merge=s0.csv,s1.csv,...)\n";
     return 2;
   }
-  std::vector<sim::ExperimentResult> shards;
-  for (const std::string& path : paths)
-    shards.push_back(sim::read_experiment_csv_file(path));
-  const sim::ExperimentResult merged = sim::merge_shards(std::move(shards));
+  sim::ExperimentResult merged;
+  try {
+    std::vector<sim::ExperimentResult> shards;
+    for (const std::string& path : paths)
+      shards.push_back(sim::read_experiment_csv_file(path));
+    merged = sim::merge_shards(std::move(shards));
+  } catch (const std::exception& error) {
+    std::cerr << "cdma_drive: " << error.what() << "\n";
+    return 2;
+  }
   std::cout << "=== cdma_drive: " << paths.size() << " shards merged ===\n"
             << merged.point_count() << " grid points x " << merged.strategy_count()
             << " strategies x " << merged.total_trials << " trials, seed "
@@ -330,8 +319,6 @@ int run_serve(const util::Options& options) {
   const std::string strategy = options.get("strategy", "minim");
   serve::AssignmentEngine::Params params;
   params.validate = options.has("validate");
-  params.recolor_threads = static_cast<std::size_t>(
-      std::max<long long>(0, options.get_int("recolor-threads", 1)));
   serve::AssignmentEngine engine(strategy, params);
 
   const std::string kind = options.get("transport", "stdin");
@@ -364,10 +351,8 @@ int run_serve(const util::Options& options) {
   const serve::SessionStats stats = serve::serve_session(engine, *transport,
                                                          session);
 
-  std::cerr << "[serve] " << transport->describe() << " strategy=" << strategy;
-  if (params.recolor_threads != 1)
-    std::cerr << " recolor-threads=" << params.recolor_threads;
-  std::cerr << ": lines=" << stats.lines << " events=" << stats.events
+  std::cerr << "[serve] " << transport->describe() << " strategy=" << strategy
+            << ": lines=" << stats.lines << " events=" << stats.events
             << " queries=" << stats.queries << " errors=" << stats.errors
             << " batches=" << stats.batches
             << " coalesced=" << stats.coalesced_events << "\n";
@@ -385,9 +370,12 @@ int run_serve(const util::Options& options) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
-  if (!arguments_ok(options)) return 2;
-
-  if (options.has("serve")) return run_serve(options);
+  if (options.has("serve")) {
+    bench::exit_on_unread_flags(options, "cdma_drive --serve", kServeFlags);
+    return run_serve(options);
+  }
+  bench::exit_on_unread_flags(options, "cdma_drive", kGridFlags,
+                              options.has("merge"));
   if (options.has("merge")) return run_merge(options);
 
   sim::ExperimentOptions run;

@@ -25,6 +25,7 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "fig10_join", bench::kSweepFlags);
 
   const auto sweep = bench::sweep_options_from(options, bench::kFig10Strategies);
 

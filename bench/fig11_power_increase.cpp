@@ -21,6 +21,8 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "fig11_power_increase",
+                              bench::kSweepFlags);
 
   const auto sweep = bench::sweep_options_from(options, bench::kFig11Strategies);
 

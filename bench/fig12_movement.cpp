@@ -21,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "fig12_movement", bench::kSweepFlags);
 
   const std::vector<double> displacements{0, 10, 20, 30, 40, 50, 60, 70, 80};
   const std::vector<double> rounds{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};

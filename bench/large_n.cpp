@@ -241,6 +241,13 @@ ChurnStageResult run_churn_stage(std::size_t n, sim::Placement placement,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(
+      options, "large_n",
+      {"smoke", "smoke-n", "ns", "strategy", "placement", "mean-degree",
+       "seed", "out", "append", "label", "check", "check-factor",
+       "check-rss", "rss-factor", "check-population", "churn",
+       "churn-duration", "churn-lifetime", "churn-move-rate",
+       "churn-power-rate"});
   const bool smoke = options.get_bool("smoke", false);
   std::vector<double> ns =
       bench::double_list_from(options, "ns", {1000, 10000, 100000});

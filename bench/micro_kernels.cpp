@@ -1,8 +1,7 @@
 // google-benchmark microbenchmarks for the algorithmic kernels:
 // max-weight matching, conflict-graph coloring, spatial-grid queries,
-// the end-to-end join operation, the batched recolor paths (dirty-component
-// decomposition; serial vs component-parallel propagation), and the CDMA
-// PHY hot path.
+// the end-to-end join operation, the batched bounded BBB repair, and the
+// CDMA PHY hot path.
 
 #include <benchmark/benchmark.h>
 
@@ -19,8 +18,6 @@
 #include "sim/trace.hpp"
 #include "strategies/bbb.hpp"
 #include "strategies/coloring.hpp"
-#include "strategies/components.hpp"
-#include "strategies/ordering.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -280,11 +277,10 @@ void BM_BruteForceRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteForceRebuild);
 
-// ---- batched recolor: component decomposition + serial vs parallel ----
+// ---- batched recolor ----
 
 /// `clusters` far-apart clusters of `per_cluster` nodes each on a 4-wide
-/// grid of centers — the decomposable regime the component-parallel
-/// recolor path targets (distant dirty regions cannot interact).
+/// grid of centers, so a batch dirties several distant regions.
 net::AdhocNetwork clustered_network(std::size_t clusters,
                                     std::size_t per_cluster, util::Rng& rng) {
   net::AdhocNetwork network;
@@ -299,35 +295,10 @@ net::AdhocNetwork clustered_network(std::size_t clusters,
   return network;
 }
 
-void BM_DirtyComponentDecompose(benchmark::State& state) {
-  // One closure walk + union-find pass over every live node of a clustered
-  // field — the fixed cost the parallel recolor pass pays before fan-out.
-  util::Rng rng(19);
-  const auto clusters = static_cast<std::size_t>(state.range(0));
-  const auto network = clustered_network(clusters, 12, rng);
-
-  strategies::DegeneracyOrderer orderer;
-  const std::vector<net::NodeId> sequence = strategies::coloring_sequence(
-      network, network.nodes(), strategies::ColoringOrder::kSmallestLast);
-  orderer.rebuild_ranks(network, sequence);
-
-  const std::vector<net::NodeId> seeds = network.nodes();
-  strategies::DirtyComponents components;
-  for (auto _ : state) {
-    const bool ok = components.decompose(network.conflict_graph(),
-                                         orderer.rank_index(), seeds,
-                                         network.node_count());
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(components.count());
-  }
-  state.SetLabel(std::to_string(clusters) + " clusters x 12 nodes");
-}
-BENCHMARK(BM_DirtyComponentDecompose)->Arg(2)->Arg(4)->Arg(8);
-
-void bbb_batch_recolor_loop(benchmark::State& state, std::size_t threads) {
+void BM_BbbBatchRecolorSerial(benchmark::State& state) {
   // One 64-event churn batch through the serving engine on a clustered
-  // field, bounded path pinned on (gates loosened as in the parallel fuzz
-  // soak) so serial and parallel runs compare propagation, not fallbacks.
+  // field, bounded path pinned on (dirty-fraction gate disarmed, budget
+  // widened) so the loop times propagation, not fallbacks.
   util::Rng rng(20);
   const auto clusters = static_cast<std::size_t>(state.range(0));
   const std::size_t per_cluster = 12;
@@ -357,7 +328,6 @@ void bbb_batch_recolor_loop(benchmark::State& state, std::size_t threads) {
   params.bounded_propagation = true;
   params.full_recolor_fraction = 1.1;
   params.propagation_slack = 1.0;
-  params.recolor_threads = threads;
   strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast,
                               params);
   serve::AssignmentEngine engine(bbb);
@@ -372,21 +342,9 @@ void bbb_batch_recolor_loop(benchmark::State& state, std::size_t threads) {
     benchmark::DoNotOptimize(receipt.recoded);
     at += kBatch;
   }
-  state.SetLabel(std::to_string(clusters) + " clusters, batch 64, threads " +
-                 std::to_string(threads) + ", parallel batches " +
-                 std::to_string(bbb.counters().parallel_events));
-}
-
-void BM_BbbBatchRecolorSerial(benchmark::State& state) {
-  bbb_batch_recolor_loop(state, 1);
+  state.SetLabel(std::to_string(clusters) + " clusters, batch 64");
 }
 BENCHMARK(BM_BbbBatchRecolorSerial)
-    ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_BbbBatchRecolorParallel(benchmark::State& state) {
-  bbb_batch_recolor_loop(state, 4);
-}
-BENCHMARK(BM_BbbBatchRecolorParallel)
     ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 void BM_PhyAllTransmit(benchmark::State& state) {

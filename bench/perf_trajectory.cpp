@@ -103,6 +103,9 @@ std::vector<Measurement> run_benchmarks(const sim::SweepOptions& sweep,
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "perf_trajectory",
+                              {"runs", "trials", "seed", "threads", "out",
+                               "label", "check", "check-factor"});
   sim::SweepOptions sweep;
   sweep.runs = options.get_count("runs", 2);
   sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));

@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "../bench/bench_util.hpp"
 #include "core/minim.hpp"
 #include "net/constraints.hpp"
 #include "proto/distributed_cp.hpp"
@@ -43,6 +44,8 @@ World build(std::size_t n, double min_r, double max_r, util::Rng& rng) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(options, "protocol_overhead",
+                              {"runs", "fast", "seed"});
   const auto runs =
       options.get_count("runs", options.get_bool("fast", false) ? 10 : 50);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1234));

@@ -21,18 +21,8 @@
 // strategies, so events/s rises with the batch size until the per-batch
 // propagation cost dominates.  Batch size 1 is the pipelining-free control.
 //
-// The threads sweep crosses the batch sweep with --recolor-threads: each
-// bbb-* cell re-runs with component-parallel bounded recoloring
-// (engine Params::recolor_threads), which is bit-identical to serial, so
-// any events/s delta is pure scheduling.  threads=1 keeps the established
-// measurement names (comparable against pre-parallel baselines); threads>1
-// cells append "@tN", the scaling-name convention check_measurements
-// skips against single-core baselines.  Strategies without the knob only
-// run the serial column.
-//
 // The event sequence is generated from --seed alone (never from engine
-// state), so every strategy, batch size, and thread count serves the
-// identical workload.
+// state), so every strategy and batch size serves the identical workload.
 //
 // Flags:
 //   --strategies=...    default minim,bbb-bounded
@@ -40,8 +30,6 @@
 //   --target-live=N     steady-state population (default 300; 80 with --smoke)
 //   --storm-rounds=N    power-raise storms (default 200; 20 with --smoke)
 //   --batch-sizes=...   batch sweep sizes (default 1,8,64,512)
-//   --recolor-threads=... recolor thread counts for the batch sweep
-//                       (default 1; e.g. 1,2,4)
 //   --seed=S            workload seed (default 2001)
 //   --smoke             CI-sized defaults for everything above
 //   --append            append a labeled entry to the trajectory
@@ -218,23 +206,15 @@ StrategyRun run_strategy(const std::string& strategy, const Workload& w) {
   return run;
 }
 
-/// One (strategy, recolor threads, batch size) cell of the sweep.
+/// One (strategy, batch size) cell of the sweep.
 struct BatchRun {
   std::string strategy;
-  std::size_t threads = 1;  ///< recolor_threads of this cell
   std::size_t batch = 1;
   double steady_wall_s = 0.0;
   std::size_t steady_events = 0;
   double storm_wall_s = 0.0;
   std::size_t storm_events = 0;
   std::size_t coalesced_batches = 0;  ///< batches repaired in one pass
-
-  /// "@tN" scaling suffix on threads>1 names: check_measurements skips those
-  /// against single-core baselines, and threads=1 keeps the pre-parallel
-  /// measurement names so existing baselines keep gating the serial path.
-  std::string name_suffix() const {
-    return threads == 1 ? "" : "@t" + std::to_string(threads);
-  }
 };
 
 /// Applies `trace` in `batch`-sized chunks; returns the wall clock.
@@ -252,15 +232,12 @@ double apply_chunked(serve::AssignmentEngine& engine, const sim::Trace& trace,
 }
 
 BatchRun run_batched(const std::string& strategy, const Workload& w,
-                     std::size_t batch, std::size_t threads) {
+                     std::size_t batch) {
   BatchRun run;
   run.strategy = strategy;
-  run.threads = threads;
   run.batch = batch;
 
-  serve::AssignmentEngine::Params params;
-  params.recolor_threads = threads;
-  serve::AssignmentEngine engine(strategy, params);
+  serve::AssignmentEngine engine(strategy);
   apply_chunked(engine, w.ramp, batch, nullptr);  // ramp: not measured
   run.steady_wall_s =
       apply_chunked(engine, w.steady, batch, &run.coalesced_batches);
@@ -283,6 +260,10 @@ double events_per_s(std::size_t events, double wall_s) {
 
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(
+      options, "serve_latency",
+      {"strategies", "events", "target-live", "storm-rounds", "batch-sizes",
+       "seed", "smoke", "append", "label", "out", "check", "check-factor"});
   const bool smoke = options.get_bool("smoke", false);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   const auto events = options.get_count("events", smoke ? 2000 : 20000);
@@ -295,12 +276,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> batch_sizes;
   for (const double b : batch_size_list)
     batch_sizes.push_back(std::max<std::size_t>(1, static_cast<std::size_t>(b)));
-  const std::vector<double> threads_list =
-      bench::double_list_from(options, "recolor-threads", {1});
-  std::vector<std::size_t> recolor_threads;
-  for (const double t : threads_list)
-    recolor_threads.push_back(
-        std::max<std::size_t>(1, static_cast<std::size_t>(t)));
 
   const bool check = options.has("check");
   const std::string out_path = options.get("out", "BENCH_sweep.json");
@@ -362,32 +337,27 @@ int main(int argc, char** argv) {
               << util::fmt_fixed(run.steady_wall_s, 3) << " s\n";
   std::cout << "\n";
 
-  // ------------------------------------------------- batch × threads sweep
+  // ------------------------------------------------------- batch sweep
   std::vector<BatchRun> batch_runs;
   util::TextTable sweep("batched application sweep (same workload)");
-  sweep.set_header({"strategy", "threads", "batch", "steady ev/s", "speedup",
+  sweep.set_header({"strategy", "batch", "steady ev/s", "speedup",
                     "storm ev/s", "coalesced"});
   for (const std::string& strategy : strategies) {
-    for (const std::size_t threads : recolor_threads) {
-      // Only rank-bounded BBB has the recolor_threads knob; re-running other
-      // strategies at threads>1 would duplicate their serial numbers.
-      if (threads != 1 && strategy.rfind("bbb", 0) != 0) continue;
-      double base_rate = 0.0;
-      for (const std::size_t batch : batch_sizes) {
-        const BatchRun run = run_batched(strategy, workload, batch, threads);
-        const double steady_rate =
-            events_per_s(run.steady_events, run.steady_wall_s);
-        if (batch == batch_sizes.front()) base_rate = steady_rate;
-        sweep.add_row(
-            {run.strategy, std::to_string(run.threads),
-             std::to_string(run.batch), util::fmt_fixed(steady_rate, 0),
-             base_rate > 0.0 ? util::fmt_fixed(steady_rate / base_rate, 2) + "x"
-                             : "-",
-             util::fmt_fixed(events_per_s(run.storm_events, run.storm_wall_s),
-                             0),
-             std::to_string(run.coalesced_batches)});
-        batch_runs.push_back(run);
-      }
+    double base_rate = 0.0;
+    for (const std::size_t batch : batch_sizes) {
+      const BatchRun run = run_batched(strategy, workload, batch);
+      const double steady_rate =
+          events_per_s(run.steady_events, run.steady_wall_s);
+      if (batch == batch_sizes.front()) base_rate = steady_rate;
+      sweep.add_row(
+          {run.strategy, std::to_string(run.batch),
+           util::fmt_fixed(steady_rate, 0),
+           base_rate > 0.0 ? util::fmt_fixed(steady_rate / base_rate, 2) + "x"
+                           : "-",
+           util::fmt_fixed(events_per_s(run.storm_events, run.storm_wall_s),
+                           0),
+           std::to_string(run.coalesced_batches)});
+      batch_runs.push_back(run);
     }
   }
   std::cout << sweep.render() << "\n";
@@ -427,14 +397,14 @@ int main(int argc, char** argv) {
   for (const BatchRun& run : batch_runs) {
     bench::Measurement steady;
     steady.name = "bench.serve.batch.steady.b" + std::to_string(run.batch) +
-                  "." + run.strategy + run.name_suffix();
+                  "." + run.strategy;
     steady.wall_s = run.steady_wall_s;
     steady.events_per_s = events_per_s(run.steady_events, run.steady_wall_s);
     measurements.push_back(std::move(steady));
 
     bench::Measurement storm;
     storm.name = "bench.serve.batch.storm.b" + std::to_string(run.batch) +
-                 "." + run.strategy + run.name_suffix();
+                 "." + run.strategy;
     storm.wall_s = run.storm_wall_s;
     storm.events_per_s = events_per_s(run.storm_events, run.storm_wall_s);
     measurements.push_back(std::move(storm));
@@ -470,9 +440,6 @@ int main(int argc, char** argv) {
          << ", \"batch_sizes\": [";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i)
     config << (i ? ", " : "") << batch_sizes[i];
-  config << "], \"recolor_threads\": [";
-  for (std::size_t i = 0; i < recolor_threads.size(); ++i)
-    config << (i ? ", " : "") << recolor_threads[i];
   config << "]";
   // Mark single-core recordings so throughput gates on differently-sized
   // machines skip them (bench::check_measurements).

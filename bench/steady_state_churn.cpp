@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "../bench/bench_util.hpp"
 #include "sim/churn.hpp"
 #include "strategies/factory.hpp"
 #include "util/options.hpp"
@@ -21,6 +22,10 @@
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
+  bench::exit_on_unread_flags(
+      options, "steady_state_churn",
+      {"runs", "fast", "seed", "duration", "arrival-rate", "mean-lifetime",
+       "move-rate", "power-rate"});
 
   sim::ChurnParams params;
   params.duration = options.get_double("duration", options.get_bool("fast", false) ? 400 : 2000);

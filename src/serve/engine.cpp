@@ -28,16 +28,6 @@ std::uint64_t fallback_count(const core::RecodingStrategy& strategy) {
   return 0;
 }
 
-/// Applies engine-level strategy tuning where the strategy has the knob
-/// (same dynamic_cast discipline as fallback_count above): today that is
-/// the component-parallel recolor thread count on BbbStrategy.
-void apply_strategy_tuning(core::RecodingStrategy& strategy,
-                           const AssignmentEngine::Params& params) {
-  if (params.recolor_threads == 1) return;
-  if (auto* bbb = dynamic_cast<strategies::BbbStrategy*>(&strategy))
-    bbb->set_recolor_threads(params.recolor_threads);
-}
-
 /// Marks a batch's joins and leaves in `departed` (by join index) while
 /// checking each reference against the marks so far, so later events of the
 /// batch see earlier joins and leaves.  On a bad reference, undoes exactly
@@ -79,14 +69,12 @@ AssignmentEngine::AssignmentEngine(const std::string& strategy_name,
       owned_strategy_(strategies::make_strategy(strategy_name)),
       strategy_(owned_strategy_.get()),
       strategy_name_(strategy_name) {
-  apply_strategy_tuning(*strategy_, params_);
   simulation_.emplace(*strategy_, simulation_params(params_));
 }
 
 AssignmentEngine::AssignmentEngine(core::RecodingStrategy& strategy,
                                    const Params& params)
     : params_(params), strategy_(&strategy), strategy_name_(strategy.name()) {
-  apply_strategy_tuning(*strategy_, params_);
   simulation_.emplace(*strategy_, simulation_params(params_));
 }
 

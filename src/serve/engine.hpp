@@ -67,11 +67,9 @@ class AssignmentEngine {
     double height = 100.0;
     /// Validate CA1/CA2 after every event (slow; tests and debugging).
     bool validate = false;
-    /// Component-parallel bounded recoloring for rank-bounded strategies
-    /// (`strategies::BbbStrategy::Params::recolor_threads`): batches whose
-    /// dirty regions are independent recolor them concurrently, bit-identical
-    /// to serial.  1 = serial (default), 0 = one thread per hardware core.
-    /// Ignored by strategies without the knob.
+    /// Ignored.  perfbench/src/harness.cpp is its only writer; it goes with
+    /// perfbench's `kRecolorThreads` in the next benchmark change (ROADMAP
+    /// item 1).
     std::size_t recolor_threads = 1;
   };
 

@@ -219,7 +219,11 @@ void write_experiment_csv_file(const ExperimentResult& result,
 ExperimentResult read_experiment_csv_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return read_experiment_csv(in);
+  try {
+    return read_experiment_csv(in);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(path + ": " + error.what());
+  }
 }
 
 }  // namespace minim::sim

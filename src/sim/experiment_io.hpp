@@ -27,7 +27,7 @@ void write_experiment_csv(const ExperimentResult& result, std::ostream& out);
 ExperimentResult read_experiment_csv(std::istream& in);
 
 /// File convenience wrappers; throw std::runtime_error when the file cannot
-/// be opened.
+/// be opened, or (reading) when it is malformed, naming the file.
 void write_experiment_csv_file(const ExperimentResult& result,
                                const std::string& path);
 ExperimentResult read_experiment_csv_file(const std::string& path);

@@ -99,14 +99,13 @@ class Simulation {
   /// non-join events resolve through it, joins append to it, and each
   /// outcome row names its subject by join index.  With a
   /// batch-capable strategy all network mutations are applied first and one
-  /// `on_batch` repairs the final graph (this coalesced repair is where
-  /// `BbbStrategy::Params::recolor_threads` engages: the batch's independent
-  /// dirty components recolor concurrently, bit-identical to serial);
-  /// otherwise events are delivered one at a time, bit-identical to calling
-  /// join/leave/move/change_power in
-  /// sequence.  References to out-of-range or departed entries throw
-  /// std::invalid_argument — callers wanting all-or-nothing semantics
-  /// validate before calling (serve::AssignmentEngine does).
+  /// `on_batch` repairs the final graph (for bounded BBB, one rank-bounded
+  /// propagation seeded by every dirty node of the batch); otherwise events
+  /// are delivered one at a time, bit-identical to calling
+  /// join/leave/move/change_power in sequence.  References to out-of-range
+  /// or departed entries throw std::invalid_argument — callers wanting
+  /// all-or-nothing semantics validate before calling
+  /// (serve::AssignmentEngine does).
   void apply_batch(std::span<const TraceEvent> events,
                    std::vector<net::NodeId>& by_join_order,
                    BatchResult& result);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <span>
-#include <thread>
 
 #include "net/conflict_graph.hpp"
 #include "util/require.hpp"
@@ -71,12 +70,7 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
   // rebuild_ranks.
   if (!orderer_.try_maintain_ranks(net, dirty_, joiners, reborn)) return false;
 
-  // Rank-ordered propagation (see propagate()).  Seeds are the live dirty
-  // nodes; with recolor_threads > 1 the seeds are first decomposed into
-  // independent closure components and propagated concurrently
-  // (parallel_propagate()), demoting to the single serial frontier when the
-  // closure is one region or outgrows the budget.  Either way the result is
-  // the same.
+  // Rank-ordered propagation from the live dirty nodes (see propagate()).
   if (++epoch_ == 0) {
     // Stamp wraparound: invalidate every slot once per 2^32 events.
     std::fill(event_color_epoch_.begin(), event_color_epoch_.end(), 0);
@@ -105,31 +99,21 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
       std::max<std::size_t>(
           32, static_cast<std::size_t>(params_.propagation_slack *
                                        static_cast<double>(live)));
-  std::size_t processed = 0;
-  changed_list_.clear();
-  bool absorbed = false;
-  if (resolved_recolor_threads() > 1 && live_dirty_.size() > 1)
-    absorbed = parallel_propagate(cg, budget, processed);
+  const bool absorbed = propagate(cg, budget);
+  counters_.processed_ranks += frontier_.processed;
   if (!absorbed) {
-    const auto rank_count =
-        static_cast<std::uint32_t>(orderer_.ranked_sequence().size());
-    if (!propagate(cg, live_dirty_, rank_count - 1, budget, frontier_)) {
-      // Clean bailout: nothing below mutated the assignment or snapshot.
-      ++counters_.slack_bailouts;
-      counters_.processed_ranks += frontier_.processed;
-      return false;
-    }
-    processed = frontier_.processed;
-    changed_list_.swap(frontier_.changed);
+    // Clean bailout: nothing below mutated the assignment or snapshot.
+    ++counters_.slack_bailouts;
+    return false;
   }
-  counters_.processed_ranks += processed;
 
   // Apply + report in ascending node order — the order the from-scratch
   // path emits — and roll the snapshot forward incrementally: departures
   // blank out, changed nodes take their propagated color, everyone else is
   // untouched (their greedy color provably equals the snapshot).
-  std::sort(changed_list_.begin(), changed_list_.end());
-  for (net::NodeId v : changed_list_) {
+  std::vector<net::NodeId>& changed = frontier_.changed;
+  std::sort(changed.begin(), changed.end());
+  for (net::NodeId v : changed) {
     const net::Color fresh = event_colors_[v];
     assignment.set_color(v, fresh);
     report.changes.push_back(core::Recode{v, snapshot_color(v), fresh});
@@ -195,20 +179,20 @@ void BbbStrategy::Frontier::clear() {
   }
 }
 
-bool BbbStrategy::propagate(const net::ConflictGraph& cg,
-                            std::span<const net::NodeId> seeds,
-                            std::uint32_t last_rank, std::size_t budget,
-                            Frontier& frontier) {
+bool BbbStrategy::propagate(const net::ConflictGraph& cg, std::size_t budget) {
+  Frontier& frontier = frontier_;
+  const std::vector<net::NodeId>& by_rank = orderer_.ranked_sequence();
+  const auto last_rank = static_cast<std::uint32_t>(by_rank.size() - 1);
   std::uint32_t first_rank = last_rank;
-  for (net::NodeId v : seeds) first_rank = std::min(first_rank, orderer_.rank(v));
+  for (net::NodeId v : live_dirty_)
+    first_rank = std::min(first_rank, orderer_.rank(v));
   frontier.reset(first_rank, last_rank);
-  for (net::NodeId v : seeds) frontier.push(orderer_.rank(v));
+  for (net::NodeId v : live_dirty_) frontier.push(orderer_.rank(v));
 
   // Pops come out in ascending rank, and pushes only ever target ranks past
   // the node being processed, so when a node recomputes its lowest-free
   // color every earlier-ranked neighbor's color is already final — and no
   // popped rank is ever pushed again.
-  const std::vector<net::NodeId>& by_rank = orderer_.ranked_sequence();
   std::uint32_t ru = 0;
   while (frontier.pop(ru)) {
     if (frontier.processed == budget) {
@@ -237,60 +221,6 @@ bool BbbStrategy::propagate(const net::ConflictGraph& cg,
     }
   }
   return true;
-}
-
-bool BbbStrategy::parallel_propagate(const net::ConflictGraph& cg,
-                                     std::size_t budget,
-                                     std::size_t& processed) {
-  // The closure walk caps at the budget: within the cap, the serial pass
-  // could pop at most |closure| ≤ budget nodes, so it can never hit its
-  // slack bailout — parallel and serial take the same decisions everywhere.
-  if (!components_.decompose(cg, orderer_.rank_index(), live_dirty_, budget) ||
-      components_.count() < 2) {
-    ++counters_.parallel_demotions;
-    return false;
-  }
-  const std::size_t count = components_.count();
-  ensure_pool();
-  if (comp_frontiers_.size() < count) comp_frontiers_.resize(count);
-  // Shared state discipline inside the fan-out: the epoch arrays are
-  // pre-sized (above) and each component writes only its own members' id
-  // slots; ranks, conflict rows, and the snapshot are read-only.  The
-  // parallel_for join publishes every write before the merge below.
-  pool_->parallel_for(count, [&](std::size_t c) {
-    // The component's bitmap spans its lowest seed rank to its highest
-    // member rank: every rank its propagation can reach.
-    std::uint32_t last_rank = 0;
-    for (net::NodeId v : components_.members(c))
-      last_rank = std::max(last_rank, orderer_.rank(v));
-    Frontier& frontier = comp_frontiers_[c];
-    const bool within =
-        propagate(cg, components_.seeds(c), last_rank, budget, frontier);
-    MINIM_REQUIRE(within, "parallel recolor: component exceeded the batch budget");
-  });
-  processed = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    const Frontier& frontier = comp_frontiers_[c];
-    processed += frontier.processed;
-    changed_list_.insert(changed_list_.end(), frontier.changed.begin(),
-                         frontier.changed.end());
-  }
-  ++counters_.parallel_events;
-  counters_.parallel_components += count;
-  return true;
-}
-
-std::size_t BbbStrategy::resolved_recolor_threads() const {
-  if (params_.recolor_threads != 0) return params_.recolor_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-void BbbStrategy::ensure_pool() {
-  if (pool_) return;
-  const std::size_t threads = resolved_recolor_threads();
-  pool_ = std::make_unique<util::ThreadPool>(
-      std::max<std::size_t>(1, threads - 1));
 }
 
 core::RecodeReport BbbStrategy::global_recolor(const net::AdhocNetwork& net,

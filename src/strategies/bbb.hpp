@@ -1,15 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/strategy.hpp"
 #include "strategies/coloring.hpp"
-#include "strategies/components.hpp"
 #include "strategies/ordering.hpp"
-#include "util/thread_pool.hpp"
 
 /// \file bbb.hpp
 /// \brief The BBB global baseline: recolor the whole network at every event.
@@ -52,29 +49,10 @@
 /// or any journal/drift fallback — runs the from-scratch path, which
 /// reseeds the rank index.
 ///
-/// ## Parallel recoloring (`Params::recolor_threads`)
-///
-/// A batch's dirty set often spans spatially distant regions whose
-/// propagations cannot interact.  With `recolor_threads > 1` the bounded
-/// path first decomposes the forward closure of the dirty seeds under
-/// rank-increasing conflict edges into connected components
-/// (strategies/components.hpp) and recolors each component on its own
-/// thread.  Components share no conflict edge inside the closure and edges
-/// leaving the closure reach only *earlier-ranked* colors — final for this
-/// event, read-only everywhere — so per-component propagation writes
-/// disjoint id slots of the shared epoch arrays, and the merged, id-sorted
-/// change list is bit-identical to the serial pass regardless of thread
-/// schedule.  The closure walk is capped at the propagation budget: a
-/// closure within the budget proves the serial pass could not have hit its
-/// slack bailout either, so threads=N and threads=1 take the *same*
-/// absorb/fallback decisions on every event.  Each component frontier's
-/// bitmap spans only its own ranks, from its lowest seed to its highest
-/// member.  Demotion ladder: closure cap exceeded or a single component →
-/// the serial frontier (this event stays bounded); serial
-/// budget/drift/journal refusals → the from-scratch path,
-/// exactly as before.  The fuzz harness in
-/// tests/strategies/bbb_parallel_fuzz_test.cpp holds parallel ≡ serial to
-/// bit-identical colors *and* maintained ranks across batched streams.
+/// A batch (`on_batch`) repairs once: every dirty node of the batch seeds
+/// the one frontier, and the budget is the sum of the batch's per-event
+/// budgets.  The repair runs on the calling thread, and far-apart dirty
+/// regions share that frontier's rank order.
 
 namespace minim::strategies {
 
@@ -98,11 +76,6 @@ class BbbStrategy final : public core::RecodingStrategy {
     /// The orderer's maintained-rank drift bound
     /// (`DegeneracyOrderer::Params::rank_rebuild_fraction`).
     double rank_rebuild_fraction = 0.25;
-    /// Component-parallel bounded recoloring: decompose the batch's dirty
-    /// closure into independent components and recolor them concurrently
-    /// (see the file comment).  1 = serial (default), 0 = one thread per
-    /// hardware core.  Results are bit-identical at every setting.
-    std::size_t recolor_threads = 1;
   };
 
   /// Where bounded-mode events went (all zero unless `bounded_propagation`).
@@ -113,10 +86,12 @@ class BbbStrategy final : public core::RecodingStrategy {
     std::uint64_t processed_ranks = 0; ///< frontier pops across bounded events
     std::uint64_t full_ranks = 0;      ///< live nodes walked by full events
     std::uint64_t slack_bailouts = 0;  ///< budget exceeded mid-propagation
-    // Component-parallel mode (zero unless `recolor_threads` resolves > 1).
-    std::uint64_t parallel_events = 0;      ///< repairs absorbed component-parallel
-    std::uint64_t parallel_components = 0;  ///< components recolored across them
-    std::uint64_t parallel_demotions = 0;   ///< attempts demoted to the serial frontier
+    // Always 0.  perfbench/src/main.cpp is their only reader; they go with
+    // perfbench's `kRecolorThreads` in the next benchmark change (ROADMAP
+    // item 1).
+    std::uint64_t parallel_events = 0;
+    std::uint64_t parallel_components = 0;
+    std::uint64_t parallel_demotions = 0;
   };
 
   explicit BbbStrategy(ColoringOrder order = ColoringOrder::kSmallestLast)
@@ -158,13 +133,10 @@ class BbbStrategy final : public core::RecodingStrategy {
   /// maintained rank sequence for the bounded-mode fuzz oracle).
   const DegeneracyOrderer& orderer() const { return orderer_; }
 
-  /// Re-targets `Params::recolor_threads` on a live strategy (the serving
-  /// layer's tuning hook).  Takes effect from the next event; the worker
-  /// pool is rebuilt lazily at the new size.
-  void set_recolor_threads(std::size_t threads) {
-    params_.recolor_threads = threads;
-    pool_.reset();
-  }
+  /// A no-op.  perfbench/src/harness.cpp is its only caller; it goes with
+  /// perfbench's `kRecolorThreads` in the next benchmark change (ROADMAP
+  /// item 1).
+  void set_recolor_threads(std::size_t /*threads*/) {}
 
  private:
   /// The coloring sequence of this event, served from the maintained
@@ -185,10 +157,8 @@ class BbbStrategy final : public core::RecodingStrategy {
                                     std::span<const net::NodeId> joiners = {},
                                     std::span<const net::NodeId> reborn = {});
 
-  /// One propagation frontier's working state: the pending ranks, the nodes
-  /// whose color changed, the free-color scratch, and the pop count.  The
-  /// serial path owns one (`frontier_`); the parallel path one per
-  /// component (`comp_frontiers_`) so threads never share frontier state.
+  /// The bounded path's propagation state: the pending ranks, the nodes
+  /// whose color changed, the free-color scratch, and the pop count.
   ///
   /// Pending ranks live in a two-level bitmap over the ranks from `base` on:
   /// one bit per rank in `words`, and one bit per word in `summary`, set
@@ -217,31 +187,13 @@ class BbbStrategy final : public core::RecodingStrategy {
     void clear();
   };
 
-  /// Propagation from `seeds` over the maintained ranks, writing event
-  /// colors into the shared epoch-stamped overlays.  `last_rank` bounds
-  /// every rank the propagation can reach.  Returns false when the pop
-  /// count would exceed `budget` (frontier state then reflects exactly
-  /// `budget` completed pops and no pending rank; the overlays carry
-  /// partial writes the caller must treat as abandoned).  Thread-safe
-  /// across *disjoint components*: all shared writes land at the frontier's
-  /// own member ids.
-  bool propagate(const net::ConflictGraph& cg, std::span<const net::NodeId> seeds,
-                 std::uint32_t last_rank, std::size_t budget, Frontier& frontier);
-
-  /// The component-parallel bounded pass: decompose `live_dirty_`'s forward
-  /// closure (cap = `budget`), recolor each component on the pool, merge
-  /// change lists into `changed_list_` and pop counts into `processed`.
-  /// Returns false — demoting to the serial frontier — when the closure
-  /// exceeds the budget or yields fewer than two components.
-  bool parallel_propagate(const net::ConflictGraph& cg, std::size_t budget,
-                          std::size_t& processed);
-
-  /// `Params::recolor_threads` with 0 resolved to the hardware core count.
-  std::size_t resolved_recolor_threads() const;
-  /// Lazily builds the worker pool sized for `resolved_recolor_threads()`
-  /// (the caller participates in `parallel_for`, so N-way concurrency needs
-  /// N-1 workers).
-  void ensure_pool();
+  /// Propagation from `live_dirty_` over the maintained ranks, writing
+  /// event colors into the epoch-stamped overlays and the changed nodes into
+  /// `frontier_.changed`.  Returns false when the pop count would exceed
+  /// `budget` (the frontier then reflects exactly `budget` completed pops
+  /// and no pending rank; the overlays carry partial writes the caller must
+  /// treat as abandoned).
+  bool propagate(const net::ConflictGraph& cg, std::size_t budget);
 
   /// The rank-bounded path (`Params::bounded_propagation`).  Returns false
   /// — without touching `assignment` — when the event can't be absorbed
@@ -293,20 +245,11 @@ class BbbStrategy final : public core::RecodingStrategy {
 
   // Rank-bounded propagation scratch.  The epoch stamp makes per-event
   // resets O(1): a slot belongs to this event iff its stamp equals epoch_.
-  // During a parallel pass the epoch arrays are shared across component
-  // threads, but each thread writes only its own component's id slots (the
-  // vectors are pre-sized before the fan-out, so no reallocation races).
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> event_color_epoch_;  ///< event_colors_[v] valid
   std::vector<net::Color> event_colors_;
-  std::vector<net::NodeId> live_dirty_;   ///< this event's live, ranked seeds
-  std::vector<net::NodeId> changed_list_; ///< merged changes, sorted for apply
-  Frontier frontier_;                     ///< the serial propagation frontier
-
-  // Component-parallel machinery (idle unless recolor_threads resolves > 1).
-  DirtyComponents components_;
-  std::vector<Frontier> comp_frontiers_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<net::NodeId> live_dirty_;  ///< this event's live, ranked seeds
+  Frontier frontier_;
 };
 
 }  // namespace minim::strategies

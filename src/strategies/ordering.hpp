@@ -132,12 +132,6 @@ class DegeneracyOrderer {
   /// slots.  `ranked_sequence()[rank(v)] == v` for every ranked v.
   const std::vector<net::NodeId>& ranked_sequence() const { return rank_seq_; }
 
-  /// The id-indexed rank span backing `rank()`: `kNoRank` marks departed/
-  /// never-ranked ids, and ids at or past the span's end are unranked.
-  /// Read-only view for the component decomposer (components.hpp);
-  /// invalidated by the next maintain/rebuild.
-  std::span<const std::uint32_t> rank_index() const { return rank_; }
-
   /// True when a maintained order exists for `net`'s conflict graph.
   bool ranks_maintained_for(const net::AdhocNetwork& net) const;
 

@@ -6,6 +6,8 @@
 //  * scale-out across machines: two --shard processes merged with --merge
 //    must save a per-trial CSV byte-identical to the single-process run;
 //  * --shard=i/k takes digits only: a sign or a blank exits 2;
+//  * --merge of a missing file, a truncated file or overlapping shards
+//    exits 2 and names the reason;
 //  * a flag the binary does not read exits 2 and writes nothing.
 
 #include <gtest/gtest.h>
@@ -133,6 +135,55 @@ TEST(BenchCsv, ShardArgumentsAreDigitsOnly) {
   fs::remove_all(dir);
 }
 
+TEST(BenchCsv, MergeOfABadShardSetExitsTwoWithTheReason) {
+  const fs::path dir = fs::temp_directory_path() / "minim_bench_merge_errors_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const std::string study = std::string(MINIM_BENCH_CDMA_DRIVE) +
+                            " --scenario=power --trials=6"
+                            " --axes=n:20,raise_factor:2.0"
+                            " --strategies=minim --threads=1";
+  const fs::path half = dir / "half.csv";
+  const fs::path third = dir / "third.csv";
+  const fs::path truncated = dir / "truncated.csv";
+  ASSERT_EQ(std::system((study + " --shard=0/2 --out=" + half.string() +
+                         " > /dev/null 2>&1")
+                            .c_str()),
+            0);
+  ASSERT_EQ(std::system((study + " --shard=0/3 --out=" + third.string() +
+                         " > /dev/null 2>&1")
+                            .c_str()),
+            0);
+  // The shard without its last trial row.
+  std::string text = read_file(half);
+  text.erase(text.rfind('\n', text.size() - 2) + 1);
+  std::ofstream(truncated) << text;
+
+  const fs::path missing = dir / "does_not_exist.csv";
+  const fs::path log = dir / "stderr.log";
+  const std::pair<std::string, std::string> cases[] = {
+      {missing.string(), "cannot open for reading: " + missing.string()},
+      {truncated.string(),
+       truncated.string() + ": read_experiment_csv: cell has 2 trials, "
+                            "expected 3 (truncated file?)"},
+      {half.string() + "," + third.string(),
+       "merge_shards: trial ranges leave a gap or overlap"}};
+  for (const auto& [shards, reason] : cases) {
+    const std::string command = std::string(MINIM_BENCH_CDMA_DRIVE) +
+                                " --merge=" + shards + " > /dev/null 2> " +
+                                log.string();
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    const std::string err = read_file(log);
+    EXPECT_EQ(err.rfind("cdma_drive: ", 0), 0u) << err;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+  }
+
+  fs::remove_all(dir);
+}
+
 TEST(BenchCsv, FlagsTheBinaryDoesNotReadExitTwo) {
   const fs::path dir = fs::temp_directory_path() / "minim_bench_flags_test";
   fs::remove_all(dir);
@@ -144,13 +195,15 @@ TEST(BenchCsv, FlagsTheBinaryDoesNotReadExitTwo) {
                             out.string() + " --csv-dir=" + dir.string();
   const fs::path log = dir / "stderr.log";
   // The flags of the old grid-study and scenario-sweep harnesses used to run
-  // the default join grid silently.  Each is named on stderr.
+  // the default join grid silently, and --recolor-threads left with the
+  // parallel recolor pass.  Each is named on stderr.
   const std::pair<const char*, const char*> cases[] = {
       {"--ns=30,40 --factors=2.0,4.0 --selfcheck=3", "--ns"},
       {"--n=50", "--n"},
       {"--churn-duration=200", "--churn-duration"},
       {"--serial-check", "--serial-check"},
       {"--serve --trials=2", "--trials"},
+      {"--serve --recolor-threads=2", "--recolor-threads"},
       {"stray.csv", "stray.csv"}};
   for (const auto& [flags, named] : cases) {
     const std::string command =

@@ -1,10 +1,13 @@
 // The bench-side selection logic the ablation/figure harnesses rely on:
 // list parsing, the --runs/--fast precedence of sweep_options_from, metric
-// selection in print_series' CSV output — plus an end-to-end run of the
-// real bench_ablations binary (path injected via MINIM_BENCH_ABLATIONS)
-// asserting every ablation section and variant row is selected and printed.
+// selection in print_series' CSV output — plus end-to-end runs of the real
+// harness binaries (directory injected via MINIM_BENCH_DIR): bench_ablations
+// selects and prints every ablation section and variant row, and every
+// harness exits 2 on a flag it does not read.
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../bench/bench_util.hpp"
@@ -266,17 +270,21 @@ TEST(BenchUtil, PrintSeriesSelectsTheRequestedMetric) {
   fs::remove_all(dir);
 }
 
-TEST(BenchAblations, EveryAblationSectionIsSelectedAndPrinted) {
-  const fs::path out = fs::temp_directory_path() / "minim_ablations_out.txt";
-  const std::string command = std::string(MINIM_BENCH_ABLATIONS) +
-                              " --runs=1 --threads=1 > " + out.string() +
-                              " 2>&1";
-  ASSERT_EQ(std::system(command.c_str()), 0) << command;
-
-  std::ifstream in(out);
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path);
   std::stringstream contents;
   contents << in.rdbuf();
-  const std::string text = contents.str();
+  return contents.str();
+}
+
+TEST(BenchAblations, EveryAblationSectionIsSelectedAndPrinted) {
+  const fs::path out = fs::temp_directory_path() / "minim_ablations_out.txt";
+  const std::string command = std::string(MINIM_BENCH_DIR) +
+                              "/bench_ablations --runs=1 --threads=1 > " +
+                              out.string() + " 2>&1";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+
+  const std::string text = read_text(out);
   for (const char* needle :
        {"A. Matching engine", "hungarian (paper)", "greedy 1/2-approx",
         "max-cardinality", "B. Old-color edge weight", "weight 3 (paper)",
@@ -285,6 +293,40 @@ TEST(BenchAblations, EveryAblationSectionIsSelectedAndPrinted) {
         "mover rejoins uncolored"})
     EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
   fs::remove(out);
+}
+
+TEST(BenchHarnesses, FlagsAHarnessDoesNotReadExitTwo) {
+  // A misspelt --check-factor used to run perf_trajectory's gate at the
+  // default 1.5 and print PASS.  Each harness names the flag on stderr and
+  // exits before doing any work, so stdout stays empty.
+  const fs::path out = fs::temp_directory_path() / "minim_harness_flags_out.txt";
+  const fs::path err = fs::temp_directory_path() / "minim_harness_flags_err.txt";
+  const std::pair<const char*, const char*> cases[] = {
+      {"perf_trajectory --runs=1 --trials=1 --check-factr=1000",
+       "--check-factr"},
+      {"fig10_join --run=2", "--run"},
+      {"fig10_join --runs=2 runs=2", "runs=2"},
+      {"fig11_power_increase --csv_dir=out", "--csv_dir"},
+      {"fig12_movement --trials=2", "--trials"},
+      {"ablations --runs=1 --sed=1", "--sed"},
+      {"large_n --smoke --check-rs=x.json", "--check-rs"},
+      {"protocol_overhead --runs=1 --threads=2", "--threads"},
+      {"serve_latency --smoke --recolor-threads=1,2", "--recolor-threads"},
+      {"steady_state_churn --runs=1 --arrival_rate=0.5", "--arrival_rate"}};
+  for (const auto& [args, named] : cases) {
+    const std::string command = std::string(MINIM_BENCH_DIR) + "/bench_" +
+                                args + " > " + out.string() + " 2> " +
+                                err.string();
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_NE(read_text(err).find(std::string("unexpected argument ") + named),
+              std::string::npos)
+        << command << "\n" << read_text(err);
+    EXPECT_EQ(read_text(out), "") << command;
+  }
+  fs::remove(out);
+  fs::remove(err);
 }
 
 }  // namespace

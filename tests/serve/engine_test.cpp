@@ -239,6 +239,124 @@ TEST(AssignmentEngine, ResetStartsAFreshSession) {
   EXPECT_EQ(apply_one(engine, join).outcomes.at(0).node, 0u);
 }
 
+/// A 4-cluster churn workload: clusters sit at distant corners, so a batch
+/// touching several clusters dirties disjoint regions.
+sim::Trace clustered_workload(std::size_t per_cluster, std::size_t churn,
+                              std::uint64_t seed) {
+  using Kind = sim::TraceEvent::Kind;
+  const double cx[] = {10.0, 90.0, 10.0, 90.0};
+  const double cy[] = {10.0, 10.0, 90.0, 90.0};
+  util::Rng rng(seed);
+  sim::Trace trace;
+  for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t i = 0; i < per_cluster; ++i) {
+      sim::TraceEvent e;
+      e.kind = Kind::kJoin;
+      e.position = {cx[c] + rng.uniform(-4.0, 4.0),
+                    cy[c] + rng.uniform(-4.0, 4.0)};
+      e.range = rng.uniform(4.0, 9.0);
+      trace.push_back(e);
+    }
+  }
+  for (std::size_t i = 0; i < churn; ++i) {
+    sim::TraceEvent e;
+    e.node = rng.below(4 * per_cluster);  // every join stays live
+    if (rng.chance(0.5)) {
+      e.kind = Kind::kPower;
+      e.range = rng.uniform(4.0, 9.0);
+    } else {
+      e.kind = Kind::kMove;
+      const std::size_t c = rng.below(4);
+      e.position = {cx[c] + rng.uniform(-4.0, 4.0),
+                    cy[c] + rng.uniform(-4.0, 4.0)};
+    }
+    trace.push_back(e);
+  }
+  return trace;
+}
+
+/// Applies `trace` in fixed-size batches; returns the receipts.
+std::vector<BatchReceipt> drive(AssignmentEngine& engine,
+                                const sim::Trace& trace, std::size_t batch) {
+  std::vector<BatchReceipt> receipts;
+  for (std::size_t at = 0; at < trace.size(); at += batch) {
+    const std::size_t take = std::min(batch, trace.size() - at);
+    receipts.push_back(engine.apply_batch({trace.data() + at, take}));
+  }
+  return receipts;
+}
+
+TEST(AssignmentEngine, InertRecolorThreadNamesServeSerially) {
+  // `AssignmentEngine::Params::recolor_threads`,
+  // `BbbStrategy::set_recolor_threads` and the `parallel_*` counters stay
+  // only for perfbench.  Setting them must change nothing.
+  strategies::BbbStrategy::Params bounded;
+  bounded.bounded_propagation = true;
+  // Keep every batch of the tight clusters on the bounded path.
+  bounded.full_recolor_fraction = 1.1;
+  bounded.propagation_slack = 1.0;
+  using strategies::ColoringOrder;
+  strategies::BbbStrategy reference_bbb(ColoringOrder::kSmallestLast, bounded);
+  strategies::BbbStrategy params_bbb(ColoringOrder::kSmallestLast, bounded);
+  strategies::BbbStrategy hook_bbb(ColoringOrder::kSmallestLast, bounded);
+  hook_bbb.set_recolor_threads(4);
+  AssignmentEngine::Params two_threads;
+  two_threads.recolor_threads = 2;
+  AssignmentEngine reference(reference_bbb);
+  AssignmentEngine with_params(params_bbb, two_threads);
+  AssignmentEngine with_hook(hook_bbb);
+
+  const sim::Trace trace = clustered_workload(12, 512, 7401);
+  const std::vector<BatchReceipt> want = drive(reference, trace, 64);
+  ASSERT_GT(reference_bbb.counters().bounded_events, 0u);
+  for (auto* engine : {&with_params, &with_hook}) {
+    const std::vector<BatchReceipt> got = drive(*engine, trace, 64);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].events, want[i].events) << "batch " << i;
+      EXPECT_EQ(got[i].recoded, want[i].recoded) << "batch " << i;
+      EXPECT_EQ(got[i].repairs, want[i].repairs) << "batch " << i;
+      EXPECT_EQ(got[i].coalesced, want[i].coalesced) << "batch " << i;
+      EXPECT_EQ(got[i].fallback, want[i].fallback) << "batch " << i;
+      EXPECT_EQ(got[i].max_color, want[i].max_color) << "batch " << i;
+      EXPECT_EQ(got[i].live_nodes, want[i].live_nodes) << "batch " << i;
+    }
+    for (std::size_t node = 0; node < reference.joined(); ++node)
+      EXPECT_EQ(engine->code_of(node), reference.code_of(node))
+          << "join index " << node;
+  }
+  for (const auto* bbb : {&reference_bbb, &params_bbb, &hook_bbb}) {
+    EXPECT_EQ(bbb->counters().parallel_events, 0u);
+    EXPECT_EQ(bbb->counters().parallel_components, 0u);
+    EXPECT_EQ(bbb->counters().parallel_demotions, 0u);
+  }
+}
+
+TEST(BatchParallelServe, OwnedStrategyByNameMatchesSerial) {
+  // The owned-by-name half of the guard above: an engine that builds
+  // "bbb-bounded" itself, with the inert `Params::recolor_threads` set,
+  // serves the final codes of a default engine.
+  const sim::Trace trace = clustered_workload(10, 256, 7402);
+
+  AssignmentEngine serial{std::string("bbb-bounded")};
+  AssignmentEngine::Params params;
+  params.recolor_threads = 2;
+  AssignmentEngine with_params("bbb-bounded", params);
+
+  drive(serial, trace, 128);
+  drive(with_params, trace, 128);
+
+  ASSERT_EQ(serial.joined(), with_params.joined());
+  EXPECT_EQ(serial.summary().max_color, with_params.summary().max_color);
+  for (std::size_t node = 0; node < serial.joined(); ++node) {
+    ASSERT_EQ(serial.is_live(node), with_params.is_live(node));
+    if (serial.is_live(node)) {
+      EXPECT_EQ(serial.code_of(node), with_params.code_of(node))
+          << "join index " << node;
+    }
+  }
+}
+
 TEST(AssignmentEngine, UnknownStrategyNameThrows) {
   EXPECT_THROW(AssignmentEngine{std::string("no-such-strategy")},
                std::invalid_argument);
