@@ -13,16 +13,20 @@
 //   --csv-dir=DIR  write <name>.csv series files into DIR
 //   --fast         shorthand for --runs=10 (CI smoke)
 // and, like every harness, exits 2 on a flag it does not read
-// (exit_on_unread_flags).
+// (exit_on_unread_flags).  A --csv-dir that cannot be written exits 2
+// before the run (exit_unless_writable).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "net/network.hpp"
 #include "sim/experiment.hpp"
@@ -95,6 +99,28 @@ inline void exit_on_unread_flags(const util::Options& options,
   if (!stray.empty()) std::exit(2);
 }
 
+/// Exits 2, naming `--flag` and `path` on stderr, unless `path` is a
+/// writable directory (`directory`) or a file that can be opened for
+/// writing; an empty `path` is an output nobody asked for.  The harnesses
+/// write their outputs after the whole run, so they check each path before
+/// any trial runs.  Creates nothing.
+inline void exit_unless_writable(const std::string& flag,
+                                 const std::string& path,
+                                 bool directory = false) {
+  if (path.empty()) return;
+  namespace fs = std::filesystem;
+  std::error_code error;
+  const fs::path target(path);
+  fs::path dir = directory ? target : target.parent_path();
+  if (dir.empty()) dir = ".";
+  bool ok = fs::is_directory(dir, error) && ::access(dir.c_str(), W_OK) == 0;
+  if (ok && !directory && fs::exists(target, error))
+    ok = !fs::is_directory(target, error) && ::access(target.c_str(), W_OK) == 0;
+  if (ok) return;
+  std::cerr << "--" << flag << ": cannot write to " << path << "\n";
+  std::exit(2);
+}
+
 /// The flags `sweep_options_from` and `print_series` read.
 inline const std::vector<std::string> kSweepFlags{"runs", "seed", "threads",
                                                   "csv-dir", "fast"};
@@ -135,6 +161,8 @@ inline std::vector<double> double_list_from(const util::Options& options,
   return values;
 }
 
+/// The sweep flags of a figure harness; exits 2 before the run on a
+/// --csv-dir that cannot be written.
 inline sim::SweepOptions sweep_options_from(const util::Options& options,
                                             std::vector<std::string> strategies) {
   sim::SweepOptions sweep;
@@ -143,6 +171,7 @@ inline sim::SweepOptions sweep_options_from(const util::Options& options,
   if (options.get_bool("fast", false)) sweep.runs = 10;
   sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   sweep.threads = options.get_count("threads", 0);
+  exit_unless_writable("csv-dir", options.get("csv-dir", ""), true);
   return sweep;
 }
 

@@ -54,7 +54,8 @@
 //   --max-batch=K       most events coalesced per engine batch (default 512)
 //
 // A flag the chosen mode (grid or --serve) does not read exits 2, as does a
-// positional argument outside --merge.
+// positional argument outside --merge, and so does an output path that
+// cannot be written, before any trial runs.
 //
 // Examples:
 //   cdma_drive --axes=n:40:80:120 --trials=200
@@ -252,6 +253,7 @@ int run_shard(const util::Options& options, const sim::Experiment& experiment,
   const std::string out = options.get(
       "out", "grid_shard_" + std::to_string(index) + "of" +
                  std::to_string(count) + ".csv");
+  bench::exit_unless_writable("out", out);
   sim::write_experiment_csv_file(experiment.run(slice), out);
   std::cout << "shard " << index << "/" << count << ": global trials ["
             << slice.trial_begin << ", " << slice.trial_begin + slice.trial_count
@@ -376,6 +378,9 @@ int main(int argc, char** argv) {
   }
   bench::exit_on_unread_flags(options, "cdma_drive", kGridFlags,
                               options.has("merge"));
+  bench::exit_unless_writable("save-experiment",
+                              options.get("save-experiment", ""));
+  bench::exit_unless_writable("csv-dir", options.get("csv-dir", ""), true);
   if (options.has("merge")) return run_merge(options);
 
   sim::ExperimentOptions run;

@@ -17,13 +17,13 @@
 //   --smoke            single capped stage (--smoke-n, default 10000) — the
 //                      CI-sized run
 //   --check-rss[=F]    compare each stage's peak RSS against the most
-//                      recent trajectory entry covering it; exit 1 when any
-//                      exceeds baseline * --rss-factor.  The CI memory gate
-//                      (Release only, alongside perf_trajectory --check).
-//   --check[=F]        wall-clock regression gate over the same measurement
-//                      names (churn stages included): exit 1 when any stage
-//                      exceeds its baseline * --check-factor.  Advisory in
-//                      CI, like perf_trajectory --check.
+//                      recent entry of F (default --out) covering it; exit 1
+//                      when any exceeds baseline * --rss-factor, or when no
+//                      stage had an RSS baseline (bench::check_measurements).
+//                      The CI memory gate, which blocks.
+//   --check[=F]        the same gate on wall clocks (churn stages included),
+//                      at --check-factor.  Advisory in CI, like
+//                      perf_trajectory --check.
 //   --churn            after each join stage, run a continuous-time
 //                      leave/move/power churn phase *on* the n-node network
 //                      (sim::run_churn seeded with `initial_nodes = n`,
@@ -38,7 +38,8 @@
 //                      rank-bounded recoloring ("-" for other strategies).
 //   --check-population[=T]  after churn stages, require every stage's final
 //                      population within T·n of n (default 0.25) and its
-//                      final assignment valid; exit 1 otherwise.  The CTest
+//                      final assignment valid; exit 1 otherwise.  T must
+//                      parse whole, like every number option.  The CTest
 //                      churn smoke runs this.
 //
 // Options:
@@ -266,23 +267,20 @@ int main(int argc, char** argv) {
   const std::string out_path = options.get("out", "BENCH_sweep.json");
   const bool append = options.get_bool("append", false);
   const bool check_rss = options.has("check-rss");
-  const std::string check_path =
-      options.get("check-rss", "") == "true" || options.get("check-rss", "").empty()
-          ? out_path
-          : options.get("check-rss", out_path);
   const double rss_factor = options.get_double("rss-factor", 1.5);
   const bool check_wall = options.has("check");
-  const std::string check_wall_raw = options.get("check", "");
-  const std::string check_wall_path =
-      check_wall_raw == "true" || check_wall_raw.empty() ? out_path
-                                                         : check_wall_raw;
   const double check_factor = options.get_double("check-factor", 1.5);
+  // --check-rss[=F] (which wins over --check) or --check[=F] gates against F,
+  // by default the --out file.
+  const std::string gate_raw = options.get(check_rss ? "check-rss" : "check", "");
+  const std::string gate_path =
+      gate_raw == "true" || gate_raw.empty() ? out_path : gate_raw;
   const bool check_population = options.has("check-population");
   const std::string population_raw = options.get("check-population", "");
   const double population_tolerance =
       population_raw == "true" || population_raw.empty()
           ? 0.25
-          : std::strtod(population_raw.c_str(), nullptr);
+          : options.get_double("check-population", 0.25);
   ChurnStageConfig churn_config;
   churn_config.enabled = options.get_bool("churn", false);
   churn_config.duration = options.get_double("churn-duration", 60.0);
@@ -291,11 +289,10 @@ int main(int argc, char** argv) {
   churn_config.power_rate = options.get_double("churn-power-rate", 0.002);
 
   std::vector<bench::TrajectoryEntry> trajectory = bench::load_trajectory(
-      check_rss ? check_path : (check_wall ? check_wall_path : out_path));
+      check_rss || check_wall ? gate_path : out_path);
   if ((check_rss || check_wall) && trajectory.empty()) {
     std::cerr << (check_rss ? "--check-rss" : "--check")
-              << ": no baseline entries in "
-              << (check_rss ? check_path : check_wall_path) << "\n";
+              << ": no baseline entries in " << gate_path << "\n";
     return 1;
   }
   if (append && trajectory.empty() && !bench::read_file(out_path).empty()) {
@@ -396,70 +393,16 @@ int main(int argc, char** argv) {
     if (!population_ok) return 1;
   }
 
-  if (check_rss) {
-    bool ok = true;
-    std::size_t compared = 0;
-    for (const bench::Measurement& m : measurements) {
-      const bench::TrajectoryEntry* entry =
-          bench::baseline_for(trajectory, m.name);
-      if (entry == nullptr) {
-        std::cout << "  " << m.name << ": no RSS baseline (skipped)\n";
-        continue;
-      }
-      double baseline = 0.0;
-      for (const bench::Measurement& b : entry->benchmarks)
-        if (b.name == m.name) baseline = b.peak_rss_mb;
-      if (baseline <= 0.0) {
-        std::cout << "  " << m.name << ": baseline has no RSS (skipped)\n";
-        continue;
-      }
-      ++compared;
-      const bool regressed = m.peak_rss_mb > baseline * rss_factor;
-      std::cout << "  " << m.name << ": " << util::fmt_fixed(m.peak_rss_mb, 1)
-                << " MB vs baseline \"" << entry->label << "\" "
-                << util::fmt_fixed(baseline, 1) << " MB"
-                << (regressed ? "  REGRESSION" : "") << "\n";
-      ok = ok && !regressed;
-    }
-    // Refuse a vacuous pass: a stage/placement absent from the trajectory
-    // must be recorded (--append), not waved through.
-    if (compared == 0) {
-      std::cout << "rss check: FAIL (no stage had an RSS baseline)\n";
-      return 1;
-    }
-    std::cout << (ok ? "rss check: PASS\n" : "rss check: FAIL\n");
-    return ok ? 0 : 1;
-  }
-
-  if (check_wall) {
-    std::cout << "checking wall clocks against " << check_wall_path
-              << " (factor " << util::fmt_fixed(check_factor, 2) << ")\n";
-    bool ok = true;
-    std::size_t compared = 0;
-    for (const bench::Measurement& m : measurements) {
-      const bench::TrajectoryEntry* entry =
-          bench::baseline_for(trajectory, m.name);
-      if (entry == nullptr) {
-        std::cout << "  " << m.name << ": no baseline (skipped)\n";
-        continue;
-      }
-      double baseline = 0.0;
-      for (const bench::Measurement& b : entry->benchmarks)
-        if (b.name == m.name) baseline = b.wall_s;
-      ++compared;
-      const bool regressed = m.wall_s > baseline * check_factor;
-      std::cout << "  " << m.name << ": " << util::fmt_fixed(m.wall_s, 2)
-                << " s vs baseline \"" << entry->label << "\" "
-                << util::fmt_fixed(baseline, 2) << " s"
-                << (regressed ? "  REGRESSION" : "") << "\n";
-      ok = ok && !regressed;
-    }
-    if (compared == 0) {
-      std::cout << "wall check: FAIL (no stage had a baseline)\n";
-      return 1;
-    }
-    std::cout << (ok ? "wall check: PASS\n" : "wall check: FAIL\n");
-    return ok ? 0 : 1;
+  if (check_rss || check_wall) {
+    const bench::GatedField& field =
+        check_rss ? bench::kPeakRss : bench::kWallClock;
+    const double factor = check_rss ? rss_factor : check_factor;
+    std::cout << "checking " << field.key << " against " << gate_path
+              << " (factor " << util::fmt_fixed(factor, 2) << ")\n";
+    const bench::CheckResult outcome = bench::check_measurements(
+        trajectory, measurements, field, factor,
+        check_rss ? "rss check" : "wall check");
+    return outcome.pass() ? 0 : 1;
   }
 
   if (append) {

@@ -1,24 +1,21 @@
 #pragma once
 
-// Shared I/O for BENCH_sweep.json — the append-only perf *trajectory*
-// (schema v2) that records each optimization's before/after.  Extracted from
-// perf_trajectory.cpp so the large-N harness appends to and gates against
-// the same file.
+// BENCH_sweep.json — the append-only perf *trajectory* (schema v2): labeled
+// entries, each holding one recorded run's measurements, so the committed
+// file shows each optimization's before/after.  bench_perf_trajectory and
+// bench_large_n append to it and gate against it through the one
+// comparator here, check_measurements.
 //
 // The file is machine-written by these harnesses only, so a tolerant scan
-// for the keys we emit is enough — no JSON library in the tree.  v3 of the
-// measurement record adds optional `peak_rss_mb` and `bytes_per_node`
-// fields (emitted only when set); readers of older files see them as 0.
-// The serving-latency harness (serve_latency.cpp) adds optional `p50_us`,
-// `p99_us`, `p999_us` and `events_per_s` under the same rule.
+// for the keys we emit is enough — no JSON library in the tree.  A record
+// holds `name` and `wall_s`, plus `peak_rss_mb` and `bytes_per_node` when
+// set; readers see an absent field as 0.
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/table.hpp"
@@ -30,11 +27,6 @@ struct Measurement {
   double wall_s = 0.0;
   double peak_rss_mb = 0.0;     ///< process VmHWM after the run; 0 = not recorded
   double bytes_per_node = 0.0;  ///< engine footprint / node count; 0 = not recorded
-  // Serving-latency fields (bench.serve.*); 0 = not recorded.
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double events_per_s = 0.0;
 };
 
 struct TrajectoryEntry {
@@ -108,33 +100,19 @@ inline std::vector<Measurement> scan_benchmarks(const std::string& text,
     m.wall_s = std::strtod(text.c_str() + wall + 9, nullptr);
     m.peak_rss_mb = scan_number(text, "peak_rss_mb", at, record_end);
     m.bytes_per_node = scan_number(text, "bytes_per_node", at, record_end);
-    m.p50_us = scan_number(text, "p50_us", at, record_end);
-    m.p99_us = scan_number(text, "p99_us", at, record_end);
-    m.p999_us = scan_number(text, "p999_us", at, record_end);
-    m.events_per_s = scan_number(text, "events_per_s", at, record_end);
     out.push_back(std::move(m));
     cursor = wall + 9;
   }
   return out;
 }
 
-/// Parses a trajectory file (v2) or a single-measurement v1 file (upgraded
-/// to one entry labeled "baseline").  Returns an empty list for missing or
+/// Parses a trajectory file.  Returns an empty list for missing or
 /// unrecognized files.
 inline std::vector<TrajectoryEntry> load_trajectory(const std::string& path) {
   const std::string text = read_file(path);
   std::vector<TrajectoryEntry> entries;
-  if (text.empty()) return entries;
-  const std::string schema = scan_string(text, "schema", 0, text.size());
-  if (schema == "minim-bench-trajectory-v1") {
-    TrajectoryEntry entry;
-    entry.label = "baseline";
-    entry.config_json = scan_object(text, "config", 0, text.size());
-    entry.benchmarks = scan_benchmarks(text, 0, text.size());
-    entries.push_back(std::move(entry));
+  if (scan_string(text, "schema", 0, text.size()) != "minim-bench-trajectory-v2")
     return entries;
-  }
-  if (schema != "minim-bench-trajectory-v2") return entries;
   std::size_t cursor = text.find("\"entries\":");
   while (cursor != std::string::npos) {
     const std::size_t at = text.find("\"label\":", cursor);
@@ -167,14 +145,6 @@ inline void write_trajectory(std::ostream& out,
         out << ", \"peak_rss_mb\": " << util::fmt_fixed(m.peak_rss_mb, 1);
       if (m.bytes_per_node > 0.0)
         out << ", \"bytes_per_node\": " << util::fmt_fixed(m.bytes_per_node, 1);
-      if (m.p50_us > 0.0)
-        out << ", \"p50_us\": " << util::fmt_fixed(m.p50_us, 2);
-      if (m.p99_us > 0.0)
-        out << ", \"p99_us\": " << util::fmt_fixed(m.p99_us, 2);
-      if (m.p999_us > 0.0)
-        out << ", \"p999_us\": " << util::fmt_fixed(m.p999_us, 2);
-      if (m.events_per_s > 0.0)
-        out << ", \"events_per_s\": " << util::fmt_fixed(m.events_per_s, 0);
       out << "}" << (i + 1 < entry.benchmarks.size() ? "," : "") << "\n";
     }
     out << "      ]\n    }" << (e + 1 < entries.size() ? "," : "") << "\n";
@@ -194,54 +164,35 @@ inline const TrajectoryEntry* baseline_for(const std::vector<TrajectoryEntry>& e
   return nullptr;
 }
 
-/// True when `entry` was recorded on a single-core machine (the recorder
-/// annotates its config with `"single_core": true`).  Such entries carry no
-/// meaningful "@tN" scaling measurements — hardware_concurrency() == 1
-/// collapses the threads sweep to the serial column — so scaling gates must
-/// skip them rather than compare against a degenerate baseline.
-inline bool entry_single_core(const TrajectoryEntry& entry) {
-  const std::size_t at = entry.config_json.find("\"single_core\":");
-  if (at == std::string::npos) return false;
-  const std::size_t value = entry.config_json.find_first_not_of(
-      " \t", at + std::string("\"single_core\":").size());
-  return value != std::string::npos &&
-         entry.config_json.compare(value, 4, "true") == 0;
-}
+/// A field a gate compares, with its record key and how to print it.
+struct GatedField {
+  double Measurement::*value;
+  const char* key;
+  const char* unit;
+  int digits;
+};
+inline constexpr GatedField kWallClock{&Measurement::wall_s, "wall_s", "s", 2};
+inline constexpr GatedField kPeakRss{&Measurement::peak_rss_mb, "peak_rss_mb",
+                                     "MB", 1};
 
 /// Outcome of one `check_measurements` run.
 struct CheckResult {
-  bool ok = true;          ///< no compared measurement regressed
+  bool ok = true;  ///< no compared measurement regressed
   std::size_t compared = 0;
-  /// Baseline existed but a rule suppressed the comparison (single-core
-  /// scaling baselines, hardware-mismatched throughput baselines).  Kept
-  /// separate from "no baseline" so callers can distinguish "everything
-  /// legitimately skipped" from "the gate compared nothing at all".
-  std::size_t skipped = 0;
 
-  /// A gate that compared nothing gates nothing — fail unless every miss
-  /// was a legitimate rule-based skip.
-  bool pass() const { return ok && (compared > 0 || skipped > 0); }
+  /// A gate that compared nothing gates nothing, so it fails.
+  bool pass() const { return ok && compared > 0; }
 };
 
-/// The shared regression gate: compares `measurements` against the most
-/// recent trajectory entry covering each name.
-///
-///   * wall_s regresses when measured > baseline * factor;
-///   * events_per_s (throughput) regresses when measured < baseline / factor
-///     — a throughput COLLAPSE, not just wall-clock noise;
-///   * "@tN" scaling names skip single-core baselines (the baseline's
-///     threads sweep collapsed to the serial column);
-///   * throughput comparisons skip when the baseline's single-core
-///     annotation disagrees with this machine — events/s across different
-///     core counts measures the hardware, not the code.
-///
-/// Logs one line per measurement to `log` in the established --check style.
+/// The regression gate.  Each measurement's baseline is the most recent
+/// entry of `trajectory` covering its name; it regresses when its `field`
+/// exceeds the baseline's times `factor`.  A measurement without a
+/// baseline, or whose baseline does not record `field`, is skipped.  Logs
+/// one line per measurement and then "<gate>: PASS" or "<gate>: FAIL".
 inline CheckResult check_measurements(
     const std::vector<TrajectoryEntry>& trajectory,
-    const std::vector<Measurement>& measurements, double factor,
-    std::ostream& log = std::cout) {
-  const bool this_machine_single_core =
-      std::thread::hardware_concurrency() <= 1;
+    const std::vector<Measurement>& measurements, const GatedField& field,
+    double factor, const std::string& gate, std::ostream& log = std::cout) {
   CheckResult result;
   for (const Measurement& m : measurements) {
     const TrajectoryEntry* entry = baseline_for(trajectory, m.name);
@@ -249,41 +200,26 @@ inline CheckResult check_measurements(
       log << "  " << m.name << ": no baseline (skipped)\n";
       continue;
     }
-    if (m.name.find("@t") != std::string::npos && entry_single_core(*entry)) {
+    double baseline = 0.0;
+    for (const Measurement& b : entry->benchmarks)
+      if (b.name == m.name) baseline = b.*field.value;
+    if (baseline <= 0.0) {
       log << "  " << m.name << ": baseline \"" << entry->label
-          << "\" was recorded single-core (scaling comparison skipped)\n";
-      ++result.skipped;
-      continue;
-    }
-    const auto ref =
-        std::find_if(entry->benchmarks.begin(), entry->benchmarks.end(),
-                     [&m](const Measurement& b) { return b.name == m.name; });
-    const bool gate_throughput = m.events_per_s > 0.0 && ref->events_per_s > 0.0;
-    if (gate_throughput &&
-        entry_single_core(*entry) != this_machine_single_core) {
-      log << "  " << m.name << ": baseline \"" << entry->label
-          << "\" core count differs from this machine (throughput comparison "
-             "skipped)\n";
-      ++result.skipped;
+          << "\" has no " << field.key << " (skipped)\n";
       continue;
     }
     ++result.compared;
-    bool regressed = false;
-    if (gate_throughput) {
-      regressed = m.events_per_s < ref->events_per_s / factor;
-      log << "  " << m.name << ": " << util::fmt_fixed(m.events_per_s, 0)
-          << " ev/s vs baseline \"" << entry->label << "\" "
-          << util::fmt_fixed(ref->events_per_s, 0) << " ev/s"
-          << (regressed ? "  REGRESSION" : "") << "\n";
-    } else {
-      regressed = m.wall_s > ref->wall_s * factor;
-      log << "  " << m.name << ": " << util::fmt_fixed(m.wall_s, 2)
-          << " s vs baseline \"" << entry->label << "\" "
-          << util::fmt_fixed(ref->wall_s, 2) << " s"
-          << (regressed ? "  REGRESSION" : "") << "\n";
-    }
+    const double measured = m.*field.value;
+    const bool regressed = measured > baseline * factor;
+    log << "  " << m.name << ": " << util::fmt_fixed(measured, field.digits)
+        << " " << field.unit << " vs baseline \"" << entry->label << "\" "
+        << util::fmt_fixed(baseline, field.digits) << " " << field.unit
+        << (regressed ? "  REGRESSION" : "") << "\n";
     result.ok = result.ok && !regressed;
   }
+  log << gate << ": " << (result.pass() ? "PASS" : "FAIL")
+      << (result.compared == 0 ? " (no measurement had a baseline)" : "")
+      << "\n";
   return result;
 }
 

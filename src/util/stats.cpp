@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/require.hpp"
 
 namespace minim::util {
 
@@ -21,23 +18,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -48,107 +28,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::stderror() const {
   if (n_ < 2) return 0.0;
   return stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-double quantile_sorted(std::span<const double> sorted, double q) {
-  MINIM_REQUIRE(!sorted.empty(), "quantile of empty sample");
-  MINIM_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-Summary Summary::of(std::span<const double> xs) {
-  Summary s;
-  if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  RunningStats rs;
-  for (double x : sorted) rs.add(x);
-  s.count = rs.count();
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = quantile_sorted(sorted, 0.25);
-  s.median = quantile_sorted(sorted, 0.50);
-  s.p75 = quantile_sorted(sorted, 0.75);
-  return s;
-}
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " mean=" << mean << " sd=" << stddev << " min=" << min
-     << " p50=" << median << " max=" << max;
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  MINIM_REQUIRE(hi > lo, "histogram range must be non-empty");
-  MINIM_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // float edge case at hi
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::quantile(double q) const {
-  MINIM_REQUIRE(q >= 0.0 && q <= 1.0, "quantile wants q in [0, 1]");
-  if (total_ == 0) return 0.0;
-  // The ceil(q * total)-th smallest sample, clamped to a real rank; walk
-  // the cumulative counts with underflow before and overflow after the
-  // in-range buckets.
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  rank = std::max<std::uint64_t>(1, std::min(rank, total_));
-  if (rank <= underflow_) return lo_;
-  std::uint64_t seen = underflow_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (rank <= seen + counts_[i]) {
-      // Interpolate at the rank's position within the bucket (sample
-      // centers, so a uniformly filled bucket reports its middle).
-      const double within = (static_cast<double>(rank - seen) - 0.5) /
-                            static_cast<double>(counts_[i]);
-      return bucket_lo(i) + width_ * within;
-    }
-    seen += counts_[i];
-  }
-  return hi_;  // the rank lands in the overflow counter
-}
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                              static_cast<double>(peak) *
-                                              static_cast<double>(bar_width));
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i) + width_ << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  if (underflow_ != 0) os << "underflow " << underflow_ << "\n";
-  if (overflow_ != 0) os << "overflow " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace minim::util

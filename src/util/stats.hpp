@@ -1,13 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
 
 /// \file stats.hpp
-/// \brief Streaming and batch descriptive statistics for experiment metrics.
+/// \brief Streaming descriptive statistics for experiment metrics.
 ///
 /// Every plotted point in the paper is "the average of the metric measured
 /// over 100 runs"; `RunningStats` accumulates those runs with Welford's
@@ -21,9 +17,6 @@ namespace minim::util {
 class RunningStats {
  public:
   void add(double x);
-
-  /// Merges another accumulator (parallel reduction; Chan et al. update).
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -43,63 +36,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Batch summary of a sample vector (quantiles require a copy + sort).
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double max = 0.0;
-
-  /// Computes all fields from `xs`; empty input yields an all-zero summary.
-  static Summary of(std::span<const double> xs);
-
-  /// One-line human-readable rendering, e.g. for log output.
-  std::string to_string() const;
-};
-
-/// Linear interpolation quantile (type-7, the numpy/R default).
-/// `q` in [0,1]; `sorted` must be ascending and non-empty.
-double quantile_sorted(std::span<const double> sorted, double q);
-
-/// Simple fixed-width bucket histogram, for exploratory output.
-class Histogram {
- public:
-  /// Buckets [lo, hi) split into `buckets` equal cells plus under/overflow.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t count_in_bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-  /// Inclusive lower edge of bucket `i`.
-  double bucket_lo(std::size_t i) const;
-
-  /// Value at quantile `q` in [0, 1] over everything recorded: the bucket
-  /// holding the ceil(q * total)-th smallest sample, linearly interpolated
-  /// within the bucket.  Underflow samples count at `lo`, overflow at `hi`
-  /// (the histogram does not know their real values).  Returns 0 for an
-  /// empty histogram; throws std::invalid_argument for q outside [0, 1].
-  double quantile(double q) const;
-
-  /// ASCII rendering with proportional bars (for example programs).
-  std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace minim::util

@@ -1,9 +1,12 @@
-// The bench-side selection logic the ablation/figure harnesses rely on:
-// list parsing, the --runs/--fast precedence of sweep_options_from, metric
-// selection in print_series' CSV output — plus end-to-end runs of the real
-// harness binaries (directory injected via MINIM_BENCH_DIR): bench_ablations
-// selects and prints every ablation section and variant row, and every
-// harness exits 2 on a flag it does not read.
+// The bench-side logic the harnesses rely on: the BENCH_sweep.json reader
+// and writer (the committed file round-trips byte for byte) and its one
+// regression gate, list parsing, the --runs/--fast precedence of
+// sweep_options_from, metric selection in print_series' CSV output — plus
+// end-to-end runs of the real harness binaries (directory injected via
+// MINIM_BENCH_DIR): bench_ablations selects and prints every ablation
+// section and variant row, every harness exits 2 on a flag it does not
+// read, an unwritable output exits 2 before the run, and bench_large_n
+// parses its population tolerance whole.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,58 +40,35 @@ Options options_from(std::vector<std::string> args) {
   return Options(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(BenchTrajectory, EntrySingleCoreParsesTheAnnotation) {
-  minim::bench::TrajectoryEntry entry;
-  EXPECT_FALSE(minim::bench::entry_single_core(entry));  // no config at all
-
-  entry.config_json = R"({"runs": 2, "threads": [1], "seed": 2001})";
-  EXPECT_FALSE(minim::bench::entry_single_core(entry));
-
-  entry.config_json =
-      R"({"runs": 2, "threads": [1], "seed": 2001, "single_core": true})";
-  EXPECT_TRUE(minim::bench::entry_single_core(entry));
-
-  entry.config_json = R"({"single_core": false})";
-  EXPECT_FALSE(minim::bench::entry_single_core(entry));
-
-  // Whitespace after the colon must not defeat the scan.
-  entry.config_json = "{\"single_core\":   true}";
-  EXPECT_TRUE(minim::bench::entry_single_core(entry));
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
 }
 
-TEST(BenchTrajectory, SingleCoreAnnotationRoundTripsThroughTheFile) {
-  minim::bench::TrajectoryEntry entry;
-  entry.label = "one-core";
-  entry.config_json = R"({"runs": 1, "single_core": true})";
-  entry.benchmarks.push_back({"bench.x@t4", 1.0, 0.0, 0.0});
-  std::ostringstream out;
-  minim::bench::write_trajectory(out, {entry});
-
-  const fs::path path =
-      fs::temp_directory_path() / "minim_single_core_roundtrip.json";
-  {
-    std::ofstream file(path);
-    file << out.str();
-  }
-  const auto loaded = minim::bench::load_trajectory(path.string());
-  fs::remove(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(minim::bench::entry_single_core(loaded[0]));
-  const auto* baseline = minim::bench::baseline_for(loaded, "bench.x@t4");
-  ASSERT_NE(baseline, nullptr);
-  EXPECT_EQ(baseline->label, "one-core");
+TEST(BenchTrajectory, TheCommittedFileRoundTripsByteForByte) {
+  // `--append` loads the trajectory and writes it back with one more entry,
+  // so a field the reader drops would vanish from the committed file.
+  const std::string committed = read_text(MINIM_BENCH_SWEEP);
+  const auto entries = minim::bench::load_trajectory(MINIM_BENCH_SWEEP);
+  ASSERT_FALSE(entries.empty());
+  std::ostringstream rewritten;
+  minim::bench::write_trajectory(rewritten, entries);
+  EXPECT_EQ(rewritten.str(), committed);
 }
 
 using minim::bench::check_measurements;
 using minim::bench::CheckResult;
+using minim::bench::kPeakRss;
+using minim::bench::kWallClock;
 using minim::bench::Measurement;
 using minim::bench::TrajectoryEntry;
 
-TrajectoryEntry entry_with(std::string label, std::string config,
-                           std::vector<Measurement> benchmarks) {
+TrajectoryEntry entry_with(std::string label, std::vector<Measurement> benchmarks) {
   TrajectoryEntry entry;
   entry.label = std::move(label);
-  entry.config_json = std::move(config);
+  entry.config_json = "{}";
   entry.benchmarks = std::move(benchmarks);
   return entry;
 }
@@ -101,112 +80,86 @@ Measurement wall_of(const std::string& name, double wall_s) {
   return m;
 }
 
-Measurement rate_of(const std::string& name, double events_per_s) {
-  Measurement m;
-  m.name = name;
-  m.wall_s = 1.0;
-  m.events_per_s = events_per_s;
+Measurement rss_of(const std::string& name, double peak_rss_mb) {
+  Measurement m = wall_of(name, 1.0);
+  m.peak_rss_mb = peak_rss_mb;
   return m;
-}
-
-/// A config whose single-core annotation MATCHES this machine, so
-/// throughput comparisons against it are allowed to proceed.
-std::string matched_config() {
-  return std::thread::hardware_concurrency() <= 1 ? R"({"single_core": true})"
-                                                  : R"({"seed": 1})";
-}
-
-/// The opposite annotation: throughput gates must skip this baseline.
-std::string mismatched_config() {
-  return std::thread::hardware_concurrency() <= 1 ? R"({"seed": 1})"
-                                                  : R"({"single_core": true})";
 }
 
 TEST(BenchCheck, WallClockGateFlagsSlowdowns) {
   const std::vector<TrajectoryEntry> trajectory{
-      entry_with("base", "{}", {wall_of("bench.a", 1.0)})};
+      entry_with("base", {wall_of("bench.a", 1.0)})};
   std::ostringstream log;
-  const CheckResult slow =
-      check_measurements(trajectory, {wall_of("bench.a", 2.0)}, 1.5, log);
+  const CheckResult slow = check_measurements(
+      trajectory, {wall_of("bench.a", 2.0)}, kWallClock, 1.5, "perf check", log);
   EXPECT_FALSE(slow.ok);
   EXPECT_FALSE(slow.pass());
   EXPECT_EQ(slow.compared, 1u);
   EXPECT_NE(log.str().find("REGRESSION"), std::string::npos);
+  EXPECT_NE(log.str().find("perf check: FAIL\n"), std::string::npos);
 
-  const CheckResult fine =
-      check_measurements(trajectory, {wall_of("bench.a", 1.4)}, 1.5, log);
-  EXPECT_TRUE(fine.pass());
-}
-
-TEST(BenchCheck, ThroughputGateFlagsCollapseNotWallClock) {
-  // The baseline annotation matches this machine, so the events/s
-  // comparison runs: 400 < 1000 / 2 regresses, 600 does not — and a
-  // throughput record's wall clock is never compared (it measures the same
-  // run from the other side).
-  const std::vector<TrajectoryEntry> trajectory{
-      entry_with("base", matched_config(), {rate_of("bench.rate", 1000.0)})};
-  std::ostringstream log;
-  const CheckResult collapsed =
-      check_measurements(trajectory, {rate_of("bench.rate", 400.0)}, 2.0, log);
-  EXPECT_FALSE(collapsed.ok);
-  EXPECT_EQ(collapsed.compared, 1u);
-
-  Measurement slower_but_fast_enough = rate_of("bench.rate", 600.0);
-  slower_but_fast_enough.wall_s = 100.0;  // would fail a wall gate
   const CheckResult fine = check_measurements(
-      trajectory, {slower_but_fast_enough}, 2.0, log);
+      trajectory, {wall_of("bench.a", 1.4)}, kWallClock, 1.5, "perf check", log);
   EXPECT_TRUE(fine.pass());
+  EXPECT_NE(log.str().find("perf check: PASS\n"), std::string::npos);
 }
 
-TEST(BenchCheck, ScalingNamesSkipSingleCoreBaselines) {
-  const std::vector<TrajectoryEntry> trajectory{entry_with(
-      "one-core", R"({"single_core": true})", {wall_of("bench.a@t8", 9.0)})};
+TEST(BenchCheck, PeakRssGateSkipsBaselinesWithoutRss) {
+  // "bench.b"'s latest baseline records no RSS, so it is skipped rather
+  // than compared against 0; "bench.a" still gates the run.
+  const std::vector<TrajectoryEntry> trajectory{
+      entry_with("old", {rss_of("bench.b", 10.0)}),
+      entry_with("new", {rss_of("bench.a", 100.0), wall_of("bench.b", 1.0)})};
   std::ostringstream log;
-  const CheckResult outcome =
-      check_measurements(trajectory, {wall_of("bench.a@t8", 1000.0)}, 1.5, log);
-  EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 1u);
-  EXPECT_TRUE(outcome.pass()) << "a rule-based skip is not a failure";
-  EXPECT_NE(log.str().find("scaling comparison skipped"), std::string::npos);
-}
+  const CheckResult grown = check_measurements(
+      trajectory, {rss_of("bench.a", 151.0), rss_of("bench.b", 1000.0)},
+      kPeakRss, 1.5, "rss check", log);
+  EXPECT_EQ(grown.compared, 1u);
+  EXPECT_FALSE(grown.pass());
+  EXPECT_NE(log.str().find("bench.a: 151.0 MB vs baseline \"new\" 100.0 MB"
+                           "  REGRESSION"),
+            std::string::npos)
+      << log.str();
+  EXPECT_NE(log.str().find("bench.b: baseline \"new\" has no peak_rss_mb "
+                           "(skipped)"),
+            std::string::npos)
+      << log.str();
 
-TEST(BenchCheck, ThroughputSkipsHardwareMismatchedBaselines) {
-  // events/s across different core counts measures the machine, not the
-  // code: the mismatched baseline is skipped even though the measured rate
-  // collapsed.
-  const std::vector<TrajectoryEntry> trajectory{entry_with(
-      "elsewhere", mismatched_config(), {rate_of("bench.rate", 1000.0)})};
-  std::ostringstream log;
-  const CheckResult outcome =
-      check_measurements(trajectory, {rate_of("bench.rate", 1.0)}, 1.5, log);
-  EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 1u);
-  EXPECT_TRUE(outcome.pass());
-  EXPECT_NE(log.str().find("throughput comparison "), std::string::npos);
+  // Every baseline lacks RSS: the gate compared nothing, so it fails.
+  std::ostringstream none;
+  const CheckResult vacuous = check_measurements(
+      trajectory, {rss_of("bench.b", 1.0)}, kPeakRss, 1.5, "rss check", none);
+  EXPECT_TRUE(vacuous.ok);
+  EXPECT_EQ(vacuous.compared, 0u);
+  EXPECT_FALSE(vacuous.pass());
+  EXPECT_NE(none.str().find("rss check: FAIL (no measurement had a baseline)"),
+            std::string::npos)
+      << none.str();
 }
 
 TEST(BenchCheck, AGateThatComparedNothingFails) {
   std::ostringstream log;
   const CheckResult outcome = check_measurements(
-      {entry_with("base", "{}", {wall_of("bench.other", 1.0)})},
-      {wall_of("bench.a", 1.0)}, 1.5, log);
+      {entry_with("base", {wall_of("bench.other", 1.0)})},
+      {wall_of("bench.a", 1.0)}, kWallClock, 1.5, "perf check", log);
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.compared, 0u);
-  EXPECT_EQ(outcome.skipped, 0u);
   EXPECT_FALSE(outcome.pass()) << "no baseline anywhere must not pass vacuously";
   EXPECT_NE(log.str().find("no baseline (skipped)"), std::string::npos);
+  EXPECT_NE(log.str().find("perf check: FAIL (no measurement had a baseline)"),
+            std::string::npos);
 }
 
 TEST(BenchCheck, TheMostRecentCoveringEntryIsTheBaseline) {
   const std::vector<TrajectoryEntry> trajectory{
-      entry_with("old", "{}", {wall_of("bench.a", 100.0)}),
-      entry_with("new", "{}", {wall_of("bench.a", 1.0)}),
-      entry_with("unrelated", "{}", {wall_of("bench.b", 1.0)})};
+      entry_with("old", {wall_of("bench.a", 100.0)}),
+      entry_with("new", {wall_of("bench.a", 1.0)}),
+      entry_with("unrelated", {wall_of("bench.b", 1.0)})};
   std::ostringstream log;
   // 2.0 s passes against the old baseline but regresses against the new
   // one; the gate must pick "new".
-  const CheckResult outcome =
-      check_measurements(trajectory, {wall_of("bench.a", 2.0)}, 1.5, log);
+  const CheckResult outcome = check_measurements(
+      trajectory, {wall_of("bench.a", 2.0)}, kWallClock, 1.5, "perf check", log);
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(log.str().find("baseline \"new\""), std::string::npos);
 }
@@ -270,40 +223,51 @@ TEST(BenchUtil, PrintSeriesSelectsTheRequestedMetric) {
   fs::remove_all(dir);
 }
 
-std::string read_text(const fs::path& path) {
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
+/// One run of a harness binary (`args` starts with its name, less the
+/// "bench_" prefix): its wait status and what it wrote to stdout and stderr.
+struct HarnessRun {
+  int status = 0;
+  std::string out;
+  std::string err;
+};
+
+HarnessRun run_harness(const std::string& args) {
+  // Named after the running test: CTest runs the cases in parallel.
+  const std::string test =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  const fs::path out = fs::temp_directory_path() / ("minim_" + test + ".out");
+  const fs::path err = fs::temp_directory_path() / ("minim_" + test + ".err");
+  const std::string command = std::string(MINIM_BENCH_DIR) + "/bench_" + args +
+                              " > " + out.string() + " 2> " + err.string();
+  HarnessRun run;
+  run.status = std::system(command.c_str());
+  run.out = read_text(out);
+  run.err = read_text(err);
+  fs::remove(out);
+  fs::remove(err);
+  return run;
 }
 
 TEST(BenchAblations, EveryAblationSectionIsSelectedAndPrinted) {
-  const fs::path out = fs::temp_directory_path() / "minim_ablations_out.txt";
-  const std::string command = std::string(MINIM_BENCH_DIR) +
-                              "/bench_ablations --runs=1 --threads=1 > " +
-                              out.string() + " 2>&1";
-  ASSERT_EQ(std::system(command.c_str()), 0) << command;
-
-  const std::string text = read_text(out);
+  const HarnessRun run = run_harness("ablations --runs=1 --threads=1");
+  ASSERT_EQ(run.status, 0) << run.err;
   for (const char* needle :
        {"A. Matching engine", "hungarian (paper)", "greedy 1/2-approx",
         "max-cardinality", "B. Old-color edge weight", "weight 3 (paper)",
         "C. CP variants", "D. BBB coloring order",
         "E. Minim move semantics", "mover keeps preference",
         "mover rejoins uncolored"})
-    EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
-  fs::remove(out);
+    EXPECT_NE(run.out.find(needle), std::string::npos) << "missing: " << needle;
 }
 
 TEST(BenchHarnesses, FlagsAHarnessDoesNotReadExitTwo) {
   // A misspelt --check-factor used to run perf_trajectory's gate at the
   // default 1.5 and print PASS.  Each harness names the flag on stderr and
   // exits before doing any work, so stdout stays empty.
-  const fs::path out = fs::temp_directory_path() / "minim_harness_flags_out.txt";
-  const fs::path err = fs::temp_directory_path() / "minim_harness_flags_err.txt";
   const std::pair<const char*, const char*> cases[] = {
       {"perf_trajectory --runs=1 --trials=1 --check-factr=1000",
        "--check-factr"},
+      {"perf_trajectory --runs=1 --trials=1 --threads=1", "--threads"},
       {"fig10_join --run=2", "--run"},
       {"fig10_join --runs=2 runs=2", "runs=2"},
       {"fig11_power_increase --csv_dir=out", "--csv_dir"},
@@ -311,22 +275,62 @@ TEST(BenchHarnesses, FlagsAHarnessDoesNotReadExitTwo) {
       {"ablations --runs=1 --sed=1", "--sed"},
       {"large_n --smoke --check-rs=x.json", "--check-rs"},
       {"protocol_overhead --runs=1 --threads=2", "--threads"},
-      {"serve_latency --smoke --recolor-threads=1,2", "--recolor-threads"},
       {"steady_state_churn --runs=1 --arrival_rate=0.5", "--arrival_rate"}};
   for (const auto& [args, named] : cases) {
-    const std::string command = std::string(MINIM_BENCH_DIR) + "/bench_" +
-                                args + " > " + out.string() + " 2> " +
-                                err.string();
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << command;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
-    EXPECT_NE(read_text(err).find(std::string("unexpected argument ") + named),
+    const HarnessRun run = run_harness(args);
+    ASSERT_TRUE(WIFEXITED(run.status)) << args;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << args;
+    EXPECT_NE(run.err.find(std::string("unexpected argument ") + named),
               std::string::npos)
-        << command << "\n" << read_text(err);
-    EXPECT_EQ(read_text(out), "") << command;
+        << args << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << args;
   }
-  fs::remove(out);
-  fs::remove(err);
+}
+
+TEST(BenchHarnesses, UnwritableOutputsExitTwoBeforeTheRun) {
+  // These outputs used to be opened after the whole run had been computed,
+  // and the harness then died in std::terminate.  Each now exits 2 naming
+  // the path before any trial runs, so stdout stays empty.
+  const fs::path missing = fs::temp_directory_path() / "minim_no_such_dir";
+  fs::remove_all(missing);
+  const std::string grid =
+      "cdma_drive --trials=1 --axes=n:10 --strategies=minim --threads=1 ";
+  const std::string file = (missing / "x.csv").string();
+  const std::pair<std::string, std::string> cases[] = {
+      {grid + "--save-experiment=" + file, "--save-experiment: cannot write to " + file},
+      {grid + "--csv-dir=" + missing.string(),
+       "--csv-dir: cannot write to " + missing.string()},
+      {grid + "--shard=0/2 --out=" + file, "--out: cannot write to " + file},
+      {"fig10_join --runs=1 --csv-dir=" + missing.string(),
+       "--csv-dir: cannot write to " + missing.string()}};
+  for (const auto& [args, reason] : cases) {
+    const HarnessRun run = run_harness(args);
+    ASSERT_TRUE(WIFEXITED(run.status)) << args;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << args;
+    EXPECT_NE(run.err.find(reason), std::string::npos) << args << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << args;
+  }
+  EXPECT_FALSE(fs::exists(missing));
+}
+
+TEST(BenchHarnesses, LargeNPopulationToleranceParsesWhole) {
+  // std::strtod used to read "abc" as tolerance 0 and "0.25x" as 0.25.
+  // Like every other number option, the value must parse whole, or the
+  // harness aborts before any stage runs.
+  for (const char* tolerance : {"abc", "0.25x"}) {
+    const HarnessRun run = run_harness(
+        std::string("large_n --smoke --smoke-n=1000 --churn "
+                    "--check-population=") +
+        tolerance);
+    EXPECT_FALSE(WIFEXITED(run.status) && WEXITSTATUS(run.status) <= 2)
+        << tolerance << ": status " << run.status;
+    EXPECT_NE(run.err.find(std::string("option --check-population expects a "
+                                       "number, got '") +
+                           tolerance + "'"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out, "") << tolerance;
+  }
 }
 
 }  // namespace

@@ -2,18 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <stdexcept>
-#include <vector>
-
 #include "util/rng.hpp"
 
 namespace {
 
-using minim::util::Histogram;
-using minim::util::quantile_sorted;
 using minim::util::RunningStats;
-using minim::util::Summary;
 
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
@@ -43,39 +36,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  minim::util::Rng rng(3);
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(rng.uniform(-5, 17));
-
-  RunningStats whole;
-  for (double x : xs) whole.add(x);
-
-  RunningStats left;
-  RunningStats right;
-  for (std::size_t i = 0; i < xs.size(); ++i) (i < 313 ? left : right).add(xs[i]);
-  left.merge(right);
-
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats b;
-  b.add(1.0);
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  RunningStats c;
-  a.merge(c);  // merging empty is a no-op
-  EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(RunningStats, Ci95ShrinksWithSamples) {
   minim::util::Rng rng(4);
   RunningStats small;
@@ -83,118 +43,6 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
   for (int i = 0; i < 10; ++i) small.add(rng.uniform01());
   for (int i = 0; i < 1000; ++i) large.add(rng.uniform01());
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
-}
-
-TEST(Quantile, EndpointsAndMedian) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(quantile_sorted(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(xs, 0.5), 3.0);
-}
-
-TEST(Quantile, InterpolatesBetweenSamples) {
-  const std::vector<double> xs{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile_sorted(xs, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(quantile_sorted(xs, 0.75), 7.5);
-}
-
-TEST(Quantile, RejectsBadInput) {
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW(quantile_sorted({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile_sorted(xs, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile_sorted(xs, 1.1), std::invalid_argument);
-}
-
-TEST(Summary, OfEmptyIsAllZero) {
-  const Summary s = Summary::of({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Summary, MatchesHandComputation) {
-  const std::vector<double> xs{9, 1, 5, 3, 7};
-  const Summary s = Summary::of(xs);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_FALSE(s.to_string().empty());
-}
-
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);    // bucket 0 (inclusive lower edge)
-  h.add(1.99);   // bucket 0
-  h.add(2.0);    // bucket 1
-  h.add(9.999);  // bucket 4
-  h.add(10.0);   // overflow (hi is exclusive)
-  h.add(-0.1);   // underflow
-  EXPECT_EQ(h.count_in_bucket(0), 2u);
-  EXPECT_EQ(h.count_in_bucket(1), 1u);
-  EXPECT_EQ(h.count_in_bucket(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string render = h.render(10);
-  EXPECT_NE(render.find("1"), std::string::npos);
-  EXPECT_NE(render.find("2"), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileOfEmptyIsZero) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(Histogram, QuantileRejectsOutOfRangeQ) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(5.0);
-  EXPECT_THROW(h.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileOfSingleBucket) {
-  // One sample in one bucket interpolates to the bucket's middle — the
-  // best unbiased estimate when only the bucket is known.
-  Histogram h(0.0, 10.0, 5);
-  h.add(3.7);  // bucket [2, 4)
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
-}
-
-TEST(Histogram, QuantileWalksCumulativeCounts) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5})
-    h.add(x);
-  // One sample per unit bucket: quantiles land on the sample centers.
-  EXPECT_DOUBLE_EQ(h.quantile(0.1), 0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 4.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 9.5);
-}
-
-TEST(Histogram, QuantileClampsUnderflowAndOverflowToTheEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);  // underflow: real value unknown, counted at lo
-  h.add(5.0);
-  h.add(999.0);   // overflow: counted at hi
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
 }
 
 }  // namespace
