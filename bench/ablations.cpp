@@ -12,14 +12,22 @@
 //     identity.
 //  E. Minim move semantics: mover keeps-preference (weight-3 edge, Fig 8)
 //     vs literal leave+join (Thm 4.4.1).
+//
+// Sections A-D are lanes of one 80-join grid and E of one movement grid:
+// every variant replays the same seeded workloads (--runs, default 60,
+// --seed default 99).  The Minim variants of A, B and E are strategies the
+// grids' factory builds by row label.
 
+#include <algorithm>
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "../bench/bench_util.hpp"
 #include "core/minim.hpp"
-#include "sim/replay.hpp"
-#include "sim/sweeps.hpp"
-#include "sim/workload.hpp"
+#include "sim/experiment.hpp"
+#include "strategies/factory.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -27,27 +35,70 @@
 namespace {
 
 using namespace minim;
+using Params = core::MinimStrategy::Params;
+using Matcher = core::MinimStrategy::Matcher;
 
-/// Replays join workloads under an explicitly-parameterized MinimStrategy.
-void minim_variant_row(util::TextTable& table, const std::string& label,
-                       const core::MinimStrategy::Params& params, std::size_t runs,
-                       std::uint64_t seed, bool movement) {
-  util::RunningStats colors;
-  util::RunningStats recodings;
-  for (std::size_t run = 0; run < runs; ++run) {
-    util::Rng rng = util::Rng::for_stream(seed, run);
-    sim::WorkloadParams wp;
-    wp.n = movement ? 40 : 80;
-    const sim::Workload workload =
-        movement ? sim::make_move_workload(wp, 40.0, 3, rng)
-                 : sim::make_join_workload(wp, rng);
-    core::MinimStrategy strategy(params);
-    const auto outcome = sim::replay(workload, strategy);
-    colors.add(outcome.final_max_color());
-    recodings.add(movement ? outcome.delta_recodings() : outcome.total_recodings());
+/// One explicitly-parameterized Minim under its row label.
+struct Variant {
+  std::string label;
+  Params params;
+};
+
+// Sections A (matcher), B (old-color weight) and E (move semantics).
+const std::vector<Variant> kMatchers{
+    {"hungarian (paper)", {}},
+    {"greedy 1/2-approx", {.matcher = Matcher::kGreedy}},
+    {"max-cardinality", {.matcher = Matcher::kCardinality}}};
+const std::vector<Variant> kWeights{
+    {"weight 3 (paper)", {.weights = {.old_color_weight = 3}}},
+    {"weight 2", {.weights = {.old_color_weight = 2}}},
+    {"weight 1 (uniform)", {.weights = {.old_color_weight = 1}}}};
+const std::vector<Variant> kMoves{
+    {"mover keeps preference (Fig 8)", {}},
+    {"mover rejoins uncolored (Thm 4.4.1)", {.move_clears_mover = true}}};
+
+/// A grid of `kind` on `n` nodes whose lanes are `variants` (built by label)
+/// followed by the factory strategies `named`.
+sim::ExperimentGrid variant_grid(sim::ScenarioKind kind, std::size_t n,
+                                 const std::vector<Variant>& variants,
+                                 const std::vector<std::string>& named) {
+  sim::ExperimentGrid grid;
+  grid.base.kind = kind;
+  grid.axes.push_back({"n", {static_cast<double>(n)}});
+  grid.strategies.clear();
+  for (const Variant& variant : variants) grid.strategies.push_back(variant.label);
+  grid.strategies.insert(grid.strategies.end(), named.begin(), named.end());
+  grid.strategy_factory = [variants](const std::string& name) -> core::StrategyPtr {
+    for (const Variant& variant : variants)
+      if (variant.label == name)
+        return std::make_unique<core::MinimStrategy>(variant.params);
+    return strategies::make_strategy(name);
+  };
+  return grid;
+}
+
+/// One row per variant: mean max color and mean recodings over the trials
+/// (with `delta`, the recodings since the joins).
+void print_variants(const std::string& title, const std::string& recodings,
+                    const sim::ExperimentResult& result,
+                    const std::vector<Variant>& variants, bool delta) {
+  util::TextTable table(title);
+  table.set_header({"variant", "max color", recodings});
+  for (const Variant& variant : variants) {
+    const auto lane = static_cast<std::size_t>(
+        std::find(result.strategies.begin(), result.strategies.end(),
+                  variant.label) -
+        result.strategies.begin());
+    util::RunningStats colors;
+    util::RunningStats recoded;
+    for (const sim::RunOutcome& trial : result.cell(0, lane).trials) {
+      colors.add(trial.final_max_color());
+      recoded.add(delta ? trial.delta_recodings() : trial.total_recodings());
+    }
+    table.add_row({variant.label, util::fmt_fixed(colors.mean(), 2),
+                   util::fmt_fixed(recoded.mean(), 2)});
   }
-  table.add_row({label, util::fmt_fixed(colors.mean(), 2),
-                 util::fmt_fixed(recodings.mean(), 2)});
+  std::cout << table.render() << "\n";
 }
 
 }  // namespace
@@ -55,72 +106,45 @@ void minim_variant_row(util::TextTable& table, const std::string& label,
 int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   bench::exit_on_unread_flags(options, "ablations", bench::kSweepFlags);
-  const auto runs =
-      options.get_count("runs", options.get_bool("fast", false) ? 10 : 60);
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 99));
+  const sim::ExperimentOptions run =
+      bench::sweep_options_from(options, /*runs=*/60, /*seed=*/99);
 
   std::cout << "=== Ablations ===\n\n";
 
-  // ---- A: matcher engine ----
+  // ---- A-D: 80 joins ----
   {
-    util::TextTable table("A. Matching engine in RecodeOnJoin (80 joins)");
-    table.set_header({"variant", "max color", "total recodings"});
-    core::MinimStrategy::Params p;
-    minim_variant_row(table, "hungarian (paper)", p, runs, seed, false);
-    p.matcher = core::MinimStrategy::Matcher::kGreedy;
-    minim_variant_row(table, "greedy 1/2-approx", p, runs, seed, false);
-    p.matcher = core::MinimStrategy::Matcher::kCardinality;
-    minim_variant_row(table, "max-cardinality", p, runs, seed, false);
-    std::cout << table.render() << "\n";
-  }
+    std::vector<Variant> variants = kMatchers;
+    variants.insert(variants.end(), kWeights.begin(), kWeights.end());
+    const std::vector<std::string> cp{"cp", "cp-lowest", "cp-exact", "minim"};
+    const std::vector<std::string> bbb{"bbb", "bbb-dsatur", "bbb-largest",
+                                       "bbb-identity"};
+    std::vector<std::string> named = cp;
+    named.insert(named.end(), bbb.begin(), bbb.end());
+    const sim::ExperimentResult result =
+        sim::Experiment(variant_grid(sim::ScenarioKind::kJoin, 80, variants, named))
+            .run(run);
 
-  // ---- B: old-color weight ----
-  {
-    util::TextTable table("B. Old-color edge weight (80 joins)");
-    table.set_header({"variant", "max color", "total recodings"});
-    for (const auto& [label, w] :
-         std::vector<std::pair<std::string, matching::Weight>>{
-             {"weight 3 (paper)", 3}, {"weight 2", 2}, {"weight 1 (uniform)", 1}}) {
-      core::MinimStrategy::Params p;
-      p.weights.old_color_weight = w;
-      minim_variant_row(table, label, p, runs, seed, false);
-    }
-    std::cout << table.render() << "\n";
-  }
-
-  // ---- C: CP identity order ----
-  {
-    auto sweep =
-        bench::sweep_options_from(options, {"cp", "cp-lowest", "cp-exact", "minim"});
-    sweep.runs = runs;
-    sweep.seed = seed;
-    const auto points = sim::sweep_join_vs_n({80}, sweep);
-    bench::print_series("C. CP variants, recodings (80 joins)", "N", points,
-                        bench::Metric::kRecodings, options, "ablation_cp_order");
-    bench::print_series("C'. CP variants, max color (80 joins)", "N", points,
-                        bench::Metric::kColor, options, "ablation_cp_color");
-  }
-
-  // ---- D: BBB coloring order ----
-  {
-    auto sweep = bench::sweep_options_from(
-        options, {"bbb", "bbb-dsatur", "bbb-largest", "bbb-identity"});
-    sweep.runs = runs;
-    sweep.seed = seed;
-    const auto points = sim::sweep_join_vs_n({80}, sweep);
-    bench::print_series("D. BBB coloring order, max colors (80 joins)", "N", points,
-                        bench::Metric::kColor, options, "ablation_bbb_order");
+    print_variants("A. Matching engine in RecodeOnJoin (80 joins)",
+                   "total recodings", result, kMatchers, false);
+    print_variants("B. Old-color edge weight (80 joins)", "total recodings",
+                   result, kWeights, false);
+    bench::print_series("C. CP variants, recodings (80 joins)", "N", result,
+                        bench::Metric::kRecodings, options, "ablation_cp_order",
+                        cp);
+    bench::print_series("C'. CP variants, max color (80 joins)", "N", result,
+                        bench::Metric::kColor, options, "ablation_cp_color", cp);
+    bench::print_series("D. BBB coloring order, max colors (80 joins)", "N",
+                        result, bench::Metric::kColor, options,
+                        "ablation_bbb_order", bbb);
   }
 
   // ---- E: move semantics ----
   {
-    util::TextTable table("E. Minim move semantics (40 nodes, 3 movement rounds)");
-    table.set_header({"variant", "max color", "delta recodings"});
-    core::MinimStrategy::Params p;
-    minim_variant_row(table, "mover keeps preference (Fig 8)", p, runs, seed, true);
-    p.move_clears_mover = true;
-    minim_variant_row(table, "mover rejoins uncolored (Thm 4.4.1)", p, runs, seed, true);
-    std::cout << table.render() << "\n";
+    sim::ExperimentGrid grid = variant_grid(sim::ScenarioKind::kMove, 40, kMoves, {});
+    grid.base.move_rounds = 3;
+    const sim::ExperimentResult result = sim::Experiment(std::move(grid)).run(run);
+    print_variants("E. Minim move semantics (40 nodes, 3 movement rounds)",
+                   "delta recodings", result, kMoves, true);
   }
   return 0;
 }

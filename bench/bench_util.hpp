@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared plumbing for the harnesses: the paper's figure x-grids, the
-// scenario/axis vocabulary behind bench_cdma_drive's --scenario and --axes,
-// and the rendering of a sweep as the paper's table (x column + one column
-// per strategy, mean over runs with the 95% CI half-width), optionally
-// dumped as raw CSV for offline plotting.
+// Shared plumbing for the harnesses: the paper's figure grids (one-axis
+// `sim::Experiment` grids), the --scenario and --axes parsing behind
+// bench_cdma_drive, and the rendering of a figure grid's result as the
+// paper's table (x column + one column per strategy, mean over runs with
+// the 95% CI half-width), optionally dumped as raw CSV for offline plotting.
 //
 // Every figure harness honours (kSweepFlags):
 //   --runs=N       Monte-Carlo runs per point (default 100, as in the paper)
@@ -14,14 +14,17 @@
 //   --fast         shorthand for --runs=10 (CI smoke)
 // and, like every harness, exits 2 on a flag it does not read
 // (exit_on_unread_flags).  A --csv-dir that cannot be written exits 2
-// before the run (exit_unless_writable).
+// before the run (exit_unless_writable), and so does any harness's --runs
+// or --trials below 1 (run_count_from).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +33,6 @@
 
 #include "net/network.hpp"
 #include "sim/experiment.hpp"
-#include "sim/sweeps.hpp"
 #include "util/csv.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -150,84 +152,113 @@ inline std::vector<std::string> string_list_from(const util::Options& options,
   return raw.empty() ? fallback : split_list(raw);
 }
 
-/// Parses a comma-separated list option ("--ns=40,60,80") into doubles.
+/// `text` parsed whole as a number ("1000x" and "abc" are not); otherwise
+/// exits 2 with `context` and the bad value on stderr.
+inline double number_or_exit(const std::string& text, const std::string& context) {
+  double value = 0.0;
+  bool whole = false;
+  try {
+    std::size_t used = 0;
+    value = std::stod(text, &used);
+    whole = used == text.size();
+  } catch (const std::exception&) {
+    // No number at all: reported below like trailing text.
+  }
+  if (!whole) {
+    std::cerr << context << ": bad value \"" << text << "\"\n";
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Parses a comma-separated list option ("--ns=40,60,80") into doubles,
+/// each field whole; exits 2 naming the flag on a bad field.
 inline std::vector<double> double_list_from(const util::Options& options,
                                             const std::string& key,
                                             std::vector<double> fallback) {
   const std::string raw = options.get(key, "");
   if (raw.empty()) return fallback;
   std::vector<double> values;
-  for (const std::string& field : split_list(raw)) values.push_back(std::stod(field));
+  for (const std::string& field : split_list(raw))
+    values.push_back(number_or_exit(field, "--" + key));
   return values;
 }
 
-/// The sweep flags of a figure harness; exits 2 before the run on a
-/// --csv-dir that cannot be written.
-inline sim::SweepOptions sweep_options_from(const util::Options& options,
-                                            std::vector<std::string> strategies) {
-  sim::SweepOptions sweep;
-  sweep.strategies = std::move(strategies);
-  sweep.runs = options.get_count("runs", 100);
-  if (options.get_bool("fast", false)) sweep.runs = 10;
-  sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
-  sweep.threads = options.get_count("threads", 0);
+/// A Monte-Carlo run or trial count (`--runs`, `--trials`): exits 2 naming
+/// the flag unless it is at least 1 (a mean over no runs is no number).
+inline std::size_t run_count_from(const util::Options& options,
+                                  const std::string& key, std::size_t fallback) {
+  const std::int64_t count =
+      options.get_int(key, static_cast<std::int64_t>(fallback));
+  if (count < 1) {
+    std::cerr << "--" << key << " wants at least 1, got " << count << "\n";
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(count);
+}
+
+/// The run options the sweep flags select, with --fast winning over --runs;
+/// exits 2 before the run on a --runs below 1 or a --csv-dir that cannot be
+/// written.
+inline sim::ExperimentOptions sweep_options_from(const util::Options& options,
+                                                 std::size_t runs = 100,
+                                                 std::uint64_t seed = 2001) {
+  sim::ExperimentOptions run;
+  run.trials = run_count_from(options, "runs", runs);
+  if (options.get_bool("fast", false)) run.trials = 10;
+  run.seed = static_cast<std::uint64_t>(
+      options.get_int("seed", static_cast<std::int64_t>(seed)));
+  run.threads = options.get_count("threads", 0);
   exit_unless_writable("csv-dir", options.get("csv-dir", ""), true);
-  return sweep;
+  return run;
 }
 
-/// Which of the two metrics a sub-figure plots.
-enum class Metric { kColor, kRecodings };
+/// What a sub-figure plots per trial: the max color index and the total
+/// recodings after the run, or their change since the joins (Figs 11, 12).
+enum class Metric { kColor, kRecodings, kDeltaColor, kDeltaRecodings };
 
-/// The sub-series of `points` whose strategy is in `keep` (original order).
-/// Strategy lanes of a sweep are independent, so the distributed-only
-/// sub-figures (Fig 10c/f, 11c, 12d) are exact subsets of the all-strategies
-/// sweep — filtering replaces what used to be a second full sweep over the
-/// identical workloads, at byte-identical CSV output.
-inline std::vector<sim::SweepPoint> filter_strategies(
-    const std::vector<sim::SweepPoint>& points,
-    const std::vector<std::string>& keep) {
-  std::vector<sim::SweepPoint> subset;
-  for (const auto& point : points)
-    if (std::find(keep.begin(), keep.end(), point.strategy) != keep.end())
-      subset.push_back(point);
-  return subset;
+inline double metric_of(const sim::RunOutcome& trial, Metric metric) {
+  switch (metric) {
+    case Metric::kColor: return trial.final_max_color();
+    case Metric::kRecodings: return trial.total_recodings();
+    case Metric::kDeltaColor: return trial.delta_max_color();
+    case Metric::kDeltaRecodings: return trial.delta_recodings();
+  }
+  return 0.0;
 }
 
-/// Prints one sub-figure as a table: rows = x values, columns = strategies,
-/// cells = "mean +- ci95".
+/// Prints one sub-figure of a one-axis `result` as a table: rows = x values,
+/// columns = strategies (those in `only`, when given, in the result's
+/// order), cells = `metric`'s "mean +- ci95" over the trials.  Strategy
+/// lanes are independent, so a sub-figure over fewer strategies is a subset
+/// of the all-strategies result rather than a second run.
 inline void print_series(const std::string& title, const std::string& x_name,
-                         const std::vector<sim::SweepPoint>& points, Metric metric,
-                         const util::Options& options, const std::string& csv_name) {
-  // Collect strategy order as first encountered.
-  std::vector<std::string> strategies;
-  for (const auto& point : points)
-    if (std::find(strategies.begin(), strategies.end(), point.strategy) ==
-        strategies.end())
-      strategies.push_back(point.strategy);
+                         const sim::ExperimentResult& result, Metric metric,
+                         const util::Options& options, const std::string& csv_name,
+                         const std::vector<std::string>& only = {}) {
+  std::vector<std::size_t> strategies;
+  for (std::size_t s = 0; s < result.strategy_count(); ++s)
+    if (only.empty() ||
+        std::find(only.begin(), only.end(), result.strategies[s]) != only.end())
+      strategies.push_back(s);
+
+  const auto stat_of = [&](std::size_t p, std::size_t s) {
+    util::RunningStats stat;
+    for (const sim::RunOutcome& trial : result.cell(p, s).trials)
+      stat.add(metric_of(trial, metric));
+    return stat;
+  };
 
   util::TextTable table(title);
   std::vector<std::string> header{x_name};
-  for (const auto& s : strategies) header.push_back(s);
+  for (std::size_t s : strategies) header.push_back(result.strategies[s]);
   table.set_header(header);
-
-  std::vector<double> xs;
-  for (const auto& point : points)
-    if (xs.empty() || xs.back() != point.x) xs.push_back(point.x);
-
-  auto stat_of = [&](const sim::SweepPoint& p) {
-    return metric == Metric::kColor ? p.color_metric : p.recoding_metric;
-  };
-
-  for (double x : xs) {
-    std::vector<std::string> row{util::fmt_fixed(x, 1)};
-    for (const auto& s : strategies) {
-      for (const auto& point : points)
-        if (point.x == x && point.strategy == s) {
-          const auto& stat = stat_of(point);
-          row.push_back(util::fmt_fixed(stat.mean(), 2) + " +- " +
-                        util::fmt_fixed(stat.ci95_halfwidth(), 2));
-          break;
-        }
+  for (std::size_t p = 0; p < result.point_count(); ++p) {
+    std::vector<std::string> row{util::fmt_fixed(result.points[p].front(), 1)};
+    for (std::size_t s : strategies) {
+      const util::RunningStats stat = stat_of(p, s);
+      row.push_back(util::fmt_fixed(stat.mean(), 2) + " +- " +
+                    util::fmt_fixed(stat.ci95_halfwidth(), 2));
     }
     table.add_row(std::move(row));
   }
@@ -238,37 +269,77 @@ inline void print_series(const std::string& title, const std::string& x_name,
     auto stream = util::open_csv(csv_dir + "/" + csv_name + ".csv");
     util::CsvWriter csv(stream);
     csv.header({x_name, "strategy", "mean", "ci95", "stddev", "min", "max", "runs"});
-    for (const auto& point : points) {
-      const auto& stat = stat_of(point);
-      csv.row({util::fmt_fixed(point.x, 3), point.strategy,
-               util::fmt_fixed(stat.mean(), 6), util::fmt_fixed(stat.ci95_halfwidth(), 6),
-               util::fmt_fixed(stat.stddev(), 6), util::fmt_fixed(stat.min(), 3),
-               util::fmt_fixed(stat.max(), 3), std::to_string(stat.count())});
-    }
+    for (std::size_t p = 0; p < result.point_count(); ++p)
+      for (std::size_t s : strategies) {
+        const util::RunningStats stat = stat_of(p, s);
+        csv.row({util::fmt_fixed(result.points[p].front(), 3), result.strategies[s],
+                 util::fmt_fixed(stat.mean(), 6),
+                 util::fmt_fixed(stat.ci95_halfwidth(), 6),
+                 util::fmt_fixed(stat.stddev(), 6), util::fmt_fixed(stat.min(), 3),
+                 util::fmt_fixed(stat.max(), 3), std::to_string(stat.count())});
+      }
     std::cout << "[csv] wrote " << csv_dir << "/" << csv_name << ".csv\n\n";
   }
 }
 
 // ------------------------------------------------------ experiment grids
 
-/// The paper's x-grids (Section 5): Fig 10(a-c) sweeps N with
-/// minr = 20.5, maxr = 30.5; Fig 10(d-f) sweeps the average range at N = 100,
-/// maxr - minr = 5; Fig 11 sweeps the raise factor.  The figure harnesses
-/// plot these sweeps and bench_perf_trajectory times them.
-inline const std::vector<double> kFig10Ns{40, 50, 60, 70, 80, 90, 100, 110, 120};
-inline const std::vector<double> kFig10AvgRanges{7.5,  17.5, 27.5, 37.5,
-                                                 47.5, 57.5, 67.5};
-inline const std::vector<double> kFig11RaiseFactors{
-    1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0};
-inline const std::vector<std::string> kFig10Strategies{"minim", "cp", "bbb"};
-// `cp-exact` is our reproduction probe: CP with its color rule ported
-// faithfully to the directed model (avoid true CA1/CA2 partners instead of
-// the whole 2-hop ball; `CpStrategy::Vicinity` in strategies/cp.hpp).
-// Fig 11(a)'s Minim-vs-CP ordering is sensitive to this choice;
-// `FigureShapes.Fig11ColorDirectionWithExactVicinityCp` pins the direction
-// the paper reports.
-inline const std::vector<std::string> kFig11Strategies{"minim", "cp", "cp-exact",
-                                                       "bbb"};
+/// One of the paper's figure grids (Section 5): `kind` on Section 5.1's
+/// network of `n` nodes (100x100 field, ranges uniform in (20.5, 30.5)),
+/// swept along one axis, one curve per strategy.  The figure harnesses plot
+/// the grids below and bench_perf_trajectory times them.
+inline sim::ExperimentGrid figure_grid(sim::ScenarioKind kind, std::size_t n,
+                                       sim::GridAxis axis,
+                                       std::vector<std::string> strategies) {
+  sim::ExperimentGrid grid;
+  grid.base.kind = kind;
+  grid.base.workload.n = n;
+  grid.axes.push_back(std::move(axis));
+  grid.strategies = std::move(strategies);
+  return grid;
+}
+
+/// Fig 10(a-c): joins vs N.
+inline sim::ExperimentGrid fig10_n_grid() {
+  return figure_grid(sim::ScenarioKind::kJoin, 100,
+                     {"n", {40, 50, 60, 70, 80, 90, 100, 110, 120}},
+                     {"minim", "cp", "bbb"});
+}
+
+/// Fig 10(d-f): joins vs the average range, maxr - minr = 5.
+inline sim::ExperimentGrid fig10_avg_range_grid() {
+  return figure_grid(sim::ScenarioKind::kJoin, 100,
+                     {"avg_range", {7.5, 17.5, 27.5, 37.5, 47.5, 57.5, 67.5}},
+                     {"minim", "cp", "bbb"});
+}
+
+/// Fig 11: a random half of the nodes raise their range, vs the factor.
+/// `cp-exact` is our reproduction probe: CP with its color rule ported
+/// faithfully to the directed model (avoid true CA1/CA2 partners instead of
+/// the whole 2-hop ball; `CpStrategy::Vicinity` in strategies/cp.hpp).
+/// Fig 11(a)'s Minim-vs-CP ordering is sensitive to this choice;
+/// `FigureShapes.Fig11ColorDirectionWithExactVicinityCp` pins the direction
+/// the paper reports.
+inline sim::ExperimentGrid fig11_grid() {
+  return figure_grid(
+      sim::ScenarioKind::kPower, 100,
+      {"raise_factor", {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0}},
+      {"minim", "cp", "cp-exact", "bbb"});
+}
+
+/// Fig 12(a): one movement round vs maxdisp (Minim and CP only).
+inline sim::ExperimentGrid fig12_displacement_grid() {
+  return figure_grid(sim::ScenarioKind::kMove, 40,
+                     {"max_displacement", {0, 10, 20, 30, 40, 50, 60, 70, 80}},
+                     {"minim", "cp"});
+}
+
+/// Fig 12(b-d): movement rounds at maxdisp = 40.
+inline sim::ExperimentGrid fig12_rounds_grid() {
+  return figure_grid(sim::ScenarioKind::kMove, 40,
+                     {"move_rounds", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+                     {"minim", "cp", "bbb"});
+}
 
 /// --scenario=KIND: join | power | move | churn; exits 2 on anything else.
 inline sim::ScenarioKind scenario_from(const std::string& name) {
@@ -281,52 +352,8 @@ inline sim::ScenarioKind scenario_from(const std::string& name) {
   std::exit(2);
 }
 
-/// The named-axis vocabulary: how each --axes name maps onto the spec.
-/// Exits 2 on an unknown name.
-inline sim::GridAxis axis_from_name(const std::string& name,
-                                    std::vector<double> values) {
-  using Spec = sim::ScenarioSpec;
-  using Apply = void (*)(Spec&, double);
-  static const std::pair<const char*, Apply> kAxes[] = {
-      {"n", [](Spec& s, double x) { s.workload.n = static_cast<std::size_t>(x); }},
-      {"raise_factor", [](Spec& s, double x) { s.raise_factor = x; }},
-      {"max_displacement", [](Spec& s, double x) { s.max_displacement = x; }},
-      {"move_rounds",
-       [](Spec& s, double x) { s.move_rounds = static_cast<std::size_t>(x); }},
-      {"min_range", [](Spec& s, double x) { s.workload.min_range = x; }},
-      {"max_range", [](Spec& s, double x) { s.workload.max_range = x; }},
-      // The paper's Fig 10(d-f) parameterization: a 5-unit spread around x.
-      {"avg_range",
-       [](Spec& s, double x) {
-         s.workload.min_range = x - 2.5;
-         s.workload.max_range = x + 2.5;
-       }},
-      {"clusters",
-       [](Spec& s, double x) {
-         s.workload.placement = sim::Placement::kClustered;
-         s.workload.cluster_count =
-             std::max<std::size_t>(1, static_cast<std::size_t>(x));
-       }},
-      {"cluster_sigma",
-       [](Spec& s, double x) {
-         s.workload.placement = sim::Placement::kClustered;
-         s.workload.cluster_sigma = x;
-       }},
-      {"churn_duration", [](Spec& s, double x) { s.churn.duration = x; }},
-      {"arrival_rate", [](Spec& s, double x) { s.churn.arrival_rate = x; }},
-      {"mean_lifetime", [](Spec& s, double x) { s.churn.mean_lifetime = x; }},
-  };
-  std::string known;
-  for (const auto& [axis, apply] : kAxes) {
-    if (name == axis) return sim::GridAxis{name, std::move(values), apply};
-    known += known.empty() ? "" : "|";
-    known += axis;
-  }
-  std::cerr << "unknown axis \"" << name << "\" (expected " << known << ")\n";
-  std::exit(2);
-}
-
 /// Parses "name:v1:v2,name:v1" into grid axes; exits 2 on a malformed entry.
+/// The names are checked by `make_experiment`.
 inline std::vector<sim::GridAxis> axes_from(const std::string& raw) {
   std::vector<sim::GridAxis> axes;
   for (const std::string& field : split_list(raw)) {
@@ -335,27 +362,19 @@ inline std::vector<sim::GridAxis> axes_from(const std::string& raw) {
       std::cerr << "--axes entry \"" << field << "\" wants name:v1[:v2...]\n";
       std::exit(2);
     }
-    std::vector<double> values;
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      std::size_t used = 0;
-      try {
-        values.push_back(std::stod(parts[i], &used));
-      } catch (const std::exception&) {
-        used = 0;  // no number at all, reported below
-      }
-      if (used != parts[i].size()) {
-        std::cerr << "--axes entry \"" << field << "\": bad value \""
-                  << parts[i] << "\"\n";
-        std::exit(2);
-      }
-    }
-    axes.push_back(axis_from_name(parts[0], std::move(values)));
+    sim::GridAxis axis{parts[0], {}};
+    for (std::size_t i = 1; i < parts.size(); ++i)
+      axis.values.push_back(
+          number_or_exit(parts[i], "--axes entry \"" + field + "\""));
+    axes.push_back(std::move(axis));
   }
   return axes;
 }
 
 /// The grid `bench_cdma_drive --scenario=KIND --axes=LIST --strategies=...`
-/// runs (cartesian product of the axes, axis-0-major).
+/// runs (cartesian product of the axes, axis-0-major).  Exits 2 with the
+/// reason when `Experiment` rejects the grid, as it does an unknown axis
+/// name (naming the known ones).
 inline sim::Experiment make_experiment(const std::string& scenario,
                                        const std::string& axes,
                                        std::vector<std::string> strategies) {
@@ -363,7 +382,12 @@ inline sim::Experiment make_experiment(const std::string& scenario,
   grid.base.kind = scenario_from(scenario);
   grid.axes = axes_from(axes);
   grid.strategies = std::move(strategies);
-  return sim::Experiment(std::move(grid));
+  try {
+    return sim::Experiment(std::move(grid));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << error.what() << "\n";
+    std::exit(2);
+  }
 }
 
 }  // namespace minim::bench

@@ -10,13 +10,14 @@
 //   --axes=LIST         comma-separated axes, each "name:v1:v2:...", e.g.
 //                         --axes=n:40:60:80,raise_factor:1.5:2.5:3.5
 //                       (grid = cartesian product, axis-0-major).  Axis
-//                       vocabulary (bench_util.hpp): n, raise_factor,
-//                       max_displacement, move_rounds, min_range,
-//                       max_range, avg_range, clusters, cluster_sigma,
-//                       churn_duration, arrival_rate, mean_lifetime.
-//                       Default: n:40:60:80.
+//                       names (sim::GridAxis; an unknown one exits 2 and
+//                       lists them): n, raise_factor, max_displacement,
+//                       move_rounds, min_range, max_range, avg_range,
+//                       clusters, cluster_sigma, churn_duration,
+//                       arrival_rate, mean_lifetime.  Default: n:40:60:80.
 //   --strategies=...    strategy names (default minim,cp,bbb)
-//   --trials=N          Monte-Carlo trials per grid point (default 100)
+//   --trials=N          Monte-Carlo trials per grid point (default 100;
+//                       below 1 exits 2)
 //   --seed=S            master seed (default 2001)
 //   --threads=T         worker threads (default hardware)
 //
@@ -46,16 +47,19 @@
 //   --serve             run the online assignment engine instead of a grid
 //   --transport=T       stdin (default) | tcp; replay a recorded trace
 //                       with --serve < file
-//   --port=P            TCP port for --transport=tcp (default 0 = ephemeral)
+//   --port=P            TCP port for --transport=tcp, 0..65535 (default 0 =
+//                       ephemeral)
 //   --strategy=NAME     recoding strategy (default minim)
 //   --validate          CA1/CA2 check after every event (slow)
 //   --quiet             ingest without response lines
-//   --flush-each        apply + flush per request line (no pipelining)
-//   --max-batch=K       most events coalesced per engine batch (default 512)
+//   --max-batch=K       most events coalesced per engine batch, at least 1
+//                       (default 512); 1 applies and flushes each request
+//                       line on its own
 //
 // A flag the chosen mode (grid or --serve) does not read exits 2, as does a
 // positional argument outside --merge, and so does an output path that
-// cannot be written, before any trial runs.
+// cannot be written, before any trial runs, or a --port or --max-batch out
+// of range, before any transport is built.
 //
 // Examples:
 //   cdma_drive --axes=n:40:80:120 --trials=200
@@ -101,7 +105,7 @@ const std::vector<std::string> kGridFlags{
     "record-trace"};
 const std::vector<std::string> kServeFlags{
     "serve", "transport", "port", "strategy", "validate", "quiet",
-    "flush-each", "max-batch"};
+    "max-batch"};
 
 /// Strict digits-only parse for user-facing shard arguments: no sign, no
 /// blanks, no overflow (std::from_chars into an unsigned type accepts
@@ -157,7 +161,7 @@ void report(const sim::ExperimentResult& result, const util::Options& options) {
       const sim::TotalsSummary summary = sim::summarize(cell);
       util::RunningStats d_color;
       util::RunningStats d_recodings;
-      for (const sim::ExperimentTrial& trial : cell.trials) {
+      for (const sim::RunOutcome& trial : cell.trials) {
         d_color.add(trial.delta_max_color());
         d_recodings.add(trial.delta_recodings());
       }
@@ -293,7 +297,7 @@ int run_merge(const util::Options& options) {
 /// --record-trace=F: dump grid point 0's workload as a replayable trace.
 int run_record_trace(const std::string& path, const util::Options& options,
                      const sim::Experiment& experiment) {
-  sim::ScenarioSpec spec = experiment.spec_for_point(0);
+  const sim::ScenarioSpec& spec = experiment.spec_for_point(0);
   if (spec.kind == sim::ScenarioKind::kChurn) {
     std::cerr << "--record-trace: churn has no phased workload to record "
                  "(use join|power|move)\n";
@@ -318,6 +322,17 @@ int run_record_trace(const std::string& path, const util::Options& options,
 
 /// --serve: the online assignment engine over stdin/stdout or TCP.
 int run_serve(const util::Options& options) {
+  const std::int64_t port = options.get_int("port", 0);
+  if (port < 0 || port > 65535) {
+    std::cerr << "--port wants 0..65535, got " << port << "\n";
+    return 2;
+  }
+  const std::int64_t max_batch = options.get_int("max-batch", 512);
+  if (max_batch < 1) {
+    std::cerr << "--max-batch wants at least 1, got " << max_batch << "\n";
+    return 2;
+  }
+
   const std::string strategy = options.get("strategy", "minim");
   serve::AssignmentEngine::Params params;
   params.validate = options.has("validate");
@@ -334,7 +349,7 @@ int run_serve(const util::Options& options) {
                                                          "stdin");
   } else if (kind == "tcp") {
     auto tcp = std::make_unique<serve::TcpServerTransport>(
-        static_cast<std::uint16_t>(options.get_int("port", 0)));
+        static_cast<std::uint16_t>(port));
     // The port line goes to stderr immediately so a script can connect
     // before any client exists (stdout stays protocol-free).
     std::cerr << "[serve] listening on " << tcp->describe() << "\n";
@@ -347,9 +362,7 @@ int run_serve(const util::Options& options) {
 
   serve::SessionOptions session;
   session.echo = !options.has("quiet");
-  session.flush_each = options.has("flush-each");
-  session.max_batch = static_cast<std::size_t>(
-      std::max<long long>(1, options.get_int("max-batch", 512)));
+  session.max_batch = static_cast<std::size_t>(max_batch);
   const serve::SessionStats stats = serve::serve_session(engine, *transport,
                                                          session);
 
@@ -384,7 +397,7 @@ int main(int argc, char** argv) {
   if (options.has("merge")) return run_merge(options);
 
   sim::ExperimentOptions run;
-  run.trials = options.get_count("trials", 100);
+  run.trials = bench::run_count_from(options, "trials", 100);
   run.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   run.threads = options.get_count("threads", 0);
 

@@ -19,43 +19,39 @@
 #include <iostream>
 
 #include "../bench/bench_util.hpp"
-#include "sim/sweeps.hpp"
+#include "sim/experiment.hpp"
 #include "util/options.hpp"
 
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
   bench::exit_on_unread_flags(options, "fig10_join", bench::kSweepFlags);
-
-  const auto sweep = bench::sweep_options_from(options, bench::kFig10Strategies);
+  const sim::ExperimentOptions run = bench::sweep_options_from(options);
 
   std::cout << "=== Figure 10: node join ===\n"
             << "N joins on 100x100 field; metrics after the full join "
                "sequence; mean +- 95% CI over runs.\n\n";
 
   {
-    const auto points = sim::sweep_join_vs_n(bench::kFig10Ns, sweep);
+    const auto result = sim::Experiment(bench::fig10_n_grid()).run(run);
     bench::print_series("Fig 10(a): max color index vs N (minr=20.5, maxr=30.5)",
-                        "N", points, bench::Metric::kColor, options, "fig10a");
-    bench::print_series("Fig 10(b): total recodings vs N", "N", points,
+                        "N", result, bench::Metric::kColor, options, "fig10a");
+    bench::print_series("Fig 10(b): total recodings vs N", "N", result,
                         bench::Metric::kRecodings, options, "fig10b");
-    // (c) is the minim/cp sub-series of the same sweep (strategy lanes are
-    // independent) — filtered, not re-simulated.
-    const auto distributed = bench::filter_strategies(points, {"minim", "cp"});
     bench::print_series("Fig 10(c): total recodings vs N (distributed only)", "N",
-                        distributed, bench::Metric::kRecodings, options, "fig10c");
+                        result, bench::Metric::kRecodings, options, "fig10c",
+                        {"minim", "cp"});
   }
   {
-    const auto points = sim::sweep_join_vs_avg_range(bench::kFig10AvgRanges, sweep);
+    const auto result = sim::Experiment(bench::fig10_avg_range_grid()).run(run);
     bench::print_series(
         "Fig 10(d): max color index vs avg range (N=100, maxr-minr=5)", "avgR",
-        points, bench::Metric::kColor, options, "fig10d");
-    bench::print_series("Fig 10(e): total recodings vs avg range", "avgR", points,
+        result, bench::Metric::kColor, options, "fig10d");
+    bench::print_series("Fig 10(e): total recodings vs avg range", "avgR", result,
                         bench::Metric::kRecodings, options, "fig10e");
-    const auto distributed = bench::filter_strategies(points, {"minim", "cp"});
     bench::print_series("Fig 10(f): total recodings vs avg range (distributed only)",
-                        "avgR", distributed, bench::Metric::kRecodings, options,
-                        "fig10f");
+                        "avgR", result, bench::Metric::kRecodings, options,
+                        "fig10f", {"minim", "cp"});
   }
   return 0;
 }

@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "../bench/bench_util.hpp"
-#include "sim/sweeps.hpp"
+#include "sim/experiment.hpp"
 #include "util/options.hpp"
 
 int main(int argc, char** argv) {
@@ -23,27 +23,22 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   bench::exit_on_unread_flags(options, "fig11_power_increase",
                               bench::kSweepFlags);
-
-  const auto sweep = bench::sweep_options_from(options, bench::kFig11Strategies);
+  const sim::ExperimentOptions run = bench::sweep_options_from(options);
 
   std::cout << "=== Figure 11: node power increase ===\n"
             << "N=100 joins, then half the nodes raise range by raisefactor; "
                "delta metrics vs post-join state.\n\n";
 
-  {
-    const auto points = sim::sweep_power_vs_raise_factor(bench::kFig11RaiseFactors, sweep);
-    bench::print_series("Fig 11(a): delta max color index vs raisefactor",
-                        "raisefactor", points, bench::Metric::kColor, options,
-                        "fig11a");
-    bench::print_series("Fig 11(b): delta total recodings vs raisefactor",
-                        "raisefactor", points, bench::Metric::kRecodings, options,
-                        "fig11b");
-    // (c) is the minim/cp sub-series of the same sweep (strategy lanes are
-    // independent) — filtered, not re-simulated.
-    const auto distributed = bench::filter_strategies(points, {"minim", "cp"});
-    bench::print_series(
-        "Fig 11(c): delta total recodings vs raisefactor (distributed only)",
-        "raisefactor", distributed, bench::Metric::kRecodings, options, "fig11c");
-  }
+  const auto result = sim::Experiment(bench::fig11_grid()).run(run);
+  bench::print_series("Fig 11(a): delta max color index vs raisefactor",
+                      "raisefactor", result, bench::Metric::kDeltaColor, options,
+                      "fig11a");
+  bench::print_series("Fig 11(b): delta total recodings vs raisefactor",
+                      "raisefactor", result, bench::Metric::kDeltaRecodings,
+                      options, "fig11b");
+  bench::print_series(
+      "Fig 11(c): delta total recodings vs raisefactor (distributed only)",
+      "raisefactor", result, bench::Metric::kDeltaRecodings, options, "fig11c",
+      {"minim", "cp"});
   return 0;
 }

@@ -15,43 +15,35 @@
 #include <iostream>
 
 #include "../bench/bench_util.hpp"
-#include "sim/sweeps.hpp"
+#include "sim/experiment.hpp"
 #include "util/options.hpp"
 
 int main(int argc, char** argv) {
   using namespace minim;
   const util::Options options(argc, argv);
   bench::exit_on_unread_flags(options, "fig12_movement", bench::kSweepFlags);
-
-  const std::vector<double> displacements{0, 10, 20, 30, 40, 50, 60, 70, 80};
-  const std::vector<double> rounds{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-
-  const auto distributed_sweep = bench::sweep_options_from(options, {"minim", "cp"});
-  const auto all_sweep = bench::sweep_options_from(options, {"minim", "cp", "bbb"});
+  const sim::ExperimentOptions run = bench::sweep_options_from(options);
 
   std::cout << "=== Figure 12: node movement ===\n"
             << "N=40 joins, then movement rounds (every node moves once per "
                "round); delta metrics vs post-join state.\n\n";
 
   {
-    const auto points =
-        sim::sweep_move_vs_max_displacement(displacements, distributed_sweep);
+    const auto result = sim::Experiment(bench::fig12_displacement_grid()).run(run);
     bench::print_series("Fig 12(a): delta recodings vs maxdisp (RoundNo=1)",
-                        "maxdisp", points, bench::Metric::kRecodings, options,
-                        "fig12a");
+                        "maxdisp", result, bench::Metric::kDeltaRecodings,
+                        options, "fig12a");
   }
   {
-    const auto points = sim::sweep_move_vs_rounds(rounds, all_sweep);
+    const auto result = sim::Experiment(bench::fig12_rounds_grid()).run(run);
     bench::print_series("Fig 12(b): delta max color vs RoundNo (maxdisp=40)",
-                        "RoundNo", points, bench::Metric::kColor, options, "fig12b");
-    bench::print_series("Fig 12(c): delta recodings vs RoundNo", "RoundNo", points,
-                        bench::Metric::kRecodings, options, "fig12c");
-    // (d) is the minim/cp sub-series of the same sweep (strategy lanes are
-    // independent) — filtered, not re-simulated.
-    const auto distributed = bench::filter_strategies(points, {"minim", "cp"});
+                        "RoundNo", result, bench::Metric::kDeltaColor, options,
+                        "fig12b");
+    bench::print_series("Fig 12(c): delta recodings vs RoundNo", "RoundNo", result,
+                        bench::Metric::kDeltaRecodings, options, "fig12c");
     bench::print_series("Fig 12(d): delta recodings vs RoundNo (distributed only)",
-                        "RoundNo", distributed, bench::Metric::kRecodings, options,
-                        "fig12d");
+                        "RoundNo", result, bench::Metric::kDeltaRecodings,
+                        options, "fig12d", {"minim", "cp"});
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 // Perf-trajectory harness: times the repo's slowest bench workloads — the
-// paper-size x-grids behind the fig10_join / fig11_power_increase smokes,
-// plus bench_cdma_drive's N x raise_factor grid study — on one thread, and
+// paper-size figure grids bench_fig10_join and bench_fig11_power_increase
+// plot (bench_util.hpp's definitions), plus bench_cdma_drive's
+// N x raise_factor grid study — on one thread, and
 // records the wall clocks in BENCH_sweep.json (schema v2: an append-only
 // *trajectory* of labeled entries, so the committed file shows each
 // optimization's before/after).
@@ -33,7 +34,6 @@
 #include "../bench/bench_util.hpp"
 #include "../bench/trajectory.hpp"
 #include "sim/experiment.hpp"
-#include "sim/sweeps.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -57,33 +57,31 @@ Measurement timed(const std::string& name, Fn&& fn) {
   return m;
 }
 
-/// The three benchmark workloads, each timed on `sweep.threads` threads.
-std::vector<Measurement> run_benchmarks(const sim::SweepOptions& sweep,
+/// The three benchmark workloads, each timed on `figures.threads` threads:
+/// the figure grids at `figures`, the grid study at `trials` trials.
+std::vector<Measurement> run_benchmarks(const sim::ExperimentOptions& figures,
                                         std::size_t trials) {
   std::vector<Measurement> measurements;
 
-  // The exact sweeps bench_fig10_join runs (paper-size x-grids; the
-  // distributed-only sub-figures are filtered, not re-simulated).
+  // The grids bench_fig10_join plots.
   measurements.push_back(timed("bench.fig10_join", [&] {
-    sim::SweepOptions all = sweep;
-    all.strategies = bench::kFig10Strategies;
-    sim::sweep_join_vs_n(bench::kFig10Ns, all);
-    sim::sweep_join_vs_avg_range(bench::kFig10AvgRanges, all);
+    sim::Experiment(bench::fig10_n_grid()).run(figures);
+    sim::Experiment(bench::fig10_avg_range_grid()).run(figures);
   }));
 
-  // The exact sweep bench_fig11_power_increase runs.
+  // The grid bench_fig11_power_increase plots.
   measurements.push_back(timed("bench.fig11_power_increase", [&] {
-    sim::SweepOptions all = sweep;
-    all.strategies = bench::kFig11Strategies;
-    sim::sweep_power_vs_raise_factor(bench::kFig11RaiseFactors, all);
+    sim::Experiment(bench::fig11_grid()).run(figures);
   }));
 
   // The grid study: bench_cdma_drive's N x raise_factor power grid.
   measurements.push_back(timed("bench.grid_study", [&] {
+    sim::ExperimentOptions study = figures;
+    study.trials = trials;
     bench::make_experiment("power",
                            "n:40:60:80:100,raise_factor:1.5:2.5:3.5:4.5:5.5",
                            {"minim", "cp", "bbb"})
-        .run({.trials = trials, .seed = sweep.seed, .threads = sweep.threads});
+        .run(study);
   }));
 
   return measurements;
@@ -96,13 +94,13 @@ int main(int argc, char** argv) {
   bench::exit_on_unread_flags(options, "perf_trajectory",
                               {"runs", "trials", "seed", "out", "label",
                                "check", "check-factor"});
-  sim::SweepOptions sweep;
-  sweep.runs = options.get_count("runs", 2);
-  sweep.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
+  sim::ExperimentOptions figures;
+  figures.trials = bench::run_count_from(options, "runs", 2);
+  figures.seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   // Every committed entry is serial, and a pool would time the machine's
   // core count along with the code.
-  sweep.threads = 1;
-  const auto trials = options.get_count("trials", 2);
+  figures.threads = 1;
+  const auto trials = bench::run_count_from(options, "trials", 2);
   const std::string out_path = options.get("out", "BENCH_sweep.json");
   const bool check = options.has("check");
   const std::string check_path =
@@ -127,9 +125,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "=== Perf trajectory (runs=" << sweep.runs
+  std::cout << "=== Perf trajectory (runs=" << figures.trials
             << ", trials=" << trials << ") ===\n";
-  const std::vector<Measurement> measurements = run_benchmarks(sweep, trials);
+  const std::vector<Measurement> measurements = run_benchmarks(figures, trials);
 
   if (check) {
     std::cout << "checking against " << check_path << " (factor "
@@ -141,10 +139,10 @@ int main(int argc, char** argv) {
 
   TrajectoryEntry entry;
   entry.label = options.get("label", "run");
-  entry.config_json = "{\"runs\": " + std::to_string(sweep.runs) +
+  entry.config_json = "{\"runs\": " + std::to_string(figures.trials) +
                       ", \"trials\": " + std::to_string(trials) +
                       ", \"threads\": 1, \"seed\": " +
-                      std::to_string(sweep.seed) + "}";
+                      std::to_string(figures.seed) + "}";
   entry.benchmarks = measurements;
   trajectory.push_back(std::move(entry));
 

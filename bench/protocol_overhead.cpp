@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv);
   bench::exit_on_unread_flags(options, "protocol_overhead",
                               {"runs", "fast", "seed"});
-  const auto runs =
-      options.get_count("runs", options.get_bool("fast", false) ? 10 : 50);
+  const auto runs = bench::run_count_from(
+      options, "runs", options.get_bool("fast", false) ? 10 : 50);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1234));
 
   std::cout << "=== Distributed protocol overhead (Minim) ===\n\n";

@@ -119,7 +119,7 @@ SessionStats serve_session(AssignmentEngine& engine, Transport& transport,
   while (!done && transport.read_line(line)) {
     burst.clear();
     burst.push_back(line);
-    if (!options.flush_each && options.max_batch > 1)
+    if (options.max_batch > 1)
       transport.read_available(burst, options.max_batch - 1);
 
     for (const std::string& request : burst) {
@@ -184,7 +184,7 @@ SessionStats serve_session(AssignmentEngine& engine, Transport& transport,
     }
 
     flush_pending();
-    transport.flush();  // one delivery per burst (per line with flush_each)
+    transport.flush();  // one delivery per burst (per line at max_batch 1)
   }
   return stats;
 }

@@ -45,7 +45,7 @@
 /// per-event path; a coalesced multi-event repair marks its receipts with a
 /// trailing ` batch=<k>`.  Queries, parse errors, and `quit` are batch
 /// boundaries — they apply everything pending first, so a query always sees
-/// the state of every request before it.  `flush_each` restores the
+/// the state of every request before it.  `max_batch = 1` restores the
 /// pre-pipelining behavior: one request applied and one flush per line.
 
 namespace minim::serve {
@@ -54,11 +54,8 @@ struct SessionOptions {
   /// Write a response line per event/query.  Off = ingest-only (benches
   /// that measure engine latency without protocol formatting).
   bool echo = true;
-  /// Apply and flush per request line (no lookahead, no coalescing) — the
-  /// pre-pipelining behavior, kept for golden-transcript runs and
-  /// interactive debugging.
-  bool flush_each = false;
-  /// Most events coalesced into one engine batch (≥ 1).
+  /// Most events coalesced into one engine batch (≥ 1).  1 reads no
+  /// lookahead: each request line is applied and flushed on its own.
   std::size_t max_batch = 512;
 };
 

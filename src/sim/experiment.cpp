@@ -41,8 +41,8 @@ void accumulate(TotalsSummary& summary, const Totals& totals,
 
 TotalsSummary summarize(const ExperimentCell& cell) {
   TotalsSummary summary;
-  for (const ExperimentTrial& trial : cell.trials)
-    accumulate(summary, trial.totals, trial.final_max_color);
+  for (const RunOutcome& trial : cell.trials)
+    accumulate(summary, trial.totals, trial.max_color);
   return summary;
 }
 
@@ -55,14 +55,58 @@ const ExperimentCell& ExperimentResult::cell(std::size_t point,
 
 namespace {
 
+/// Sets the spec field an axis names to one of its values.
+using AxisSetter = void (*)(ScenarioSpec&, double);
+
+/// The axis vocabulary: every name a `GridAxis` may carry.
+constexpr std::pair<const char*, AxisSetter> kAxes[] = {
+    {"n", [](ScenarioSpec& s, double x) { s.workload.n = static_cast<std::size_t>(x); }},
+    {"raise_factor", [](ScenarioSpec& s, double x) { s.raise_factor = x; }},
+    {"max_displacement", [](ScenarioSpec& s, double x) { s.max_displacement = x; }},
+    {"move_rounds",
+     [](ScenarioSpec& s, double x) { s.move_rounds = static_cast<std::size_t>(x); }},
+    {"min_range", [](ScenarioSpec& s, double x) { s.workload.min_range = x; }},
+    {"max_range", [](ScenarioSpec& s, double x) { s.workload.max_range = x; }},
+    // The paper's Fig 10(d-f) parameterization: a 5-unit spread around x.
+    {"avg_range",
+     [](ScenarioSpec& s, double x) {
+       s.workload.min_range = x - 2.5;
+       s.workload.max_range = x + 2.5;
+     }},
+    {"clusters",
+     [](ScenarioSpec& s, double x) {
+       s.workload.placement = Placement::kClustered;
+       s.workload.cluster_count = std::max<std::size_t>(1, static_cast<std::size_t>(x));
+     }},
+    {"cluster_sigma",
+     [](ScenarioSpec& s, double x) {
+       s.workload.placement = Placement::kClustered;
+       s.workload.cluster_sigma = x;
+     }},
+    {"churn_duration", [](ScenarioSpec& s, double x) { s.churn.duration = x; }},
+    {"arrival_rate", [](ScenarioSpec& s, double x) { s.churn.arrival_rate = x; }},
+    {"mean_lifetime", [](ScenarioSpec& s, double x) { s.churn.mean_lifetime = x; }},
+};
+
+/// The setter `name` selects; throws std::invalid_argument naming the known
+/// axes when there is none.
+AxisSetter axis_setter(const std::string& name) {
+  std::string known;
+  for (const auto& [axis, setter] : kAxes) {
+    if (name == axis) return setter;
+    known += known.empty() ? "" : "|";
+    known += axis;
+  }
+  throw std::invalid_argument("unknown axis \"" + name + "\" (expected " +
+                              known + ")");
+}
+
 /// Axis-0-major cartesian product of the axis values; one empty point when
 /// there are no axes.
 std::vector<std::vector<double>> enumerate_points(
     const std::vector<GridAxis>& axes) {
-  for (const GridAxis& axis : axes) {
+  for (const GridAxis& axis : axes)
     MINIM_REQUIRE(!axis.values.empty(), "grid axis needs at least one value");
-    MINIM_REQUIRE(static_cast<bool>(axis.apply), "grid axis needs an apply fn");
-  }
   std::size_t count = 1;
   for (const GridAxis& axis : axes) count *= axis.values.size();
 
@@ -85,24 +129,23 @@ std::vector<std::vector<double>> enumerate_points(
 /// pairing is achieved by handing every strategy a *copy* of the same stream
 /// — the event sequence is a pure function of the rng, so all strategies see
 /// the identical churn.
-std::vector<ExperimentTrial> run_point_trial(
+std::vector<RunOutcome> run_point_trial(
     const ScenarioSpec& spec, const std::vector<std::string>& strategies,
     const strategies::StrategyFactory& factory, std::uint64_t trial,
     util::Rng& rng) {
-  std::vector<ExperimentTrial> out;
-  out.reserve(strategies.size());
-
   if (spec.kind == ScenarioKind::kChurn) {
     ChurnParams params = spec.churn;
     params.validate = params.validate || spec.validate;
+    std::vector<RunOutcome> out;
+    out.reserve(strategies.size());
     for (const std::string& name : strategies) {
       const auto strategy = factory(name);
       util::Rng stream = rng;
       const ChurnResult churn = run_churn(params, *strategy, stream);
-      ExperimentTrial result;
+      RunOutcome result;
       result.trial = trial;
       result.totals = churn.totals;
-      result.final_max_color = churn.final_max_color;
+      result.max_color = churn.final_max_color;
       out.push_back(result);
     }
     return out;
@@ -122,18 +165,10 @@ std::vector<ExperimentTrial> run_point_trial(
     objects.push_back(factory(name));
     lanes.push_back(objects.back().get());
   }
-  const std::vector<RunOutcome> outcomes =
+  std::vector<RunOutcome> outcomes =
       replay_all(workload, lanes, spec.validate, &arena);
-  for (const RunOutcome& outcome : outcomes) {
-    ExperimentTrial result;
-    result.trial = trial;
-    result.totals = outcome.totals;
-    result.final_max_color = outcome.max_color;
-    result.setup_max_color = outcome.setup_max_color;
-    result.setup_recodings = outcome.setup_recodings;
-    out.push_back(result);
-  }
-  return out;
+  for (RunOutcome& outcome : outcomes) outcome.trial = trial;
+  return outcomes;
 }
 
 }  // namespace
@@ -142,15 +177,19 @@ Experiment::Experiment(ExperimentGrid grid)
     : grid_(std::move(grid)), points_(enumerate_points(grid_.axes)) {
   MINIM_REQUIRE(!grid_.strategies.empty(),
                 "experiment needs at least one strategy");
+  std::vector<AxisSetter> setters;
+  for (const GridAxis& axis : grid_.axes) setters.push_back(axis_setter(axis.name));
+  specs_.reserve(points_.size());
+  for (const std::vector<double>& coords : points_) {
+    ScenarioSpec spec = grid_.base;
+    for (std::size_t a = 0; a < setters.size(); ++a) setters[a](spec, coords[a]);
+    specs_.push_back(spec);
+  }
 }
 
-ScenarioSpec Experiment::spec_for_point(std::size_t point_index) const {
-  MINIM_REQUIRE(point_index < points_.size(), "grid point index out of range");
-  ScenarioSpec spec = grid_.base;
-  const std::vector<double>& coords = points_[point_index];
-  for (std::size_t a = 0; a < grid_.axes.size(); ++a)
-    grid_.axes[a].apply(spec, coords[a]);
-  return spec;
+const ScenarioSpec& Experiment::spec_for_point(std::size_t point_index) const {
+  MINIM_REQUIRE(point_index < specs_.size(), "grid point index out of range");
+  return specs_[point_index];
 }
 
 ExperimentResult Experiment::run(const ExperimentOptions& options) const {
@@ -188,12 +227,6 @@ ExperimentResult Experiment::run(const ExperimentOptions& options) const {
     }
   if (shard_trials == 0 || shard_points == 0) return result;
 
-  // Axis application is cheap but runs once per point, not once per item.
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(shard_points);
-  for (std::size_t p = 0; p < shard_points; ++p)
-    specs.push_back(spec_for_point(options.point_begin + p));
-
   const strategies::StrategyFactory factory =
       grid_.strategy_factory
           ? grid_.strategy_factory
@@ -217,9 +250,10 @@ ExperimentResult Experiment::run(const ExperimentOptions& options) const {
       [&](std::size_t item, util::Rng& rng) {
         const std::size_t point = item / shard_trials;
         const std::uint64_t trial = options.trial_begin + item % shard_trials;
-        return run_point_trial(specs[point], grid_.strategies, factory, trial, rng);
+        return run_point_trial(specs_[options.point_begin + point],
+                               grid_.strategies, factory, trial, rng);
       },
-      [&](std::size_t item, std::vector<ExperimentTrial>&& per_strategy) {
+      [&](std::size_t item, std::vector<RunOutcome>&& per_strategy) {
         const std::size_t point = item / shard_trials;
         for (std::size_t s = 0; s < n_strategies; ++s)
           result.cells[point * n_strategies + s].trials.push_back(

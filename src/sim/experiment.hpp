@@ -2,12 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/churn.hpp"
+#include "sim/replay.hpp"
 #include "sim/simulation.hpp"
 #include "sim/workload.hpp"
 #include "strategies/factory.hpp"
@@ -23,7 +23,8 @@
 /// shape over parameter *grids*.  `Experiment` expresses all of it:
 ///
 ///  * an `ExperimentGrid` names the scenario (`ScenarioSpec`), the parameter
-///    axes (each axis maps a value onto the spec), and the strategy list;
+///    axes (each a named field of the spec; see `GridAxis`), and the
+///    strategy list;
 ///  * each (grid point, trial) generates its workload **once** and replays
 ///    it across every strategy — the paired comparison the paper's plots
 ///    rely on, without per-strategy regeneration churn;
@@ -37,7 +38,8 @@
 ///    `merge_shards` reassembles a result bit-identical to one process
 ///    running everything (`bench_cdma_drive --shard=i/k`, then `--merge`).
 ///
-/// The figure sweeps (sweeps.hpp) are one-axis grids on this API;
+/// Each of the paper's figures is a one-axis grid on this API (the figure
+/// harnesses share their definitions in bench/bench_util.hpp), and
 /// `bench_cdma_drive` runs any grid from the command line.
 
 namespace minim::sim {
@@ -65,12 +67,18 @@ struct ScenarioSpec {
 /// throws std::logic_error for kChurn, which has no phased workload).
 Workload make_scenario_workload(const ScenarioSpec& spec, util::Rng& rng);
 
-/// One parameter axis of a grid: a name, the values to sweep, and how a
-/// value modifies the scenario spec.
+/// One parameter axis of a grid: the spec field it sets, by name, and the
+/// values to sweep.  The names (one table, in experiment.cpp):
+///   n, min_range, max_range        `workload.n`, `.min_range`, `.max_range`
+///   avg_range                      ranges x - 2.5 to x + 2.5 (Fig 10(d-f))
+///   clusters, cluster_sigma        clustered placement's parents, spread
+///   raise_factor                   kPower's range multiplier
+///   max_displacement, move_rounds  kMove's displacement bound and rounds
+///   churn_duration, arrival_rate, mean_lifetime: kChurn's parameters
+/// `Experiment` throws std::invalid_argument on any other name.
 struct GridAxis {
   std::string name;
   std::vector<double> values;
-  std::function<void(ScenarioSpec&, double)> apply;
 };
 
 /// The full experiment description: {parameter axes x scenario x strategies}.
@@ -96,31 +104,12 @@ struct ExperimentOptions {
   std::size_t point_count = std::numeric_limits<std::size_t>::max();
 };
 
-/// Raw outcome of one (point, strategy, trial).
-struct ExperimentTrial {
-  std::uint64_t trial = 0;  ///< global trial index (shard-independent)
-  Totals totals;
-  net::Color final_max_color = net::kNoColor;
-  /// Metrics after the setup phase (the joins); 0 for churn, which has no
-  /// phased setup — its deltas equal the absolute values.
-  double setup_max_color = 0.0;
-  double setup_recodings = 0.0;
-
-  /// Fig 11/12's delta(max color index assigned).
-  double delta_max_color() const {
-    return static_cast<double>(final_max_color) - setup_max_color;
-  }
-  /// Fig 11/12's delta(total number of recodings).
-  double delta_recodings() const {
-    return static_cast<double>(totals.recodings) - setup_recodings;
-  }
-};
-
-/// All trials of one (grid point, strategy) cell, ascending by trial index.
+/// All trials of one (grid point, strategy) cell, ascending by trial index
+/// (`RunOutcome::trial`).
 struct ExperimentCell {
   std::size_t point_index = 0;
   std::size_t strategy_index = 0;
-  std::vector<ExperimentTrial> trials;
+  std::vector<RunOutcome> trials;
 };
 
 /// Mean/stddev (and min/max) of every engine counter across trials.
@@ -164,8 +153,10 @@ struct ExperimentResult {
   const ExperimentCell& cell(std::size_t point, std::size_t strategy) const;
 };
 
-/// The grid engine.  Construction enumerates the grid points (axis-0-major
-/// cartesian product); `run` fans (point, trial) items over
+/// The grid engine.  Construction resolves the axis names and enumerates the
+/// grid points (axis-0-major cartesian product); it throws
+/// std::invalid_argument on an unknown axis name, an axis without values or
+/// an empty strategy list.  `run` fans (point, trial) items over
 /// `util::map_reduce` and reduces them deterministically.
 class Experiment {
  public:
@@ -175,13 +166,14 @@ class Experiment {
   /// Axis-0-major cartesian product of the axis values.
   const std::vector<std::vector<double>>& points() const { return points_; }
   /// The base spec with `points()[point_index]` applied along every axis.
-  ScenarioSpec spec_for_point(std::size_t point_index) const;
+  const ScenarioSpec& spec_for_point(std::size_t point_index) const;
 
   ExperimentResult run(const ExperimentOptions& options) const;
 
  private:
   ExperimentGrid grid_;
   std::vector<std::vector<double>> points_;
+  std::vector<ScenarioSpec> specs_;  ///< one per point
 };
 
 /// Reassembles shards of one experiment into the full result.  Shards must

@@ -92,14 +92,14 @@ void write_experiment_csv(const ExperimentResult& result, std::ostream& out) {
   out << ",final_max_color,setup_max_color,setup_recodings\n";
 
   for (const ExperimentCell& cell : result.cells) {
-    for (const ExperimentTrial& trial : cell.trials) {
+    for (const RunOutcome& trial : cell.trials) {
       out << cell.point_index << "," << cell.strategy_index << "," << trial.trial
           << "," << trial.totals.events << "," << trial.totals.recodings << ","
           << trial.totals.messages;
       for (std::size_t t = 0; t < 5; ++t) out << "," << trial.totals.events_by_type[t];
       for (std::size_t t = 0; t < 5; ++t)
         out << "," << trial.totals.recodings_by_type[t];
-      out << "," << trial.final_max_color << "," << fmt_exact(trial.setup_max_color)
+      out << "," << trial.max_color << "," << fmt_exact(trial.setup_max_color)
           << "," << fmt_exact(trial.setup_recodings) << "\n";
     }
   }
@@ -175,7 +175,7 @@ ExperimentResult read_experiment_csv(std::istream& in) {
     if (point >= result.points.size() || strategy >= result.strategies.size())
       fail("data row indexes an undeclared point or strategy");
 
-    ExperimentTrial trial;
+    RunOutcome trial;
     trial.trial = parse_u64(fields[2]);
     trial.totals.events = static_cast<std::size_t>(parse_u64(fields[3]));
     trial.totals.recodings = static_cast<std::size_t>(parse_u64(fields[4]));
@@ -186,7 +186,7 @@ ExperimentResult read_experiment_csv(std::istream& in) {
       trial.totals.recodings_by_type[t] =
           static_cast<std::size_t>(parse_u64(fields[11 + t]));
     }
-    trial.final_max_color = static_cast<net::Color>(parse_u64(fields[16]));
+    trial.max_color = static_cast<net::Color>(parse_u64(fields[16]));
     trial.setup_max_color = parse_double(fields[17]);
     trial.setup_recodings = parse_double(fields[18]);
     result.cells[point * result.strategies.size() + strategy].trials.push_back(

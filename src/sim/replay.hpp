@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,7 +35,10 @@ class ReplayArena;
 
 /// Metrics of one (workload, strategy) replay.
 struct RunOutcome {
-  // After phase 1 (the N joins):
+  /// Global trial index within an `Experiment` (shard-independent); 0 for a
+  /// bare replay.
+  std::uint64_t trial = 0;
+  // After phase 1 (the N joins; 0 for churn, which has no phased setup):
   double setup_max_color = 0;
   double setup_recodings = 0;
   // After phase 2 (power raises or movement rounds; equal to setup when the

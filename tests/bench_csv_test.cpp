@@ -8,7 +8,9 @@
 //  * --shard=i/k takes digits only: a sign or a blank exits 2;
 //  * --merge of a missing file, a truncated file or overlapping shards
 //    exits 2 and names the reason;
-//  * a flag the binary does not read exits 2 and writes nothing.
+//  * a flag the binary does not read exits 2 and writes nothing;
+//  * --serve's --port and --max-batch out of range exit 2 before any
+//    transport is built.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -219,6 +221,36 @@ TEST(BenchCsv, FlagsTheBinaryDoesNotReadExitTwo) {
   ASSERT_EQ(std::system((drive + " > /dev/null 2>&1").c_str()), 0);
   EXPECT_TRUE(fs::exists(out));
   EXPECT_TRUE(fs::exists(dir / "cdma_drive.csv"));
+
+  fs::remove_all(dir);
+}
+
+TEST(BenchCsv, PortAndMaxBatchOutOfRangeExitTwo) {
+  // --port used to be cast straight to uint16_t (70000 listened on 4464,
+  // -1 on 65535), and a --max-batch below 1 silently served at 1.  Each is
+  // named on stderr before an engine or transport exists; the sessions read
+  // /dev/null on the stdin transport, so no socket is ever opened.
+  const fs::path dir = fs::temp_directory_path() / "minim_bench_port_flags_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path out = dir / "stdout.log";
+  const fs::path log = dir / "stderr.log";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--port=70000", "--port wants 0..65535, got 70000"},
+      {"--port=-1", "--port wants 0..65535, got -1"},
+      {"--max-batch=0", "--max-batch wants at least 1, got 0"},
+      {"--max-batch=-7", "--max-batch wants at least 1, got -7"}};
+  for (const auto& [flag, reason] : cases) {
+    const std::string command = std::string(MINIM_BENCH_CDMA_DRIVE) +
+                                " --serve " + flag + " < /dev/null > " +
+                                out.string() + " 2> " + log.string();
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_NE(read_file(log).find(reason), std::string::npos)
+        << command << "\n" << read_file(log);
+    EXPECT_EQ(read_file(out), "") << command;
+  }
 
   fs::remove_all(dir);
 }

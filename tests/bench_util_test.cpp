@@ -1,12 +1,13 @@
 // The bench-side logic the harnesses rely on: the BENCH_sweep.json reader
 // and writer (the committed file round-trips byte for byte) and its one
 // regression gate, list parsing, the --runs/--fast precedence of
-// sweep_options_from, metric selection in print_series' CSV output — plus
-// end-to-end runs of the real harness binaries (directory injected via
-// MINIM_BENCH_DIR): bench_ablations selects and prints every ablation
-// section and variant row, every harness exits 2 on a flag it does not
-// read, an unwritable output exits 2 before the run, and bench_large_n
-// parses its population tolerance whole.
+// sweep_options_from, metric and strategy selection in print_series' CSV
+// output — plus end-to-end runs of the real harness binaries (directory
+// injected via MINIM_BENCH_DIR): bench_ablations selects and prints every
+// ablation section and variant row, every harness exits 2 on a flag it
+// does not read, on a --runs or --trials below 1 and on a number list
+// field that does not parse whole, an unwritable output exits 2 before the
+// run, and bench_large_n parses its population tolerance whole.
 
 #include <gtest/gtest.h>
 
@@ -182,28 +183,35 @@ TEST(BenchUtil, ListOptionsFallBackWhenAbsent) {
   EXPECT_EQ(double_list_from(with_ns, "ns", {}), (std::vector<double>{40, 60}));
 }
 
-TEST(BenchUtil, SweepOptionsRunsDefaultsAndFastPrecedence) {
-  EXPECT_EQ(sweep_options_from(options_from({}), {"minim"}).runs, 100u);
-  EXPECT_EQ(sweep_options_from(options_from({"--runs=7"}), {"minim"}).runs, 7u);
+TEST(BenchUtil, SweepFlagsRunsDefaultsAndFastPrecedence) {
+  EXPECT_EQ(sweep_options_from(options_from({})).trials, 100u);
+  EXPECT_EQ(sweep_options_from(options_from({"--runs=7"})).trials, 7u);
   // --fast is the CI smoke switch: it wins even over an explicit --runs.
-  EXPECT_EQ(sweep_options_from(options_from({"--fast"}), {"minim"}).runs, 10u);
-  EXPECT_EQ(sweep_options_from(options_from({"--runs=7", "--fast"}), {"minim"}).runs,
-            10u);
-  const auto sweep = sweep_options_from(options_from({"--seed=5", "--threads=2"}),
-                                        {"minim", "cp"});
-  EXPECT_EQ(sweep.seed, 5u);
-  EXPECT_EQ(sweep.threads, 2u);
-  EXPECT_EQ(sweep.strategies, (std::vector<std::string>{"minim", "cp"}));
+  EXPECT_EQ(sweep_options_from(options_from({"--fast"})).trials, 10u);
+  EXPECT_EQ(sweep_options_from(options_from({"--runs=7", "--fast"})).trials, 10u);
+  const auto run = sweep_options_from(options_from({"--seed=5", "--threads=2"}));
+  EXPECT_EQ(run.seed, 5u);
+  EXPECT_EQ(run.threads, 2u);
+  // A harness's own defaults (bench_ablations: 60 runs, seed 99).
+  const auto ablations = sweep_options_from(options_from({}), 60, 99);
+  EXPECT_EQ(ablations.trials, 60u);
+  EXPECT_EQ(ablations.seed, 99u);
 }
 
 TEST(BenchUtil, PrintSeriesSelectsTheRequestedMetric) {
   // Two distinguishable metrics; the CSV written for kRecodings must carry
-  // the recoding stat, not the color stat.
-  minim::sim::SweepPoint point;
-  point.x = 80.0;
-  point.strategy = "minim";
-  point.color_metric.add(3.0);
-  point.recoding_metric.add(42.0);
+  // the recoding stat, not the color stat, and only the strategies asked
+  // for.
+  minim::sim::ExperimentResult result;
+  result.axis_names = {"n"};
+  result.points = {{80.0}};
+  result.strategies = {"minim", "cp"};
+  for (std::size_t s = 0; s < 2; ++s) {
+    minim::sim::RunOutcome trial;
+    trial.max_color = 3;
+    trial.totals.recodings = 42 + s;
+    result.cells.push_back({0, s, {trial}});
+  }
 
   const fs::path dir = fs::temp_directory_path() / "minim_bench_util_test";
   fs::remove_all(dir);
@@ -211,15 +219,18 @@ TEST(BenchUtil, PrintSeriesSelectsTheRequestedMetric) {
   const Options options = options_from({"--csv-dir=" + dir.string()});
 
   testing::internal::CaptureStdout();
-  print_series("title", "N", {point}, Metric::kRecodings, options, "series");
+  print_series("title", "N", result, Metric::kRecodings, options, "series",
+               {"minim"});
   const std::string stdout_text = testing::internal::GetCapturedStdout();
   EXPECT_NE(stdout_text.find("42.00"), std::string::npos);
+  EXPECT_EQ(stdout_text.find("43.00"), std::string::npos);
 
   std::ifstream csv(dir / "series.csv");
   std::stringstream contents;
   contents << csv.rdbuf();
-  EXPECT_NE(contents.str().find("42.000000"), std::string::npos);
-  EXPECT_EQ(contents.str().find("3.000000"), std::string::npos);
+  EXPECT_EQ(contents.str(),
+            "N,strategy,mean,ci95,stddev,min,max,runs\n"
+            "80.000,minim,42.000000,0.000000,0.000000,42.000,42.000,1\n");
   fs::remove_all(dir);
 }
 
@@ -330,6 +341,55 @@ TEST(BenchHarnesses, LargeNPopulationToleranceParsesWhole) {
               std::string::npos)
         << run.err;
     EXPECT_EQ(run.out, "") << tolerance;
+  }
+}
+
+TEST(BenchHarnesses, RunAndTrialCountsBelowOneExitTwo) {
+  // --runs=0 used to abort the figure harnesses, bench_ablations and
+  // bench_perf_trajectory in std::terminate, and to print -nan from
+  // bench_steady_state_churn and tables of zeros from
+  // bench_protocol_overhead and bench_cdma_drive --trials=0.  Each now
+  // names the flag and exits 2 before any run, so stdout stays empty.
+  const std::pair<const char*, const char*> cases[] = {
+      {"fig10_join --runs=0", "--runs"},
+      {"fig11_power_increase --runs=0", "--runs"},
+      {"fig12_movement --runs=-3", "--runs"},
+      {"ablations --runs=0", "--runs"},
+      {"perf_trajectory --runs=0", "--runs"},
+      {"perf_trajectory --trials=0", "--trials"},
+      {"steady_state_churn --runs=0", "--runs"},
+      {"protocol_overhead --runs=0", "--runs"},
+      {"cdma_drive --trials=0", "--trials"}};
+  for (const auto& [args, named] : cases) {
+    const HarnessRun run = run_harness(args);
+    ASSERT_TRUE(WIFEXITED(run.status)) << args;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << args;
+    EXPECT_NE(run.err.find(std::string(named) + " wants at least 1"),
+              std::string::npos)
+        << args << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << args;
+  }
+}
+
+TEST(BenchHarnesses, NumberListFieldsParseWhole) {
+  // bench_large_n used to abort on --ns=abc and to run --ns=1000x as a
+  // 1,000-node stage.  --ns now parses each field whole, as --axes does,
+  // and either flag exits 2 naming the bad field; so does an axis name
+  // outside the experiment layer's table, listing the known ones.
+  const std::pair<const char*, const char*> cases[] = {
+      {"large_n --ns=abc", "--ns: bad value \"abc\""},
+      {"large_n --ns=1000,1000x", "--ns: bad value \"1000x\""},
+      {"cdma_drive --axes=n:1000x", "--axes entry \"n:1000x\": bad value \"1000x\""},
+      {"cdma_drive --axes=foo:1",
+       "unknown axis \"foo\" (expected n|raise_factor|max_displacement|"
+       "move_rounds|min_range|max_range|avg_range|clusters|cluster_sigma|"
+       "churn_duration|arrival_rate|mean_lifetime)"}};
+  for (const auto& [args, reason] : cases) {
+    const HarnessRun run = run_harness(args);
+    ASSERT_TRUE(WIFEXITED(run.status)) << args;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << args;
+    EXPECT_NE(run.err.find(reason), std::string::npos) << args << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << args;
   }
 }
 

@@ -133,10 +133,10 @@ TEST(ServeSession, QuietModeIngestsWithoutResponses) {
   EXPECT_EQ(script.stats.queries, 1u);
 }
 
-TEST(ServeSession, PipelinedAndFlushEachTranscriptsAreByteIdentical) {
+TEST(ServeSession, PipelinedAndMaxBatchOneTranscriptsAreByteIdentical) {
   // The pipelined session coalesces a piped burst into engine batches but
-  // must answer byte-for-byte like the line-at-a-time session for a
-  // strategy on the exact per-event path.
+  // must answer byte-for-byte like the line-at-a-time session (max_batch 1)
+  // for a strategy on the exact per-event path.
   const std::string input =
       "join 10 10 20\n"
       "join 15 10 20\n"
@@ -145,20 +145,20 @@ TEST(ServeSession, PipelinedAndFlushEachTranscriptsAreByteIdentical) {
       "bogus\n"
       "code 1\n"
       "join 30 30 10\n";
-  const auto run = [&input](bool flush_each) {
+  const auto run = [&input](std::size_t max_batch) {
     std::istringstream in(input);
     std::ostringstream out;
     StreamTransport transport(in, out, "test");
     AssignmentEngine engine{std::string("minim")};
     SessionOptions options;
-    options.flush_each = flush_each;
+    options.max_batch = max_batch;
     Script script;
     script.stats = serve_session(engine, transport, options);
     script.responses = out.str();
     return script;
   };
-  const Script pipelined = run(false);
-  const Script line_at_a_time = run(true);
+  const Script pipelined = run(SessionOptions{}.max_batch);
+  const Script line_at_a_time = run(1);
   EXPECT_EQ(pipelined.responses, line_at_a_time.responses);
   EXPECT_EQ(pipelined.stats.events, line_at_a_time.stats.events);
   EXPECT_EQ(pipelined.stats.queries, line_at_a_time.stats.queries);

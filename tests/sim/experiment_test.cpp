@@ -1,5 +1,7 @@
 // Tests for the unified experiment API (sim/experiment.hpp):
-//  * grid enumeration (axis-0-major) and per-point spec application;
+//  * grid enumeration (axis-0-major), the named axes' spec fields, and the
+//    rejection of an empty axis, an empty strategy list or an unknown axis;
+//  * the validate flag running the CA1/CA2 checks on every lane;
 //  * the two headline determinism contracts — (a) grid results bit-identical
 //    for any thread count, (b) trial ranges run as k shards and merged are
 //    bit-identical to the unsharded run, including through the CSV
@@ -10,13 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/recode_report.hpp"
 #include "sim/experiment.hpp"
 #include "sim/experiment_io.hpp"
+#include "strategies/factory.hpp"
 
 namespace {
 
@@ -25,13 +30,8 @@ using namespace minim;
 sim::ExperimentGrid small_power_grid() {
   sim::ExperimentGrid grid;
   grid.base.kind = sim::ScenarioKind::kPower;
-  grid.axes.push_back(sim::GridAxis{
-      "n", {12, 20}, [](sim::ScenarioSpec& spec, double x) {
-        spec.workload.n = static_cast<std::size_t>(x);
-      }});
-  grid.axes.push_back(sim::GridAxis{
-      "raise_factor", {2.0, 3.5},
-      [](sim::ScenarioSpec& spec, double x) { spec.raise_factor = x; }});
+  grid.axes.push_back({"n", {12, 20}});
+  grid.axes.push_back({"raise_factor", {2.0, 3.5}});
   grid.strategies = {"minim", "cp"};
   return grid;
 }
@@ -63,7 +63,7 @@ void expect_identical(const sim::ExperimentResult& a,
       EXPECT_EQ(ta.totals.messages, tb.totals.messages);
       EXPECT_EQ(ta.totals.events_by_type, tb.totals.events_by_type);
       EXPECT_EQ(ta.totals.recodings_by_type, tb.totals.recodings_by_type);
-      EXPECT_EQ(ta.final_max_color, tb.final_max_color);
+      EXPECT_EQ(ta.max_color, tb.max_color);
       EXPECT_EQ(ta.setup_max_color, tb.setup_max_color);  // EQ: bit-identical
       EXPECT_EQ(ta.setup_recodings, tb.setup_recodings);
     }
@@ -104,6 +104,106 @@ TEST(Experiment, NoAxesMeansOneGridPoint) {
   const sim::ExperimentResult result = experiment.run(options);
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_EQ(result.cell(0, 0).trials.size(), 3u);
+}
+
+TEST(Experiment, EveryAxisNameSetsItsSpecField) {
+  const auto spec_with = [](const std::string& name, double x) {
+    sim::ExperimentGrid grid;
+    grid.axes.push_back({name, {x}});
+    return sim::Experiment(std::move(grid)).spec_for_point(0);
+  };
+  EXPECT_EQ(spec_with("n", 33).workload.n, 33u);
+  EXPECT_EQ(spec_with("raise_factor", 2.5).raise_factor, 2.5);
+  EXPECT_EQ(spec_with("max_displacement", 12).max_displacement, 12.0);
+  EXPECT_EQ(spec_with("move_rounds", 4).move_rounds, 4u);
+  EXPECT_EQ(spec_with("min_range", 9).workload.min_range, 9.0);
+  EXPECT_EQ(spec_with("max_range", 19).workload.max_range, 19.0);
+  const sim::ScenarioSpec avg = spec_with("avg_range", 27.5);
+  EXPECT_EQ(avg.workload.min_range, 25.0);
+  EXPECT_EQ(avg.workload.max_range, 30.0);
+  const sim::ScenarioSpec clusters = spec_with("clusters", 0.5);
+  EXPECT_EQ(clusters.workload.placement, sim::Placement::kClustered);
+  EXPECT_EQ(clusters.workload.cluster_count, 1u);  // never below one parent
+  const sim::ScenarioSpec sigma = spec_with("cluster_sigma", 3);
+  EXPECT_EQ(sigma.workload.placement, sim::Placement::kClustered);
+  EXPECT_EQ(sigma.workload.cluster_sigma, 3.0);
+  EXPECT_EQ(spec_with("churn_duration", 400).churn.duration, 400.0);
+  EXPECT_EQ(spec_with("arrival_rate", 0.5).churn.arrival_rate, 0.5);
+  EXPECT_EQ(spec_with("mean_lifetime", 90).churn.mean_lifetime, 90.0);
+}
+
+TEST(Experiment, RejectsAnEmptyAxisNoStrategiesAndAnUnknownAxis) {
+  sim::ExperimentGrid empty_axis;
+  empty_axis.axes.push_back({"n", {}});
+  EXPECT_THROW(sim::Experiment{empty_axis}, std::invalid_argument);
+
+  sim::ExperimentGrid no_strategies;
+  no_strategies.strategies.clear();
+  EXPECT_THROW(sim::Experiment{no_strategies}, std::invalid_argument);
+
+  // "rounds" is close to, but not, the move_rounds axis.
+  sim::ExperimentGrid unknown;
+  unknown.axes.push_back({"rounds", {2}});
+  try {
+    sim::Experiment{unknown};
+    ADD_FAILURE() << "an unknown axis name must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown axis \"rounds\""), std::string::npos) << what;
+    EXPECT_NE(what.find("|move_rounds|"), std::string::npos) << what;
+  }
+}
+
+// A deliberately invalid strategy: every node gets color 1, so any two
+// constrained nodes conflict as soon as the network has an edge.
+class EveryoneColorOne final : public core::RecodingStrategy {
+ public:
+  std::string name() const override { return "broken"; }
+
+  core::RecodeReport on_join(const net::AdhocNetwork& net,
+                             net::CodeAssignment& assignment,
+                             net::NodeId n) override {
+    assignment.set_color(n, 1);
+    core::RecodeReport report;
+    report.event = core::EventType::kJoin;
+    report.subject = n;
+    report.changes.push_back(core::Recode{n, net::kNoColor, 1});
+    core::finalize_report(net, assignment, report);
+    return report;
+  }
+  core::RecodeReport on_leave(const net::AdhocNetwork&, net::CodeAssignment&,
+                              net::NodeId) override {
+    return {};
+  }
+  core::RecodeReport on_move(const net::AdhocNetwork&, net::CodeAssignment&,
+                             net::NodeId) override {
+    return {};
+  }
+  core::RecodeReport on_power_change(const net::AdhocNetwork&,
+                                     net::CodeAssignment&, net::NodeId,
+                                     double) override {
+    return {};
+  }
+};
+
+TEST(Experiment, ValidateFlagRunsTheChecks) {
+  // With enough nodes on the default 100x100 field the all-ones coloring is
+  // invalid, so a validating grid must throw — and a non-validating grid
+  // must sail through, proving the flag is what arms the check.
+  sim::ExperimentGrid grid;
+  grid.axes.push_back({"n", {16}});
+  grid.strategies = {"minim", "broken"};
+  grid.strategy_factory = [](const std::string& name) -> core::StrategyPtr {
+    if (name == "broken") return std::make_unique<EveryoneColorOne>();
+    return strategies::make_strategy(name);
+  };
+  sim::ExperimentOptions options;
+  options.trials = 2;
+  options.threads = 1;
+  grid.base.validate = true;
+  EXPECT_THROW(sim::Experiment(grid).run(options), std::logic_error);
+  grid.base.validate = false;
+  EXPECT_NO_THROW(sim::Experiment(grid).run(options));
 }
 
 TEST(Experiment, GridResultsBitIdenticalForAnyThreadCount) {
@@ -208,10 +308,7 @@ TEST(OrchestrationDeterminism, IrregularRectangleTilingsAlsoMerge) {
   // merge must write the unsharded run's CSV byte for byte.
   sim::ExperimentGrid grid;
   grid.base.kind = sim::ScenarioKind::kJoin;
-  grid.axes.push_back(sim::GridAxis{
-      "n", {10, 14, 18}, [](sim::ScenarioSpec& spec, double x) {
-        spec.workload.n = static_cast<std::size_t>(x);
-      }});
+  grid.axes.push_back({"n", {10, 14, 18}});
   grid.strategies = {"minim", "cp"};
   const sim::Experiment experiment(grid);
   sim::ExperimentOptions options;
@@ -262,7 +359,7 @@ TEST(Experiment, PointShardStreamsMatchTheFullRun) {
     ASSERT_EQ(lone.size(), same.size());
     for (std::size_t i = 0; i < lone.size(); ++i) {
       EXPECT_EQ(lone[i].totals.recodings, same[i].totals.recodings);
-      EXPECT_EQ(lone[i].final_max_color, same[i].final_max_color);
+      EXPECT_EQ(lone[i].max_color, same[i].max_color);
     }
   }
 }
@@ -370,7 +467,7 @@ TEST(Experiment, StrategiesShareTheTrialWorkload) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].totals.recodings, b[i].totals.recodings);
-      EXPECT_EQ(a[i].final_max_color, b[i].final_max_color);
+      EXPECT_EQ(a[i].max_color, b[i].max_color);
     }
   }
 }
@@ -390,12 +487,12 @@ TEST(Experiment, StreamsDependOnGlobalTrialNotShardPosition) {
   const sim::ExperimentResult a = experiment.run(narrow);
   const sim::ExperimentResult b = experiment.run(wide);
   for (std::size_t c = 0; c < a.cells.size(); ++c) {
-    const sim::ExperimentTrial& lone = a.cells[c].trials.at(0);
-    const sim::ExperimentTrial& same = b.cells[c].trials.at(1);  // global 4
+    const sim::RunOutcome& lone = a.cells[c].trials.at(0);
+    const sim::RunOutcome& same = b.cells[c].trials.at(1);  // global 4
     EXPECT_EQ(lone.trial, 4u);
     EXPECT_EQ(same.trial, 4u);
     EXPECT_EQ(lone.totals.recodings, same.totals.recodings);
-    EXPECT_EQ(lone.final_max_color, same.final_max_color);
+    EXPECT_EQ(lone.max_color, same.max_color);
   }
 }
 

@@ -1,6 +1,7 @@
 // Regression guards for the *shapes* of the paper's figures — the headline
 // qualitative claims the reproduction stands on, pinned at small scale with
-// fixed seeds (deterministic: sweeps are seed-stable across thread counts).
+// fixed seeds (deterministic: experiment grids are seed-stable across thread
+// counts).
 //
 //   Fig 10: BBB <= Minim < CP in max color; Minim <= CP << BBB in recodings.
 //   Fig 11: Minim << CP << BBB in delta recodings; CP/exact-vicinity beats
@@ -9,64 +10,91 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/sweeps.hpp"
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/experiment.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
-using minim::sim::SweepOptions;
-using minim::sim::SweepPoint;
+using namespace minim;
 
-const SweepPoint& point_of(const std::vector<SweepPoint>& points, double x,
-                           const std::string& strategy) {
-  for (const auto& point : points)
-    if (point.x == x && point.strategy == strategy) return point;
-  throw std::logic_error("missing sweep point");
-}
+/// A per-trial plot metric: absolute for Fig 10, the change since the joins
+/// for Figs 11 and 12.
+using Metric = double (sim::RunOutcome::*)() const;
+constexpr Metric kColor = &sim::RunOutcome::final_max_color;
+constexpr Metric kRecodings = &sim::RunOutcome::total_recodings;
+constexpr Metric kDeltaColor = &sim::RunOutcome::delta_max_color;
+constexpr Metric kDeltaRecodings = &sim::RunOutcome::delta_recodings;
 
-SweepOptions options_with(std::vector<std::string> strategies) {
-  SweepOptions options;
-  options.strategies = std::move(strategies);
-  options.runs = 12;
+/// One figure's grid at small scale: `kind` on `n` nodes along `axis`.
+sim::ExperimentResult run_figure(sim::ScenarioKind kind, std::size_t n,
+                                 sim::GridAxis axis,
+                                 std::vector<std::string> strategies) {
+  sim::ExperimentGrid grid;
+  grid.base.kind = kind;
+  grid.base.workload.n = n;
+  grid.axes.push_back(std::move(axis));
+  grid.strategies = std::move(strategies);
+  sim::ExperimentOptions options;
+  options.trials = 12;
   options.seed = 20010101;
   options.threads = 2;
-  return options;
+  return sim::Experiment(std::move(grid)).run(options);
+}
+
+/// The mean of `metric` over the trials of `strategy` at axis value `x`.
+double mean_of(const sim::ExperimentResult& result, double x,
+               const std::string& strategy, Metric metric) {
+  for (std::size_t p = 0; p < result.point_count(); ++p)
+    for (std::size_t s = 0; s < result.strategy_count(); ++s)
+      if (result.points[p].front() == x && result.strategies[s] == strategy) {
+        util::RunningStats stat;
+        for (const sim::RunOutcome& trial : result.cell(p, s).trials)
+          stat.add((trial.*metric)());
+        return stat.mean();
+      }
+  throw std::logic_error("missing grid cell");
 }
 
 TEST(FigureShapes, Fig10ColorOrdering) {
-  const auto points =
-      minim::sim::sweep_join_vs_n({60}, options_with({"minim", "cp", "bbb"}));
-  const double minim = point_of(points, 60, "minim").color_metric.mean();
-  const double cp = point_of(points, 60, "cp").color_metric.mean();
-  const double bbb = point_of(points, 60, "bbb").color_metric.mean();
+  const auto result = run_figure(sim::ScenarioKind::kJoin, 100, {"n", {60}},
+                                 {"minim", "cp", "bbb"});
+  const double minim = mean_of(result, 60, "minim", kColor);
+  const double cp = mean_of(result, 60, "cp", kColor);
+  const double bbb = mean_of(result, 60, "bbb", kColor);
   EXPECT_LE(bbb, minim + 0.5);   // BBB near-optimal
   EXPECT_LT(minim, cp);          // Minim closer to BBB than CP
 }
 
 TEST(FigureShapes, Fig10RecodingOrdering) {
-  const auto points =
-      minim::sim::sweep_join_vs_n({60}, options_with({"minim", "cp", "bbb"}));
-  const double minim = point_of(points, 60, "minim").recoding_metric.mean();
-  const double cp = point_of(points, 60, "cp").recoding_metric.mean();
-  const double bbb = point_of(points, 60, "bbb").recoding_metric.mean();
+  const auto result = run_figure(sim::ScenarioKind::kJoin, 100, {"n", {60}},
+                                 {"minim", "cp", "bbb"});
+  const double minim = mean_of(result, 60, "minim", kRecodings);
+  const double cp = mean_of(result, 60, "cp", kRecodings);
+  const double bbb = mean_of(result, 60, "bbb", kRecodings);
   EXPECT_LE(minim, cp + 0.5);
   EXPECT_GT(bbb, 2.0 * cp);  // global recoloring is an order worse
 }
 
 TEST(FigureShapes, Fig10RecodingsScaleRoughlyLinearly) {
-  const auto points =
-      minim::sim::sweep_join_vs_n({40, 80}, options_with({"minim"}));
-  const double at40 = point_of(points, 40, "minim").recoding_metric.mean();
-  const double at80 = point_of(points, 80, "minim").recoding_metric.mean();
+  const auto result =
+      run_figure(sim::ScenarioKind::kJoin, 100, {"n", {40, 80}}, {"minim"});
+  const double at40 = mean_of(result, 40, "minim", kRecodings);
+  const double at80 = mean_of(result, 80, "minim", kRecodings);
   EXPECT_GT(at80, 1.6 * at40);
   EXPECT_LT(at80, 2.8 * at40);
 }
 
 TEST(FigureShapes, Fig11RecodingOrdering) {
-  const auto points = minim::sim::sweep_power_vs_raise_factor(
-      {3.0}, options_with({"minim", "cp", "bbb"}), /*n=*/60);
-  const double minim = point_of(points, 3.0, "minim").recoding_metric.mean();
-  const double cp = point_of(points, 3.0, "cp").recoding_metric.mean();
-  const double bbb = point_of(points, 3.0, "bbb").recoding_metric.mean();
+  const auto result = run_figure(sim::ScenarioKind::kPower, 60,
+                                 {"raise_factor", {3.0}}, {"minim", "cp", "bbb"});
+  const double minim = mean_of(result, 3.0, "minim", kDeltaRecodings);
+  const double cp = mean_of(result, 3.0, "cp", kDeltaRecodings);
+  const double bbb = mean_of(result, 3.0, "bbb", kDeltaRecodings);
   EXPECT_LT(minim, cp);
   EXPECT_GT(bbb, 5.0 * cp);
 }
@@ -75,40 +103,40 @@ TEST(FigureShapes, Fig11ColorDirectionWithExactVicinityCp) {
   // The paper's Fig 11(a) claim — CP slightly better than Minim on
   // delta(max color) — reproduces under the exact-constraint port of CP's
   // color rule (`CpStrategy::Vicinity::kExactConstraints`).
-  const auto points = minim::sim::sweep_power_vs_raise_factor(
-      {3.0}, options_with({"minim", "cp-exact"}), /*n=*/60);
-  const double minim = point_of(points, 3.0, "minim").color_metric.mean();
-  const double cp_exact = point_of(points, 3.0, "cp-exact").color_metric.mean();
+  const auto result = run_figure(sim::ScenarioKind::kPower, 60,
+                                 {"raise_factor", {3.0}}, {"minim", "cp-exact"});
+  const double minim = mean_of(result, 3.0, "minim", kDeltaColor);
+  const double cp_exact = mean_of(result, 3.0, "cp-exact", kDeltaColor);
   EXPECT_LT(cp_exact, minim);
   // "by only 6 colors" at the paper's scale; stay loose at this small scale.
   EXPECT_LT(minim - cp_exact, 20.0);
 }
 
 TEST(FigureShapes, Fig12RecodingOrderingAndGrowth) {
-  const auto points = minim::sim::sweep_move_vs_rounds(
-      {2, 5}, options_with({"minim", "cp", "bbb"}), /*n=*/30);
+  const auto result = run_figure(sim::ScenarioKind::kMove, 30,
+                                 {"move_rounds", {2, 5}}, {"minim", "cp", "bbb"});
   for (double rounds : {2.0, 5.0}) {
-    const double minim = point_of(points, rounds, "minim").recoding_metric.mean();
-    const double cp = point_of(points, rounds, "cp").recoding_metric.mean();
-    const double bbb = point_of(points, rounds, "bbb").recoding_metric.mean();
+    const double minim = mean_of(result, rounds, "minim", kDeltaRecodings);
+    const double cp = mean_of(result, rounds, "cp", kDeltaRecodings);
+    const double bbb = mean_of(result, rounds, "bbb", kDeltaRecodings);
     EXPECT_LT(minim, cp) << rounds;
     EXPECT_GT(bbb, 3.0 * cp) << rounds;
   }
   // The CP-minus-Minim gap widens with rounds (Fig 12(c,d)).
-  const double gap2 = point_of(points, 2, "cp").recoding_metric.mean() -
-                      point_of(points, 2, "minim").recoding_metric.mean();
-  const double gap5 = point_of(points, 5, "cp").recoding_metric.mean() -
-                      point_of(points, 5, "minim").recoding_metric.mean();
+  const double gap2 = mean_of(result, 2, "cp", kDeltaRecodings) -
+                      mean_of(result, 2, "minim", kDeltaRecodings);
+  const double gap5 = mean_of(result, 5, "cp", kDeltaRecodings) -
+                      mean_of(result, 5, "minim", kDeltaRecodings);
   EXPECT_GT(gap5, gap2);
 }
 
 TEST(FigureShapes, Fig12ColorDeltaStaysSmall) {
   // Fig 12(b): over many movement rounds the max-color drift stays within a
   // handful of colors for the distributed strategies.
-  const auto points =
-      minim::sim::sweep_move_vs_rounds({6}, options_with({"minim", "cp"}), /*n=*/30);
-  EXPECT_LT(point_of(points, 6, "minim").color_metric.mean(), 10.0);
-  EXPECT_LT(point_of(points, 6, "cp").color_metric.mean(), 10.0);
+  const auto result = run_figure(sim::ScenarioKind::kMove, 30,
+                                 {"move_rounds", {6}}, {"minim", "cp"});
+  EXPECT_LT(mean_of(result, 6, "minim", kDeltaColor), 10.0);
+  EXPECT_LT(mean_of(result, 6, "cp", kDeltaColor), 10.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Workload generation, the simulation engine, replay metrics and sweep
-// determinism.
+// Workload generation, the simulation engine and replay metrics (grid
+// determinism is tests/sim/experiment_test.cpp's).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "net/constraints.hpp"
 #include "sim/replay.hpp"
 #include "sim/simulation.hpp"
-#include "sim/sweeps.hpp"
 #include "sim/workload.hpp"
 #include "strategies/factory.hpp"
 #include "util/rng.hpp"
@@ -21,7 +20,6 @@ using minim::sim::make_move_workload;
 using minim::sim::make_power_workload;
 using minim::sim::replay;
 using minim::sim::Simulation;
-using minim::sim::SweepOptions;
 using minim::sim::Workload;
 using minim::sim::WorkloadParams;
 using minim::util::Rng;
@@ -208,82 +206,6 @@ TEST(Replay, SameWorkloadSameStrategyIsDeterministic) {
   const auto o2 = replay(w, *s2);
   EXPECT_EQ(o1.final_max_color(), o2.final_max_color());
   EXPECT_EQ(o1.total_recodings(), o2.total_recodings());
-}
-
-// ---------------------------------------------------------------- sweeps
-
-TEST(Sweep, PointsOrderedAndSized) {
-  SweepOptions options;
-  options.strategies = {"minim", "cp"};
-  options.runs = 4;
-  options.threads = 2;
-  const auto points = minim::sim::sweep_join_vs_n({10, 20}, options);
-  ASSERT_EQ(points.size(), 4u);  // 2 x-values x 2 strategies
-  EXPECT_EQ(points[0].x, 10);
-  EXPECT_EQ(points[0].strategy, "minim");
-  EXPECT_EQ(points[1].strategy, "cp");
-  EXPECT_EQ(points[2].x, 20);
-  for (const auto& point : points) {
-    EXPECT_EQ(point.color_metric.count(), 4u);
-    EXPECT_EQ(point.recoding_metric.count(), 4u);
-  }
-}
-
-TEST(Sweep, DeterministicAcrossThreadCounts) {
-  SweepOptions base;
-  base.strategies = {"minim"};
-  base.runs = 6;
-  base.seed = 77;
-
-  SweepOptions serial = base;
-  serial.threads = 1;
-  SweepOptions parallel = base;
-  parallel.threads = 2;
-
-  const auto a = minim::sim::sweep_join_vs_n({15, 25}, serial);
-  const auto b = minim::sim::sweep_join_vs_n({15, 25}, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].color_metric.mean(), b[i].color_metric.mean());
-    EXPECT_DOUBLE_EQ(a[i].recoding_metric.mean(), b[i].recoding_metric.mean());
-  }
-}
-
-TEST(Sweep, JoinRecodingsGrowWithN) {
-  SweepOptions options;
-  options.strategies = {"minim"};
-  options.runs = 5;
-  const auto points = minim::sim::sweep_join_vs_n({10, 40}, options);
-  EXPECT_LT(points[0].recoding_metric.mean(), points[1].recoding_metric.mean());
-}
-
-TEST(Sweep, PowerSweepProducesDeltas) {
-  SweepOptions options;
-  options.strategies = {"minim", "cp"};
-  options.runs = 3;
-  const auto points =
-      minim::sim::sweep_power_vs_raise_factor({2.0}, options, /*n=*/30);
-  ASSERT_EQ(points.size(), 2u);
-  for (const auto& point : points) EXPECT_GE(point.recoding_metric.mean(), 0.0);
-}
-
-TEST(Sweep, MoveSweepRunsBothVariants) {
-  SweepOptions options;
-  options.strategies = {"minim"};
-  options.runs = 2;
-  const auto by_disp =
-      minim::sim::sweep_move_vs_max_displacement({10.0}, options, /*n=*/15);
-  ASSERT_EQ(by_disp.size(), 1u);
-  const auto by_rounds = minim::sim::sweep_move_vs_rounds({2}, options, /*n=*/15);
-  ASSERT_EQ(by_rounds.size(), 1u);
-  EXPECT_GE(by_rounds[0].recoding_metric.mean(), 0.0);
-}
-
-TEST(Sweep, RejectsEmptyInputs) {
-  SweepOptions options;
-  EXPECT_THROW(minim::sim::sweep_join_vs_n({}, options), std::invalid_argument);
-  options.strategies.clear();
-  EXPECT_THROW(minim::sim::sweep_join_vs_n({10}, options), std::invalid_argument);
 }
 
 }  // namespace

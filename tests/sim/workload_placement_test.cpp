@@ -1,5 +1,6 @@
 // The large-N scenario family: clustered (Thomas process) and Poisson-disk
-// placements, the constant-density parameter helper, and the new sweeps.
+// placements, the constant-density parameter helper, and both run as
+// experiment grids.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/sweeps.hpp"
+#include "sim/experiment.hpp"
 #include "sim/workload.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
@@ -122,24 +123,36 @@ TEST(LargeNParams, ConstantDensityHitsTheTargetDegree) {
 }
 
 TEST(LargeNSweeps, ConstantDensityAndClusterCountSweepsRun) {
-  sim::SweepOptions options;
-  options.strategies = {"minim", "cp"};
-  options.runs = 2;
+  sim::ExperimentOptions options;
+  options.trials = 2;
   options.threads = 1;
+  const auto max_color_mean = [](const sim::ExperimentCell& cell) {
+    return sim::summarize(cell).max_color.mean();
+  };
 
-  const auto density = sim::sweep_join_vs_n_constant_density(
-      {50, 100}, options, Placement::kClustered, 10.0);
-  ASSERT_EQ(density.size(), 4u);  // 2 ns x 2 strategies
-  for (const auto& point : density) {
-    EXPECT_EQ(point.color_metric.count(), 2u);
-    EXPECT_GT(point.color_metric.mean(), 0.0);
+  // Constant density: the field scales with each n, so every n is its own
+  // one-point grid on make_large_n_params.
+  for (const std::size_t n : {50u, 100u}) {
+    sim::ExperimentGrid grid;
+    grid.base.workload = sim::make_large_n_params(n, 10.0, Placement::kClustered);
+    grid.strategies = {"minim", "cp"};
+    const sim::ExperimentResult density = sim::Experiment(grid).run(options);
+    ASSERT_EQ(density.cells.size(), 2u) << "n " << n;
+    for (const sim::ExperimentCell& cell : density.cells) {
+      EXPECT_EQ(cell.trials.size(), 2u);
+      EXPECT_GT(max_color_mean(cell), 0.0);
+    }
   }
 
-  const auto clusters = sim::sweep_join_vs_cluster_count({2, 8}, options, 60);
-  ASSERT_EQ(clusters.size(), 4u);
+  sim::ExperimentGrid grid;
+  grid.base.workload.n = 60;
+  grid.axes.push_back({"clusters", {2, 8}});  // selects clustered placement
+  grid.strategies = {"minim", "cp"};
+  const sim::ExperimentResult clusters = sim::Experiment(grid).run(options);
+  ASSERT_EQ(clusters.cells.size(), 4u);  // 2 cluster counts x 2 strategies
   // Fewer clusters concentrate the nodes, which must not lower color usage.
-  const double few = clusters[0].color_metric.mean();   // 2 clusters, minim
-  const double many = clusters[2].color_metric.mean();  // 8 clusters, minim
+  const double few = max_color_mean(clusters.cell(0, 0));   // 2 clusters, minim
+  const double many = max_color_mean(clusters.cell(1, 0));  // 8 clusters, minim
   EXPECT_GE(few, many * 0.8);
 }
 
