@@ -18,6 +18,7 @@
 // or --trials below 1 (run_count_from).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -152,15 +153,15 @@ inline std::vector<std::string> string_list_from(const util::Options& options,
   return raw.empty() ? fallback : split_list(raw);
 }
 
-/// `text` parsed whole as a number ("1000x" and "abc" are not); otherwise
-/// exits 2 with `context` and the bad value on stderr.
+/// `text` parsed whole as a finite number ("1000x", "abc", "inf" and "nan"
+/// are not); otherwise exits 2 with `context` and the bad value on stderr.
 inline double number_or_exit(const std::string& text, const std::string& context) {
   double value = 0.0;
   bool whole = false;
   try {
     std::size_t used = 0;
     value = std::stod(text, &used);
-    whole = used == text.size();
+    whole = used == text.size() && std::isfinite(value);
   } catch (const std::exception&) {
     // No number at all: reported below like trailing text.
   }
@@ -171,8 +172,8 @@ inline double number_or_exit(const std::string& text, const std::string& context
   return value;
 }
 
-/// Parses a comma-separated list option ("--ns=40,60,80") into doubles,
-/// each field whole; exits 2 naming the flag on a bad field.
+/// Parses a comma-separated list option ("--ns=40,60,80") into finite
+/// doubles, each field whole; exits 2 naming the flag on a bad field.
 inline std::vector<double> double_list_from(const util::Options& options,
                                             const std::string& key,
                                             std::vector<double> fallback) {

@@ -1,7 +1,7 @@
 // cdma_drive: the experiment front-end and serving entry point.
 //
-// Describes any scenario grid on the command line, runs it over the thread
-// pool and prints the per-cell summary table; spreads one grid over
+// Describes any scenario grid on the command line, runs it over --threads
+// worker threads and prints the per-cell summary table; spreads one grid over
 // machines with --shard/--merge; or, with --serve, runs the online
 // assignment engine.
 //
@@ -15,7 +15,8 @@
 //                       move_rounds, min_range, max_range, avg_range,
 //                       clusters, cluster_sigma, churn_duration,
 //                       arrival_rate, mean_lifetime.  Default: n:40:60:80.
-//   --strategies=...    strategy names (default minim,cp,bbb)
+//   --strategies=...    strategy names (default minim,cp,bbb; an unknown
+//                       one exits 2 and lists them)
 //   --trials=N          Monte-Carlo trials per grid point (default 100;
 //                       below 1 exits 2)
 //   --seed=S            master seed (default 2001)
@@ -58,8 +59,9 @@
 //
 // A flag the chosen mode (grid or --serve) does not read exits 2, as does a
 // positional argument outside --merge, and so does an output path that
-// cannot be written, before any trial runs, or a --port or --max-batch out
-// of range, before any transport is built.
+// cannot be written or an unknown strategy name, before any trial runs, or
+// a --port or --max-batch out of range or an unknown --strategy, before any
+// transport is built.
 //
 // Examples:
 //   cdma_drive --axes=n:40:80:120 --trials=200
@@ -75,7 +77,9 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -336,7 +340,13 @@ int run_serve(const util::Options& options) {
   const std::string strategy = options.get("strategy", "minim");
   serve::AssignmentEngine::Params params;
   params.validate = options.has("validate");
-  serve::AssignmentEngine engine(strategy, params);
+  std::optional<serve::AssignmentEngine> engine;
+  try {
+    engine.emplace(strategy, params);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "--strategy: " << error.what() << "\n";
+    return 2;
+  }
 
   const std::string kind = options.get("transport", "stdin");
   std::unique_ptr<serve::Transport> transport;
@@ -363,7 +373,7 @@ int run_serve(const util::Options& options) {
   serve::SessionOptions session;
   session.echo = !options.has("quiet");
   session.max_batch = static_cast<std::size_t>(max_batch);
-  const serve::SessionStats stats = serve::serve_session(engine, *transport,
+  const serve::SessionStats stats = serve::serve_session(*engine, *transport,
                                                          session);
 
   std::cerr << "[serve] " << transport->describe() << " strategy=" << strategy
@@ -373,7 +383,7 @@ int run_serve(const util::Options& options) {
             << " coalesced=" << stats.coalesced_events << "\n";
   using Kind = sim::TraceEvent::Kind;
   for (Kind k : {Kind::kJoin, Kind::kLeave, Kind::kMove, Kind::kPower}) {
-    const util::LatencyHistogram& h = engine.latency(k);
+    const util::LatencyHistogram& h = engine->latency(k);
     if (h.count() == 0) continue;
     std::cerr << "[serve] latency " << sim::to_string(k) << " "
               << h.summary(1e-3, "us") << "\n";

@@ -42,7 +42,9 @@
 //                      parse whole, like every number option.  The CTest
 //                      churn smoke runs this.
 //
-// Options:
+// Options (a stage size that is not a whole number of at least 1, a
+// --mean-degree, --churn-duration or --churn-lifetime not above 0, a churn
+// rate below 0, or an unknown strategy exits 2 before the first stage):
 //   --ns=...           stage sizes (default 1000,10000,100000)
 //   --strategy=LIST    comma-separated recoding strategies (default minim;
 //                      "bbb-bounded" is the rank-bounded BBB — plain "bbb"
@@ -63,8 +65,11 @@
 //   --churn-power-rate=P   per-node power-toggle rate (default 0.002)
 
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +103,33 @@ sim::Placement placement_from(const std::string& name) {
   std::cerr << "unknown placement \"" << name
             << "\" (expected uniform|clustered|poisson-disk)\n";
   std::exit(2);
+}
+
+/// A stage size: exits 2 naming `flag` unless `value` is a whole number of
+/// nodes from 1 to the node-id space.
+std::size_t stage_size_or_exit(double value, const std::string& flag) {
+  const double most = static_cast<double>(net::kInvalidNode);
+  if (!(value >= 1.0 && value < most) || value != std::floor(value)) {
+    std::cerr << "--" << flag << " wants whole node counts from 1 to "
+              << net::kInvalidNode - 1 << ", got " << value << "\n";
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// The number `--key` gives, or `fallback` when it is absent: exits 2 naming
+/// the flag unless it parses whole as a finite number above 0 (at least 0
+/// when `zero_ok`).
+double number_flag_or_exit(const util::Options& options, const std::string& key,
+                           double fallback, bool zero_ok = false) {
+  if (!options.has(key)) return fallback;
+  const double value = bench::number_or_exit(options.get(key, ""), "--" + key);
+  if (value < 0.0 || (value == 0.0 && !zero_ok)) {
+    std::cerr << "--" << key << " wants a number " << (zero_ok ? "of at least" : "above")
+              << " 0, got " << value << "\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 struct StageResult {
@@ -250,19 +282,32 @@ int main(int argc, char** argv) {
        "churn-duration", "churn-lifetime", "churn-move-rate",
        "churn-power-rate"});
   const bool smoke = options.get_bool("smoke", false);
-  std::vector<double> ns =
-      bench::double_list_from(options, "ns", {1000, 10000, 100000});
-  if (smoke)
-    ns = {static_cast<double>(options.get_int("smoke-n", 10000))};
+  std::vector<std::size_t> ns;
+  if (smoke) {
+    ns = {stage_size_or_exit(
+        static_cast<double>(options.get_int("smoke-n", 10000)), "smoke-n")};
+  } else {
+    for (const double n :
+         bench::double_list_from(options, "ns", {1000, 10000, 100000}))
+      ns.push_back(stage_size_or_exit(n, "ns"));
+  }
   const std::vector<std::string> strategy_list =
       bench::split_list(options.get("strategy", "minim"));
   if (strategy_list.empty()) {
     std::cerr << "--strategy: empty strategy list\n";
     return 2;
   }
+  for (const std::string& name : strategy_list) {
+    try {
+      strategies::make_strategy(name);
+    } catch (const std::invalid_argument& error) {
+      std::cerr << "--strategy: " << error.what() << "\n";
+      return 2;
+    }
+  }
   const sim::Placement placement =
       placement_from(options.get("placement", "clustered"));
-  const double mean_degree = options.get_double("mean-degree", 12.0);
+  const double mean_degree = number_flag_or_exit(options, "mean-degree", 12.0);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2001));
   const std::string out_path = options.get("out", "BENCH_sweep.json");
   const bool append = options.get_bool("append", false);
@@ -283,10 +328,13 @@ int main(int argc, char** argv) {
           : options.get_double("check-population", 0.25);
   ChurnStageConfig churn_config;
   churn_config.enabled = options.get_bool("churn", false);
-  churn_config.duration = options.get_double("churn-duration", 60.0);
-  churn_config.mean_lifetime = options.get_double("churn-lifetime", 600.0);
-  churn_config.move_rate = options.get_double("churn-move-rate", 0.004);
-  churn_config.power_rate = options.get_double("churn-power-rate", 0.002);
+  churn_config.duration = number_flag_or_exit(options, "churn-duration", 60.0);
+  churn_config.mean_lifetime =
+      number_flag_or_exit(options, "churn-lifetime", 600.0);
+  churn_config.move_rate =
+      number_flag_or_exit(options, "churn-move-rate", 0.004, true);
+  churn_config.power_rate =
+      number_flag_or_exit(options, "churn-power-rate", 0.002, true);
 
   std::vector<bench::TrajectoryEntry> trajectory = bench::load_trajectory(
       check_rss || check_wall ? gate_path : out_path);
@@ -313,8 +361,7 @@ int main(int argc, char** argv) {
                     "bytes/node", "peak RSS MB", "max color"});
   std::vector<bench::Measurement> measurements;
   for (const std::string& strategy : strategy_list) {
-    for (const double stage_n : ns) {
-      const auto n = static_cast<std::size_t>(stage_n);
+    for (const std::size_t n : ns) {
       const StageResult stage =
           run_stage(n, placement, mean_degree, strategy, seed);
       table.add_row({strategy, std::to_string(stage.n),
@@ -346,8 +393,7 @@ int main(int argc, char** argv) {
                             "churn events", "peak n", "final n", "prop/evt",
                             "peak RSS MB", "max color"});
     for (const std::string& strategy : strategy_list) {
-      for (const double stage_n : ns) {
-        const auto n = static_cast<std::size_t>(stage_n);
+      for (const std::size_t n : ns) {
         const ChurnStageResult stage = run_churn_stage(
             n, placement, mean_degree, strategy, seed, churn_config);
         churn_table.add_row(

@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "core/minim.hpp"
@@ -166,59 +165,10 @@ void BM_ConflictGraphDenseChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictGraphDenseChurn)->Unit(benchmark::kMicrosecond);
 
-// ---- greedy coloring: scratch-buffer loops vs per-node allocation ----
-
-/// The pre-cache greedy loop, kept verbatim for comparison: enumerate
-/// conflict partners per node (allocating), then collect-sort-unique the
-/// forbidden colors per node (allocating again).
-net::Color greedy_color_legacy_alloc(const net::AdhocNetwork& network,
-                                     net::CodeAssignment& assignment) {
-  std::vector<std::vector<net::NodeId>> adj(network.id_bound());
-  for (net::NodeId v : network.nodes()) {
-    std::vector<net::NodeId> partners;
-    const auto& g = network.graph();
-    const auto& outs = g.out_neighbors(v);
-    const auto& ins = g.in_neighbors(v);
-    partners.insert(partners.end(), outs.begin(), outs.end());
-    partners.insert(partners.end(), ins.begin(), ins.end());
-    for (net::NodeId k : outs) {
-      const auto& co_senders = g.in_neighbors(k);
-      partners.insert(partners.end(), co_senders.begin(), co_senders.end());
-    }
-    std::sort(partners.begin(), partners.end());
-    partners.erase(std::unique(partners.begin(), partners.end()), partners.end());
-    const auto self = std::lower_bound(partners.begin(), partners.end(), v);
-    if (self != partners.end() && *self == v) partners.erase(self);
-    adj[v] = std::move(partners);
-  }
-  net::Color used = 0;
-  for (net::NodeId v : network.nodes()) assignment.clear(v);
-  for (net::NodeId v : network.nodes()) {
-    std::vector<net::Color> forbidden;
-    for (net::NodeId w : adj[v]) {
-      const net::Color c = assignment.color(w);
-      if (c != net::kNoColor) forbidden.push_back(c);
-    }
-    std::sort(forbidden.begin(), forbidden.end());
-    forbidden.erase(std::unique(forbidden.begin(), forbidden.end()), forbidden.end());
-    const net::Color c = net::lowest_free_color(forbidden);
-    assignment.set_color(v, c);
-    used = std::max(used, c);
-  }
-  return used;
-}
-
-void BM_GreedyColorLegacyAlloc(benchmark::State& state) {
-  util::Rng rng(17);
-  const auto network = random_network(100, 20.5, 30.5, rng);
-  net::CodeAssignment assignment;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(greedy_color_legacy_alloc(network, assignment));
-}
-BENCHMARK(BM_GreedyColorLegacyAlloc);
+// ---- greedy coloring: the scratch-buffer loop ----
 
 void BM_GreedyColorScratch(benchmark::State& state) {
-  // Same identity-order coloring through the cached-adjacency scratch loop.
+  // Identity-order coloring through the cached-adjacency scratch loop.
   util::Rng rng(17);
   const auto network = random_network(100, 20.5, 30.5, rng);
   net::CodeAssignment assignment;

@@ -7,9 +7,12 @@
 //
 // Reported per strategy: recodings per event (overall and by event type),
 // the time-averaged and peak max color index, and end-state validity.
-// Identical event randomness is replayed for every strategy.
+// Identical event randomness is replayed for every strategy.  Churn
+// parameters `sim::check_churn_params` rejects (a negative or non-finite
+// rate, a duration not above 0) exit 2 before any run.
 
 #include <iostream>
+#include <stdexcept>
 
 #include "../bench/bench_util.hpp"
 #include "sim/churn.hpp"
@@ -33,6 +36,12 @@ int main(int argc, char** argv) {
   params.mean_lifetime = options.get_double("mean-lifetime", 240);
   params.move_rate = options.get_double("move-rate", 0.02);
   params.power_rate = options.get_double("power-rate", 0.01);
+  try {
+    sim::check_churn_params(params);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "steady_state_churn: " << error.what() << "\n";
+    return 2;
+  }
   const auto runs = bench::run_count_from(
       options, "runs", options.get_bool("fast", false) ? 3 : 10);
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 314));

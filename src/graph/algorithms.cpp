@@ -78,42 +78,4 @@ std::size_t hop_distance(const Digraph& g, NodeId a, NodeId b) {
   return std::numeric_limits<std::size_t>::max();
 }
 
-std::size_t connected_components(const Digraph& g, std::vector<std::size_t>& component) {
-  component.assign(g.id_bound(), std::numeric_limits<std::size_t>::max());
-  std::size_t count = 0;
-  for (NodeId root : g.nodes()) {
-    if (component[root] != std::numeric_limits<std::size_t>::max()) continue;
-    const std::size_t id = count++;
-    std::queue<NodeId> frontier;
-    component[root] = id;
-    frontier.push(root);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      for_each_undirected_neighbor(g, v, [&](NodeId w) {
-        if (component[w] != std::numeric_limits<std::size_t>::max()) return;
-        component[w] = id;
-        frontier.push(w);
-      });
-    }
-  }
-  return count;
-}
-
-std::size_t max_degree(const Digraph& g) {
-  std::size_t k = 0;
-  for (NodeId v : g.nodes())
-    k = std::max({k, g.out_degree(v), g.in_degree(v)});
-  return k;
-}
-
-std::vector<std::vector<NodeId>> undirected_adjacency(const Digraph& g) {
-  std::vector<std::vector<NodeId>> adj(g.id_bound());
-  for (NodeId v : g.nodes()) {
-    auto& row = adj[v];
-    for_each_undirected_neighbor(g, v, [&row](NodeId w) { row.push_back(w); });
-  }
-  return adj;
-}
-
 }  // namespace minim::graph

@@ -24,18 +24,6 @@ std::vector<NodeId> k_hop_ball(const Digraph& g, NodeId start, std::size_t k);
 /// Undirected hop distance from `a` to `b`; SIZE_MAX when unreachable.
 std::size_t hop_distance(const Digraph& g, NodeId a, NodeId b);
 
-/// Connected components of the undirected view; `component[v]` is a dense
-/// component index, kInvalidNode-slots of dead ids hold `SIZE_MAX`.
-/// Returns the number of components.
-std::size_t connected_components(const Digraph& g, std::vector<std::size_t>& component);
-
-/// Maximum of in-degree and out-degree over all nodes (the paper's `k`).
-std::size_t max_degree(const Digraph& g);
-
-/// Undirected adjacency built once for coloring; `adj[v]` ascending, only
-/// live nodes populated.
-std::vector<std::vector<NodeId>> undirected_adjacency(const Digraph& g);
-
 /// Reusable scratch for `smallest_last_eliminate`: persistent buckets and
 /// id-indexed side arrays, so a per-event caller (the BBB orderer) performs
 /// no allocation after warmup.

@@ -35,14 +35,6 @@ std::uint32_t ConflictGraph::multiplicity(NodeId u, NodeId v) const {
   return count != nullptr ? *count : 0;
 }
 
-bool ConflictGraph::append_dirty_since(std::uint64_t since,
-                                       std::vector<NodeId>& out) const {
-  std::span<const NodeId> window;
-  if (!dirty_window_since(since, window)) return false;
-  out.insert(out.end(), window.begin(), window.end());
-  return true;
-}
-
 bool ConflictGraph::dirty_window_since(std::uint64_t since,
                                        std::span<const NodeId>& out) const {
   out = {};

@@ -47,11 +47,10 @@
 /// and every node add/remove appends the touched node ids to a bounded
 /// journal tagged with a monotonically increasing revision.  A consumer that
 /// remembers the revision it last synchronized at can ask for "every node
-/// whose conflict neighborhood changed since" and recompute only those
-/// (`DegeneracyOrderer`'s degree mirror, rank-bounded propagation in
-/// `BbbStrategy`).  If the window has been trimmed away — or the graph was
-/// `clear()`ed — the query fails and the consumer must fall back to a full
-/// pass.
+/// whose conflict neighborhood changed since" and recompute only those; the
+/// one consumer is rank-bounded propagation in `BbbStrategy`.  If the window
+/// has been trimmed away — or the graph was `clear()`ed — the query fails
+/// and the consumer must fall back to a full pass.
 namespace minim::net {
 
 using graph::NodeId;
@@ -64,6 +63,10 @@ class ConflictGraph {
   /// The span points into pooled storage; any conflict-graph mutation
   /// invalidates it.
   std::span<const NodeId> neighbors(NodeId v) const { return rows_.ids(v); }
+
+  /// `neighbors(v)`: the graph itself is the id-indexed adjacency that
+  /// `graph::smallest_last_eliminate` and the coloring loops take.
+  std::span<const NodeId> operator[](NodeId v) const { return neighbors(v); }
 
   /// Number of CA1/CA2 witnesses forbidding {u, v} the same color.
   std::uint32_t multiplicity(NodeId u, NodeId v) const;
@@ -89,7 +92,7 @@ class ConflictGraph {
   ConflictGraph();
 
   /// Process-unique identity of this instance.  Consumers that cache state
-  /// keyed to a conflict graph (the degeneracy orderer's degree mirror)
+  /// keyed to a conflict graph (the degeneracy orderer's maintained ranks)
   /// must key on the nonce, not the address: a new graph allocated where a
   /// destroyed one lived would otherwise silently serve them stale state.
   std::uint64_t nonce() const { return nonce_; }
@@ -98,18 +101,13 @@ class ConflictGraph {
   /// dirty mark (never resets, not even on `clear()`).
   std::uint64_t revision() const { return revision_; }
 
-  /// Appends to `out` the ids journaled in revisions (since, revision()].
-  /// Ids repeat and may reference since-removed nodes; callers dedupe and
-  /// filter liveness.  Returns false when that window is no longer covered
-  /// (journal trimmed, or the graph was cleared) — the caller must then
-  /// treat every node as dirty.
-  bool append_dirty_since(std::uint64_t since, std::vector<NodeId>& out) const;
-
-  /// Zero-copy variant: points `out` at the journal entries of revisions
-  /// (since, revision()] without materializing them.  Same failure contract
-  /// as `append_dirty_since`.  The span is invalidated by any mutation —
-  /// per-event consumers (the rank-maintained orderer, BBB's bounded
-  /// propagation) read it once per event before touching the graph.
+  /// Points `out` at the ids journaled in revisions (since, revision()],
+  /// without copying them.  Ids repeat and may reference since-removed
+  /// nodes; callers dedupe and filter liveness.  Returns false when that
+  /// window is no longer covered (journal trimmed, or the graph was
+  /// cleared) — the caller must then treat every node as dirty.  The span
+  /// is invalidated by any mutation, so BBB's bounded propagation reads it
+  /// once per repair before touching the graph.
   bool dirty_window_since(std::uint64_t since, std::span<const NodeId>& out) const;
 
   // ----------------------------------------- delta protocol (AdhocNetwork)

@@ -42,11 +42,20 @@ struct NodeState {
 
 }  // namespace
 
+void check_churn_params(const ChurnParams& params) {
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0; };
+  const auto rate = [](double x) { return std::isfinite(x) && x >= 0; };
+  MINIM_REQUIRE(positive(params.duration), "churn duration must be positive");
+  MINIM_REQUIRE(positive(params.sample_interval), "sample interval must be positive");
+  MINIM_REQUIRE(rate(params.arrival_rate), "churn arrival_rate must be finite and >= 0");
+  MINIM_REQUIRE(rate(params.move_rate), "churn move_rate must be finite and >= 0");
+  MINIM_REQUIRE(rate(params.power_rate), "churn power_rate must be finite and >= 0");
+  MINIM_REQUIRE(params.min_range <= params.max_range, "min_range > max_range");
+}
+
 ChurnResult run_churn(const ChurnParams& params, core::RecodingStrategy& strategy,
                       util::Rng& rng) {
-  MINIM_REQUIRE(params.duration > 0, "churn duration must be positive");
-  MINIM_REQUIRE(params.sample_interval > 0, "sample interval must be positive");
-  MINIM_REQUIRE(params.min_range <= params.max_range, "min_range > max_range");
+  check_churn_params(params);
 
   Simulation::Params sim_params;
   sim_params.width = params.width;

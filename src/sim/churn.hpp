@@ -76,7 +76,15 @@ struct ChurnResult {
   bool final_valid = false;     ///< CA1/CA2 validity at the horizon
 };
 
-/// Runs one churn simulation under `strategy`.  Deterministic given `rng`.
+/// Throws std::invalid_argument unless `run_churn` can run `params`: the
+/// duration and sample interval finite and above 0, the arrival, move and
+/// power rates finite and not negative (0 means "never"; an infinite rate
+/// would repeat its event at one instant forever), and min_range <=
+/// max_range.
+void check_churn_params(const ChurnParams& params);
+
+/// Runs one churn simulation under `strategy` (`check_churn_params` first).
+/// Deterministic given `rng`.
 ChurnResult run_churn(const ChurnParams& params, core::RecodingStrategy& strategy,
                       util::Rng& rng);
 

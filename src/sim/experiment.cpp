@@ -177,12 +177,17 @@ Experiment::Experiment(ExperimentGrid grid)
     : grid_(std::move(grid)), points_(enumerate_points(grid_.axes)) {
   MINIM_REQUIRE(!grid_.strategies.empty(),
                 "experiment needs at least one strategy");
+  // The factory owns the name list: an unknown name throws here, before any
+  // trial runs.
+  if (!grid_.strategy_factory)
+    for (const std::string& name : grid_.strategies) strategies::make_strategy(name);
   std::vector<AxisSetter> setters;
   for (const GridAxis& axis : grid_.axes) setters.push_back(axis_setter(axis.name));
   specs_.reserve(points_.size());
   for (const std::vector<double>& coords : points_) {
     ScenarioSpec spec = grid_.base;
     for (std::size_t a = 0; a < setters.size(); ++a) setters[a](spec, coords[a]);
+    if (spec.kind == ScenarioKind::kChurn) check_churn_params(spec.churn);
     specs_.push_back(spec);
   }
 }

@@ -155,8 +155,10 @@ struct ExperimentResult {
 
 /// The grid engine.  Construction resolves the axis names and enumerates the
 /// grid points (axis-0-major cartesian product); it throws
-/// std::invalid_argument on an unknown axis name, an axis without values or
-/// an empty strategy list.  `run` fans (point, trial) items over
+/// std::invalid_argument on an unknown axis name, an axis without values,
+/// an empty strategy list, a strategy name `strategies::make_strategy` does
+/// not know (when no `strategy_factory` is set), or a churn point
+/// `check_churn_params` rejects.  `run` fans (point, trial) items over
 /// `util::map_reduce` and reduces them deterministically.
 class Experiment {
  public:

@@ -20,10 +20,11 @@
 /// ## From-scratch recoloring
 ///
 /// Every event clears the live nodes' colors and greedy-colors them again in
-/// the chosen order: smallest-last comes from the journal-synced
-/// `DegeneracyOrderer` (bit-identical to `graph::smallest_last_order`, see
-/// ordering.hpp), the other orders from `coloring_sequence`.  So BBB's colors
-/// equal `color_network` on the current network after every event
+/// the chosen order: smallest-last comes from `DegeneracyOrderer`, which
+/// reads each degree from the conflict rows (bit-identical to
+/// `graph::smallest_last_order`, see ordering.hpp), the other orders from
+/// `coloring_sequence`.  So BBB's colors equal `color_network` on the
+/// current network after every event
 /// (tests/strategies/bbb_incremental_test.cpp holds it to that), and its
 /// report lists, in ascending node order, every node whose color moved.
 /// Each event costs O(V + E) on the conflict graph.

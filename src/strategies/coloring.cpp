@@ -29,18 +29,8 @@ std::vector<std::vector<net::NodeId>> conflict_adjacency(const net::AdhocNetwork
 
 namespace {
 
-/// Id-indexed adjacency view over the cached conflict graph — the shape
-/// `graph::smallest_last_order` and the greedy loops expect, without
-/// copying rows.
-struct CachedAdjacency {
-  const net::ConflictGraph* conflict;
-  std::span<const net::NodeId> operator[](net::NodeId v) const {
-    return conflict->neighbors(v);
-  }
-};
-
 /// Marks the colors of v's colored conflict neighbors into `scratch`.
-void mark_neighbor_colors(const CachedAdjacency& adj, net::NodeId v,
+void mark_neighbor_colors(const net::ConflictGraph& adj, net::NodeId v,
                           const net::CodeAssignment& assignment,
                           ColorScratch& scratch) {
   scratch.reset();
@@ -52,7 +42,7 @@ void mark_neighbor_colors(const CachedAdjacency& adj, net::NodeId v,
 
 /// Colors `sequence` in order; each node takes the lowest color not used by
 /// an already-colored conflict neighbor.
-net::Color greedy_in_sequence(const CachedAdjacency& adj,
+net::Color greedy_in_sequence(const net::ConflictGraph& adj,
                               const std::vector<net::NodeId>& sequence,
                               net::CodeAssignment& assignment) {
   net::Color used = 0;
@@ -67,7 +57,7 @@ net::Color greedy_in_sequence(const CachedAdjacency& adj,
 }
 
 /// DSATUR needs interleaved ordering and coloring, so it gets its own loop.
-net::Color dsatur(const CachedAdjacency& adj,
+net::Color dsatur(const net::ConflictGraph& adj,
                   const std::vector<net::NodeId>& vertices,
                   net::CodeAssignment& assignment) {
   std::size_t bound = 0;
@@ -109,7 +99,7 @@ net::Color dsatur(const CachedAdjacency& adj,
 std::vector<net::NodeId> coloring_sequence(const net::AdhocNetwork& net,
                                            std::vector<net::NodeId> vertices,
                                            ColoringOrder order) {
-  const CachedAdjacency adj{&net.conflict_graph()};
+  const net::ConflictGraph& adj = net.conflict_graph();
   switch (order) {
     case ColoringOrder::kSmallestLast:
       return graph::smallest_last_order(adj, vertices);
@@ -131,24 +121,18 @@ std::vector<net::NodeId> coloring_sequence(const net::AdhocNetwork& net,
 net::Color greedy_color_in_sequence(const net::AdhocNetwork& net,
                                     const std::vector<net::NodeId>& sequence,
                                     net::CodeAssignment& assignment) {
-  return greedy_in_sequence(CachedAdjacency{&net.conflict_graph()}, sequence,
-                            assignment);
-}
-
-net::Color greedy_color_subset(const net::AdhocNetwork& net,
-                               const std::vector<net::NodeId>& vertices,
-                               ColoringOrder order, net::CodeAssignment& assignment) {
-  if (order == ColoringOrder::kDSatur)
-    return dsatur(CachedAdjacency{&net.conflict_graph()}, vertices, assignment);
-  return greedy_color_in_sequence(net, coloring_sequence(net, vertices, order),
-                                  assignment);
+  return greedy_in_sequence(net.conflict_graph(), sequence, assignment);
 }
 
 net::Color color_network(const net::AdhocNetwork& net, ColoringOrder order,
                          net::CodeAssignment& out) {
   // Start all nodes uncolored so greedy sees a clean slate.
-  for (net::NodeId v : net.nodes()) out.clear(v);
-  return greedy_color_subset(net, net.nodes(), order, out);
+  const std::vector<net::NodeId> nodes = net.nodes();
+  for (net::NodeId v : nodes) out.clear(v);
+  if (order == ColoringOrder::kDSatur)
+    return dsatur(net.conflict_graph(), nodes, out);
+  return greedy_in_sequence(net.conflict_graph(),
+                            coloring_sequence(net, nodes, order), out);
 }
 
 }  // namespace minim::strategies

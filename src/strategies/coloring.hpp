@@ -76,9 +76,9 @@ class ColorScratch {
 /// `net.conflict_graph()` directly in hot paths.
 std::vector<std::vector<net::NodeId>> conflict_adjacency(const net::AdhocNetwork& net);
 
-/// The vertex sequence `greedy_color_subset` colors for `order`.  DSATUR
-/// interleaves ordering with coloring and has no precomputable sequence;
-/// for it this returns `vertices` unchanged.
+/// The vertex sequence greedy coloring visits for `order` (`color_network`,
+/// BBB's from-scratch pass).  DSATUR interleaves ordering with coloring and
+/// has no precomputable sequence; for it this returns `vertices` unchanged.
 std::vector<net::NodeId> coloring_sequence(const net::AdhocNetwork& net,
                                            std::vector<net::NodeId> vertices,
                                            ColoringOrder order);
@@ -96,11 +96,5 @@ net::Color greedy_color_in_sequence(const net::AdhocNetwork& net,
 /// Returns the number of colors used.
 net::Color color_network(const net::AdhocNetwork& net, ColoringOrder order,
                          net::CodeAssignment& out);
-
-/// Greedy-colors exactly `vertices` (in the order produced for `order`),
-/// holding all other nodes' colors in `assignment` fixed.  Used by tests.
-net::Color greedy_color_subset(const net::AdhocNetwork& net,
-                               const std::vector<net::NodeId>& vertices,
-                               ColoringOrder order, net::CodeAssignment& assignment);
 
 }  // namespace minim::strategies

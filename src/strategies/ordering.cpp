@@ -6,71 +6,25 @@
 
 namespace minim::strategies {
 
-namespace {
-
-/// Id-indexed adjacency view over the cached conflict graph (the shape
-/// `graph::smallest_last_eliminate` expects).
-struct CachedAdjacency {
-  const net::ConflictGraph* conflict;
-  std::span<const net::NodeId> operator[](net::NodeId v) const {
-    return conflict->neighbors(v);
-  }
-};
-
-}  // namespace
-
-void DegeneracyOrderer::sync_degrees(const net::ConflictGraph& cg) {
-  const std::size_t rows = cg.id_bound();
-  bool repaired = false;
-  // Keyed on the graph's process-unique nonce, not its address: a fresh
-  // graph living where a destroyed one did must not inherit the mirror.
-  if (last_nonce_ == cg.nonce()) {
-    // Joiners extend the row table; their fresh ids are journaled dirty, so
-    // zero-extending the mirror keeps the repair complete.
-    if (degrees_.size() < rows) degrees_.resize(rows, 0);
-    dirty_.clear();
-    if (!cg.append_dirty_since(last_revision_, dirty_)) {
-      ++counters_.journal_fallbacks;
-    } else if (static_cast<double>(dirty_.size()) >
-               params_.rebuild_fraction * static_cast<double>(rows)) {
-      ++counters_.threshold_fallbacks;
-    } else {
-      // Bounded repair: only journaled ids can have changed row sizes.
-      for (net::NodeId v : dirty_) degrees_[v] = cg.degree(v);
-      counters_.repaired_nodes += dirty_.size();
-      repaired = true;
-    }
-  }
-  if (!repaired) {
-    ++counters_.degree_rebuilds;
-    degrees_.assign(rows, 0);
-    for (net::NodeId v = 0; v < rows; ++v) degrees_[v] = cg.degree(v);
-  }
-  last_nonce_ = cg.nonce();
-  last_revision_ = cg.revision();
-}
-
 void DegeneracyOrderer::order(const net::AdhocNetwork& net,
                               const std::vector<net::NodeId>& vertices,
                               std::vector<net::NodeId>& out) {
   MINIM_REQUIRE(vertices.size() == net.node_count(),
                 "DegeneracyOrderer: vertices must be the full live node set");
   const net::ConflictGraph& cg = net.conflict_graph();
-  ++counters_.orders;
-  sync_degrees(cg);
+  ++counters_.degree_rebuilds;
 
   // The conflict rows list live nodes only, so for the full vertex set the
-  // restricted degree |adj[v] ∩ vertices| is exactly the row size — the
-  // mirror feeds the elimination without an adjacency scan.
+  // restricted degree |adj[v] ∩ vertices| is exactly the row size.
   const std::size_t bound = net.id_bound();
   arena_.in_set.assign(bound, 0);
-  for (net::NodeId v : vertices) arena_.in_set[v] = 1;
   arena_.degree.assign(bound, 0);
-  const std::size_t copy = std::min(bound, degrees_.size());
-  std::copy(degrees_.begin(), degrees_.begin() + static_cast<std::ptrdiff_t>(copy),
-            arena_.degree.begin());
+  for (net::NodeId v : vertices) {
+    arena_.in_set[v] = 1;
+    arena_.degree[v] = cg.degree(v);
+  }
 
-  smallest_last_eliminate(CachedAdjacency{&cg}, vertices, arena_);
+  smallest_last_eliminate(cg, vertices, arena_);
   out = arena_.out;
 }
 

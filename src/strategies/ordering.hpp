@@ -8,20 +8,15 @@
 #include "net/network.hpp"
 
 /// \file ordering.hpp
-/// \brief Incrementally maintained degeneracy (smallest-last) ordering.
+/// \brief Degeneracy (smallest-last) ordering over the cached conflict graph.
 ///
 /// BBB recolors from scratch at every event in smallest-last order.
-/// Computing that order from scratch costs an O(V+E) adjacency scan for the
-/// vertex degrees and a bucket structure in freshly allocated storage, per
-/// event.  `DegeneracyOrderer` removes both costs:
-///
-/// * it mirrors every node's conflict degree, synchronized from the conflict
-///   cache's dirty journal — a bounded repair touching only the nodes whose
-///   conflict neighborhood changed since the last order, falling back to a
-///   full degree rebuild when the journal window is gone or the dirty region
-///   exceeds `Params::rebuild_fraction` of the id space;
-/// * the elimination replays through a persistent `graph::EliminationArena`,
-///   so a steady-state event performs no allocation.
+/// `DegeneracyOrderer::order` takes each node's starting degree from its
+/// conflict row — for the full live vertex set the restricted degree is
+/// exactly the row size, so no adjacency scan is needed — and replays the
+/// elimination through a persistent `graph::EliminationArena`, so a
+/// steady-state event performs no allocation.  The elimination itself visits
+/// every vertex and edge, so each order costs O(V + E).
 ///
 /// The produced order is bit-identical to from-scratch
 /// `graph::smallest_last_order` on the current graph — both run the same
@@ -32,12 +27,11 @@
 ///
 /// ## Maintained ranks (rank-bounded BBB)
 ///
-/// Even with the mirror, *serving* an order is O(V+E): the elimination
-/// replays over every vertex.  The second mode removes that last per-event
-/// linear scan.  Instead of recomputing the order, the orderer keeps a
-/// persistent **stable rank index** — `rank(v)` is v's slot in a stored
-/// coloring sequence — and absorbs each event's conflict-journal dirty set
-/// locally:
+/// *Serving* an order is O(V+E): the elimination replays over every
+/// vertex.  The second mode removes that per-event linear scan.  Instead of
+/// recomputing the order, the orderer keeps a persistent **stable rank
+/// index** — `rank(v)` is v's slot in a stored coloring sequence — and
+/// absorbs each event's conflict-journal dirty set locally:
 ///
 ///   * departed ids are tombstoned (their slot empties; nobody else moves);
 ///   * never-ranked ids (joiners) are appended at the tail, ordered among
@@ -60,23 +54,21 @@ namespace minim::strategies {
 class DegeneracyOrderer {
  public:
   struct Params {
-    /// Full degree rebuild when more than this fraction of the id space was
-    /// journaled dirty since the last order (raw journal entries, so repeats
-    /// count — a deliberately conservative trigger).
-    double rebuild_fraction = 0.25;
     /// Maintained-rank drift bound: `try_maintain_ranks` demands a rebuild
     /// once appends + tombstones since the last `rebuild_ranks` exceed this
     /// fraction of the live node count.
     double rank_rebuild_fraction = 0.25;
   };
 
-  /// Why the last `order()` call refreshed its degree mirror the way it did.
+  /// Work counts since construction.
   struct Counters {
-    std::uint64_t orders = 0;
-    std::uint64_t repaired_nodes = 0;     ///< dirty ids patched in place
-    std::uint64_t degree_rebuilds = 0;    ///< full mirror recomputes (any cause)
-    std::uint64_t threshold_fallbacks = 0;///< rebuilds forced by rebuild_fraction
-    std::uint64_t journal_fallbacks = 0;  ///< rebuilds forced by a lost window
+    /// `order()` calls; each reads every degree from the conflict rows.
+    /// perfbench is its only reader; ROADMAP item 1's benchmark change
+    /// deletes it.
+    std::uint64_t degree_rebuilds = 0;
+    /// Always 0: `order()` reads no journal.  perfbench is its only reader;
+    /// ROADMAP item 1's benchmark change deletes it.
+    std::uint64_t journal_fallbacks = 0;
     // Maintained-rank mode.
     std::uint64_t rank_updates = 0;       ///< absorbed (bounded) updates
     std::uint64_t rank_rebuilds = 0;      ///< rebuild_ranks calls
@@ -92,8 +84,8 @@ class DegeneracyOrderer {
 
   /// Smallest-last coloring order of `vertices` over `net`'s cached conflict
   /// graph, written into `out`.  Requires `vertices` to be the network's
-  /// full live node set (ascending) — the precondition under which the
-  /// degree mirror equals the conflict row sizes.
+  /// full live node set (ascending) — the precondition under which each
+  /// node's restricted degree is its conflict row size.
   void order(const net::AdhocNetwork& net, const std::vector<net::NodeId>& vertices,
              std::vector<net::NodeId>& out);
 
@@ -139,15 +131,8 @@ class DegeneracyOrderer {
   const Counters& counters() const { return counters_; }
 
  private:
-  /// Brings the degree mirror up to date with `cg`; see the file comment.
-  void sync_degrees(const net::ConflictGraph& cg);
-
   Params params_;
   Counters counters_;
-  std::uint64_t last_nonce_ = 0;  ///< ConflictGraph::nonce() of the mirror
-  std::uint64_t last_revision_ = 0;
-  std::vector<std::size_t> degrees_;  ///< id-indexed conflict-degree mirror
-  std::vector<net::NodeId> dirty_;
   graph::EliminationArena arena_;
 
   // Maintained-rank state (see the file comment).

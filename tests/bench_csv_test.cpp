@@ -10,7 +10,9 @@
 //    exits 2 and names the reason;
 //  * a flag the binary does not read exits 2 and writes nothing;
 //  * --serve's --port and --max-batch out of range exit 2 before any
-//    transport is built.
+//    transport is built;
+//  * an unknown strategy name exits 2 before any work, in the grid, in
+//    --serve and in bench_large_n (path injected as MINIM_BENCH_LARGE_N).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -248,6 +250,36 @@ TEST(BenchCsv, PortAndMaxBatchOutOfRangeExitTwo) {
     ASSERT_TRUE(WIFEXITED(status)) << command;
     EXPECT_EQ(WEXITSTATUS(status), 2) << command;
     EXPECT_NE(read_file(log).find(reason), std::string::npos)
+        << command << "\n" << read_file(log);
+    EXPECT_EQ(read_file(out), "") << command;
+  }
+
+  fs::remove_all(dir);
+}
+
+TEST(BenchCsv, UnknownStrategyExitsTwoBeforeAnyWork) {
+  // Each of these used to end in std::terminate (exit 134), the grid after
+  // printing its header.  The name is now checked against the strategy
+  // factory before any trial, transport or stage; --serve reads /dev/null
+  // on the stdin transport, so no socket is ever opened.
+  const fs::path dir = fs::temp_directory_path() / "minim_bench_strategy_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path out = dir / "stdout.log";
+  const fs::path log = dir / "stderr.log";
+  const std::string drive = MINIM_BENCH_CDMA_DRIVE;
+  const std::string large_n = MINIM_BENCH_LARGE_N;
+  for (const std::string& command :
+       {drive + " --strategies=nosuch --trials=1 --axes=n:10",
+        drive + " --serve --strategy=nosuch < /dev/null",
+        large_n + " --smoke --smoke-n=1000 --strategy=nosuch"}) {
+    const std::string run = "timeout 60 " + command + " > " + out.string() +
+                            " 2> " + log.string();
+    const int status = std::system(run.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_NE(read_file(log).find("unknown strategy 'nosuch'; known: minim, "),
+              std::string::npos)
         << command << "\n" << read_file(log);
     EXPECT_EQ(read_file(out), "") << command;
   }

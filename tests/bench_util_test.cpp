@@ -6,7 +6,8 @@
 // injected via MINIM_BENCH_DIR): bench_ablations selects and prints every
 // ablation section and variant row, every harness exits 2 on a flag it
 // does not read, on a --runs or --trials below 1 and on a number list
-// field that does not parse whole, an unwritable output exits 2 before the
+// field that does not parse whole or is not finite, and on a stage size,
+// rate or churn point out of range, an unwritable output exits 2 before the
 // run, and bench_large_n parses its population tolerance whole.
 
 #include <gtest/gtest.h>
@@ -235,7 +236,8 @@ TEST(BenchUtil, PrintSeriesSelectsTheRequestedMetric) {
 }
 
 /// One run of a harness binary (`args` starts with its name, less the
-/// "bench_" prefix): its wait status and what it wrote to stdout and stderr.
+/// "bench_" prefix), cut after 60 s: its wait status and what it wrote to
+/// stdout and stderr.
 struct HarnessRun {
   int status = 0;
   std::string out;
@@ -248,8 +250,11 @@ HarnessRun run_harness(const std::string& args) {
       testing::UnitTest::GetInstance()->current_test_info()->name();
   const fs::path out = fs::temp_directory_path() / ("minim_" + test + ".out");
   const fs::path err = fs::temp_directory_path() / ("minim_" + test + ".err");
-  const std::string command = std::string(MINIM_BENCH_DIR) + "/bench_" + args +
-                              " > " + out.string() + " 2> " + err.string();
+  // A harness that hangs fails here (timeout's exit 124) instead of
+  // stalling the suite.
+  const std::string command = "timeout 60 " + std::string(MINIM_BENCH_DIR) +
+                              "/bench_" + args + " > " + out.string() +
+                              " 2> " + err.string();
   HarnessRun run;
   run.status = std::system(command.c_str());
   run.out = read_text(out);
@@ -384,6 +389,42 @@ TEST(BenchHarnesses, NumberListFieldsParseWhole) {
        "unknown axis \"foo\" (expected n|raise_factor|max_displacement|"
        "move_rounds|min_range|max_range|avg_range|clusters|cluster_sigma|"
        "churn_duration|arrival_rate|mean_lifetime)"}};
+  for (const auto& [args, reason] : cases) {
+    const HarnessRun run = run_harness(args);
+    ASSERT_TRUE(WIFEXITED(run.status)) << args;
+    EXPECT_EQ(WEXITSTATUS(run.status), 2) << args;
+    EXPECT_NE(run.err.find(reason), std::string::npos) << args << "\n" << run.err;
+    EXPECT_EQ(run.out, "") << args;
+  }
+}
+
+TEST(BenchHarnesses, DegenerateSizesAndRatesExitTwoBeforeAnyRun) {
+  // Each of these used to abort with exit 134 (a zero or negative stage
+  // size, a mean degree below 0, a zero churn duration), to run something
+  // else (--ns=1000.5 ran 1,000 nodes, a negative rate meant "never"), or
+  // to never return: a zero lifetime or an infinite arrival rate repeats
+  // arrivals at one instant forever.  Each now names the flag or the parameter and exits 2 before
+  // any stage or trial runs, so stdout stays empty.
+  const std::pair<const char*, const char*> cases[] = {
+      {"large_n --ns=0", "--ns wants whole node counts from 1"},
+      {"large_n --ns=-5", "--ns wants whole node counts from 1"},
+      {"large_n --ns=1000.5", "--ns wants whole node counts from 1"},
+      {"large_n --smoke --smoke-n=0", "--smoke-n wants whole node counts from 1"},
+      {"large_n --mean-degree=-1", "--mean-degree wants a number above 0, got -1"},
+      {"large_n --smoke --smoke-n=1000 --churn --churn-duration=0",
+       "--churn-duration wants a number above 0, got 0"},
+      {"large_n --smoke --smoke-n=500 --churn --churn-lifetime=0",
+       "--churn-lifetime wants a number above 0, got 0"},
+      {"large_n --smoke --smoke-n=500 --churn --churn-move-rate=-1",
+       "--churn-move-rate wants a number of at least 0, got -1"},
+      {"cdma_drive --scenario=churn --axes=arrival_rate:inf --trials=1 "
+       "--strategies=minim",
+       "--axes entry \"arrival_rate:inf\": bad value \"inf\""},
+      {"cdma_drive --scenario=churn --axes=churn_duration:0 --trials=1 "
+       "--strategies=minim",
+       "churn duration must be positive"},
+      {"steady_state_churn --runs=1 --arrival-rate=inf",
+       "churn arrival_rate must be finite and >= 0"}};
   for (const auto& [args, reason] : cases) {
     const HarnessRun run = run_harness(args);
     ASSERT_TRUE(WIFEXITED(run.status)) << args;

@@ -4,19 +4,19 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "graph/digraph.hpp"
 
 namespace {
 
-using minim::graph::connected_components;
 using minim::graph::Digraph;
 using minim::graph::hop_distance;
 using minim::graph::k_hop_ball;
-using minim::graph::max_degree;
 using minim::graph::NodeId;
 using minim::graph::smallest_last_order;
-using minim::graph::undirected_adjacency;
+using Adjacency = std::vector<std::vector<NodeId>>;
 
 /// Directed path 0 -> 1 -> 2 -> ... -> n-1.
 Digraph directed_path(int n) {
@@ -25,6 +25,32 @@ Digraph directed_path(int n) {
   for (int i = 0; i + 1 < n; ++i)
     g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
   return g;
+}
+
+/// Undirected adjacency on vertices [0, n): one {u, v} per pair, rows
+/// ascending.
+Adjacency undirected(std::size_t n,
+                     const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  Adjacency adj(n);
+  for (const auto& [u, v] : edges) {
+    adj[u].push_back(v);
+    adj[v].push_back(u);
+  }
+  for (auto& row : adj) std::sort(row.begin(), row.end());
+  return adj;
+}
+
+/// Undirected path 0 - 1 - ... - n-1.
+Adjacency path_adjacency(NodeId n) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return undirected(n, edges);
+}
+
+std::vector<NodeId> first_ids(NodeId n) {
+  std::vector<NodeId> ids(n);
+  for (NodeId v = 0; v < n; ++v) ids[v] = v;
+  return ids;
 }
 
 TEST(KHopBall, HopsIgnoreEdgeDirection) {
@@ -75,64 +101,18 @@ TEST(HopDistance, UnreachableIsMax) {
   EXPECT_EQ(hop_distance(g, 0, 1), std::numeric_limits<std::size_t>::max());
 }
 
-TEST(ConnectedComponents, CountsAndLabels) {
-  Digraph g = directed_path(3);  // component 0
-  g.add_node();                  // 3: isolated, component 1
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  g.add_edge(a, b);  // component 2
-  std::vector<std::size_t> component;
-  EXPECT_EQ(connected_components(g, component), 3u);
-  EXPECT_EQ(component[0], component[1]);
-  EXPECT_EQ(component[1], component[2]);
-  EXPECT_NE(component[0], component[3]);
-  EXPECT_EQ(component[a], component[b]);
-  EXPECT_NE(component[a], component[3]);
-}
-
-TEST(ConnectedComponents, EmptyGraph) {
-  Digraph g;
-  std::vector<std::size_t> component;
-  EXPECT_EQ(connected_components(g, component), 0u);
-}
-
-TEST(MaxDegree, TakesMaxOfInAndOut) {
-  Digraph g;
-  for (int i = 0; i < 5; ++i) g.add_node();
-  // Node 0 has out-degree 4 (in-degree 0).
-  for (NodeId v = 1; v < 5; ++v) g.add_edge(0, v);
-  EXPECT_EQ(max_degree(g), 4u);
-}
-
-TEST(UndirectedAdjacency, MergesBothDirectionsNoDuplicates) {
-  Digraph g;
-  for (int i = 0; i < 3; ++i) g.add_node();
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);  // mutual edge must appear once
-  g.add_edge(2, 0);
-  const auto adj = undirected_adjacency(g);
-  EXPECT_EQ(adj[0], (std::vector<NodeId>{1, 2}));
-  EXPECT_EQ(adj[1], (std::vector<NodeId>{0}));
-  EXPECT_EQ(adj[2], (std::vector<NodeId>{0}));
-}
-
 TEST(SmallestLast, OrdersEveryVertexOnce) {
-  Digraph g = directed_path(8);
-  const auto adj = undirected_adjacency(g);
-  auto order = smallest_last_order(adj, g.nodes());
+  auto order = smallest_last_order(path_adjacency(8), first_ids(8));
   EXPECT_EQ(order.size(), 8u);
   std::sort(order.begin(), order.end());
-  EXPECT_EQ(order, g.nodes());
+  EXPECT_EQ(order, first_ids(8));
 }
 
 TEST(SmallestLast, CliqueAnyOrderIsFine) {
-  Digraph g;
-  for (int i = 0; i < 5; ++i) g.add_node();
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId u = 0; u < 5; ++u)
-    for (NodeId v = 0; v < 5; ++v)
-      if (u != v) g.add_edge(u, v);
-  const auto adj = undirected_adjacency(g);
-  const auto order = smallest_last_order(adj, g.nodes());
+    for (NodeId v = u + 1; v < 5; ++v) edges.emplace_back(u, v);
+  const auto order = smallest_last_order(undirected(5, edges), first_ids(5));
   EXPECT_EQ(order.size(), 5u);
 }
 
@@ -141,32 +121,24 @@ TEST(SmallestLast, StarColoringOrderPutsHubEarly) {
   // first (the hub ties with the final leaf at degree 1), so the *coloring*
   // order has the hub in the first two positions — which is what bounds the
   // greedy coloring at 2 colors.
-  Digraph g;
-  const NodeId hub = g.add_node();
-  for (int i = 0; i < 6; ++i) {
-    const NodeId leaf = g.add_node();
-    g.add_edge(hub, leaf);
-  }
-  const auto adj = undirected_adjacency(g);
-  const auto order = smallest_last_order(adj, g.nodes());
+  const NodeId hub = 0;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId leaf = 1; leaf <= 6; ++leaf) edges.emplace_back(hub, leaf);
+  const auto order = smallest_last_order(undirected(7, edges), first_ids(7));
   EXPECT_TRUE(order[0] == hub || order[1] == hub);
 }
 
 TEST(SmallestLast, SubsetRestrictsDegrees) {
   // Path 0-1-2-3; restricted to {0, 2, 3}, vertex 2-3 form an edge and 0 is
   // isolated.  All three must appear exactly once.
-  Digraph g = directed_path(4);
-  const auto adj = undirected_adjacency(g);
-  auto order = smallest_last_order(adj, {0, 2, 3});
+  auto order = smallest_last_order(path_adjacency(4), {0, 2, 3});
   EXPECT_EQ(order.size(), 3u);
   std::sort(order.begin(), order.end());
   EXPECT_EQ(order, (std::vector<NodeId>{0, 2, 3}));
 }
 
 TEST(SmallestLast, EmptyVertexSet) {
-  Digraph g = directed_path(3);
-  const auto adj = undirected_adjacency(g);
-  EXPECT_TRUE(smallest_last_order(adj, {}).empty());
+  EXPECT_TRUE(smallest_last_order(path_adjacency(3), {}).empty());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "net/constraints.hpp"
@@ -136,8 +137,9 @@ void check_event(AdhocNetwork& net, Event&& event) {
   const auto before = partner_lists(cg, net.id_bound());
   event();
   ASSERT_NO_FATAL_FAILURE(expect_matches_brute_force(net));
-  std::vector<NodeId> window;
-  ASSERT_TRUE(cg.append_dirty_since(since, window));
+  std::span<const NodeId> journal;
+  ASSERT_TRUE(cg.dirty_window_since(since, journal));
+  std::vector<NodeId> window(journal.begin(), journal.end());
   std::sort(window.begin(), window.end());
   const NodeId bound = std::max(net.id_bound(), static_cast<NodeId>(before.size()));
   for (NodeId v = 0; v < bound; ++v) {
@@ -262,8 +264,9 @@ TEST(ConflictGraphJournal, ReportsNodesTouchedSinceARevision) {
   const std::uint64_t synced = net.conflict_graph().revision();
 
   const NodeId c = net.add_node({{12, 0}, 15.0});
-  std::vector<NodeId> dirty;
-  ASSERT_TRUE(net.conflict_graph().append_dirty_since(synced, dirty));
+  std::span<const NodeId> window;
+  ASSERT_TRUE(net.conflict_graph().dirty_window_since(synced, window));
+  std::vector<NodeId> dirty(window.begin(), window.end());
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   // The join links c to b (primary) and to a (hidden via b): all three are
@@ -271,10 +274,9 @@ TEST(ConflictGraphJournal, ReportsNodesTouchedSinceARevision) {
   EXPECT_EQ(dirty, (std::vector<NodeId>{a, b, c}));
 
   // Nothing since the head revision.
-  dirty.clear();
-  ASSERT_TRUE(net.conflict_graph().append_dirty_since(
-      net.conflict_graph().revision(), dirty));
-  EXPECT_TRUE(dirty.empty());
+  ASSERT_TRUE(net.conflict_graph().dirty_window_since(
+      net.conflict_graph().revision(), window));
+  EXPECT_TRUE(window.empty());
 }
 
 TEST(ConflictGraphJournal, QuietEventTouchesNothing) {
@@ -283,9 +285,9 @@ TEST(ConflictGraphJournal, QuietEventTouchesNothing) {
   const NodeId b = net.add_node({{5, 0}, 10.0});
   const std::uint64_t synced = net.conflict_graph().revision();
   net.set_range(b, 10.5);  // still reaches exactly {a}: no existence change
-  std::vector<NodeId> dirty;
-  ASSERT_TRUE(net.conflict_graph().append_dirty_since(synced, dirty));
-  EXPECT_TRUE(dirty.empty());
+  std::span<const NodeId> window;
+  ASSERT_TRUE(net.conflict_graph().dirty_window_since(synced, window));
+  EXPECT_TRUE(window.empty());
 }
 
 TEST(ConflictGraphJournal, TrimmingInvalidatesOldWindows) {
@@ -301,14 +303,13 @@ TEST(ConflictGraphJournal, TrimmingInvalidatesOldWindows) {
     net.set_range(a, 1.0);
     net.set_range(a, 12.0);
   }
-  std::vector<NodeId> dirty;
-  EXPECT_FALSE(net.conflict_graph().append_dirty_since(ancient, dirty));
+  std::span<const NodeId> window;
+  EXPECT_FALSE(net.conflict_graph().dirty_window_since(ancient, window));
   // A recent window still answers.
   const std::uint64_t synced = net.conflict_graph().revision();
   net.set_range(c, 1.0);  // retracts (c, b) and the hidden (a, c)
-  dirty.clear();
-  EXPECT_TRUE(net.conflict_graph().append_dirty_since(synced, dirty));
-  EXPECT_FALSE(dirty.empty());
+  EXPECT_TRUE(net.conflict_graph().dirty_window_since(synced, window));
+  EXPECT_FALSE(window.empty());
 }
 
 TEST(ConflictGraphJournal, ClearInvalidatesEveryWindow) {
@@ -317,8 +318,8 @@ TEST(ConflictGraphJournal, ClearInvalidatesEveryWindow) {
   net.add_node({{10, 0}, 15.0});
   const std::uint64_t synced = net.conflict_graph().revision();
   net.reset(100.0, 100.0);
-  std::vector<NodeId> dirty;
-  EXPECT_FALSE(net.conflict_graph().append_dirty_since(synced, dirty));
+  std::span<const NodeId> window;
+  EXPECT_FALSE(net.conflict_graph().dirty_window_since(synced, window));
   EXPECT_EQ(net.conflict_graph().pair_count(), 0u);
 }
 
@@ -393,8 +394,9 @@ struct FanFixture {
 
 std::vector<NodeId> sorted_dirty_since(const ConflictGraph& cg,
                                        std::uint64_t since) {
-  std::vector<NodeId> dirty;
-  EXPECT_TRUE(cg.append_dirty_since(since, dirty));
+  std::span<const NodeId> window;
+  EXPECT_TRUE(cg.dirty_window_since(since, window));
+  std::vector<NodeId> dirty(window.begin(), window.end());
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   return dirty;
@@ -452,8 +454,9 @@ TEST(ConflictGraphBatch, FanAddAndRemoveEqualSequentialEdgeDeltas) {
 /// windows hold the same entries the same number of times.
 std::vector<NodeId> sorted_window_since(const ConflictGraph& cg,
                                         std::uint64_t since) {
-  std::vector<NodeId> window;
-  EXPECT_TRUE(cg.append_dirty_since(since, window));
+  std::span<const NodeId> journal;
+  EXPECT_TRUE(cg.dirty_window_since(since, journal));
+  std::vector<NodeId> window(journal.begin(), journal.end());
   std::sort(window.begin(), window.end());
   return window;
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "strategies/factory.hpp"
 #include "util/rng.hpp"
 
@@ -191,6 +194,23 @@ TEST(Churn, RejectsBadParams) {
   EXPECT_THROW(run_churn(params, *strategy, rng), std::invalid_argument);
   params = small_params();
   params.sample_interval = 0;
+  EXPECT_THROW(run_churn(params, *strategy, rng), std::invalid_argument);
+  // A negative rate used to mean "never", an infinite or NaN one repeated
+  // its event at one instant forever, and an infinite duration never ended.
+  // The negative arrival rate comes first and ASSERTs, so an engine without
+  // these checks fails here instead of hanging.
+  for (double ChurnParams::*rate : {&ChurnParams::arrival_rate,
+                                    &ChurnParams::move_rate,
+                                    &ChurnParams::power_rate})
+    for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      params = small_params();
+      params.*rate = bad;
+      ASSERT_THROW(run_churn(params, *strategy, rng), std::invalid_argument)
+          << bad;
+    }
+  params = small_params();
+  params.duration = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_churn(params, *strategy, rng), std::invalid_argument);
 }
 

@@ -154,6 +154,29 @@ TEST(Experiment, RejectsAnEmptyAxisNoStrategiesAndAnUnknownAxis) {
   }
 }
 
+TEST(Experiment, RejectsAnUnknownStrategyAndABadChurnPointBeforeRunning) {
+  // Both used to throw only inside a trial, on a worker thread, after the
+  // caller had started the run.
+  sim::ExperimentGrid unknown;
+  unknown.strategies = {"minim", "nosuch"};
+  try {
+    sim::Experiment{unknown};
+    ADD_FAILURE() << "an unknown strategy name must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown strategy 'nosuch'"), std::string::npos) << what;
+  }
+
+  sim::ExperimentGrid churn;
+  churn.base.kind = sim::ScenarioKind::kChurn;
+  churn.axes.push_back({"arrival_rate", {0.25, -1.0}});
+  EXPECT_THROW(sim::Experiment{churn}, std::invalid_argument);
+  churn.axes[0] = {"churn_duration", {0.0}};
+  EXPECT_THROW(sim::Experiment{churn}, std::invalid_argument);
+  churn.axes[0] = {"arrival_rate", {0.0, 0.25}};  // 0 means "never"
+  EXPECT_NO_THROW(sim::Experiment{churn});
+}
+
 // A deliberately invalid strategy: every node gets color 1, so any two
 // constrained nodes conflict as soon as the network has an edge.
 class EveryoneColorOne final : public core::RecodingStrategy {

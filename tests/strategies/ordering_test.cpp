@@ -1,4 +1,4 @@
-// DegeneracyOrderer equivalence and fallback policy.
+// DegeneracyOrderer equivalence with the from-scratch reference.
 //
 // The maintained orderer must produce, after ANY event sequence, exactly the
 // order a from-scratch `graph::smallest_last_order` computes on the current
@@ -61,7 +61,7 @@ TEST(DegeneracyOrderer, MatchesFromScratchAcrossEventSoakAndTieBreaks) {
   minim::util::Rng rng(777);
   for (int round = 0; round < 3; ++round) {
     AdhocNetwork net;
-    DegeneracyOrderer orderer;  // default params: incremental repair on
+    DegeneracyOrderer orderer;
     std::vector<NodeId> live;
     std::vector<NodeId> out;
     for (int event = 0; event < 120; ++event) {
@@ -71,77 +71,10 @@ TEST(DegeneracyOrderer, MatchesFromScratchAcrossEventSoakAndTieBreaks) {
       ASSERT_EQ(out, reference_order(net, vertices))
           << "round " << round << ", event " << event << " (" << what << ")";
     }
-    // The soak must actually exercise the bounded-repair path, not fall
-    // back to degree rebuilds throughout.
-    EXPECT_GT(orderer.counters().repaired_nodes, 0u);
   }
 }
 
-TEST(DegeneracyOrderer, ZeroThresholdForcesDegreeRebuildEveryEvent) {
-  minim::util::Rng rng(31);
-  AdhocNetwork net;
-  DegeneracyOrderer::Params params;
-  params.rebuild_fraction = 0.0;  // any dirty entry exceeds the threshold
-  DegeneracyOrderer orderer(params);
-  std::vector<NodeId> out;
-  std::vector<NodeId> live;
-  // Joins only: every join journals at least its own id, so each order call
-  // after the first must trip the zero threshold.
-  for (int event = 0; event < 30; ++event) {
-    live.push_back(net.add_node({{rng.uniform(0, 100), rng.uniform(0, 100)},
-                                 rng.uniform(15.0, 45.0)}));
-    orderer.order(net, live, out);
-    EXPECT_EQ(out, reference_order(net, live));
-  }
-  // First order rebuilds because the graph is new; every later one because
-  // the (never-empty) dirty set exceeds the zero threshold.
-  EXPECT_EQ(orderer.counters().degree_rebuilds, 30u);
-  EXPECT_EQ(orderer.counters().threshold_fallbacks, 29u);
-  EXPECT_EQ(orderer.counters().repaired_nodes, 0u);
-}
-
-TEST(DegeneracyOrderer, GenerousThresholdRepairsInPlace) {
-  minim::util::Rng rng(32);
-  AdhocNetwork net;
-  DegeneracyOrderer::Params params;
-  params.rebuild_fraction = 1e9;  // never trip on size
-  DegeneracyOrderer orderer(params);
-  std::vector<NodeId> out;
-  std::vector<NodeId> live;
-  for (int event = 0; event < 30; ++event) {
-    random_event(net, live, rng);
-    orderer.order(net, live, out);
-    EXPECT_EQ(out, reference_order(net, live));
-  }
-  EXPECT_EQ(orderer.counters().degree_rebuilds, 1u);  // first sight only
-  EXPECT_EQ(orderer.counters().threshold_fallbacks, 0u);
-  EXPECT_GT(orderer.counters().repaired_nodes, 0u);
-}
-
-TEST(DegeneracyOrderer, ThresholdBoundaryIsExclusive) {
-  // A single join on an empty network journals exactly 1 dirty id.  With
-  // rows R, fraction f, the repair path runs iff dirty <= f * R: pick f just
-  // below and above 1/R around one fresh join to pin the boundary.
-  for (const bool expect_repair : {false, true}) {
-    AdhocNetwork net;
-    const NodeId first =
-        net.add_node({{10, 10}, 20.0});  // rows == 1 after this
-    DegeneracyOrderer::Params params;
-    // One more join journals 1 dirty id against rows == 2.
-    params.rebuild_fraction = expect_repair ? 0.5 : 0.49;
-    DegeneracyOrderer orderer(params);
-    std::vector<NodeId> out;
-    std::vector<NodeId> live{first};
-    orderer.order(net, live, out);  // sync
-    live.push_back(net.add_node({{90, 90}, 20.0}));
-    orderer.order(net, live, out);
-    EXPECT_EQ(out, reference_order(net, live));
-    EXPECT_EQ(orderer.counters().threshold_fallbacks, expect_repair ? 0u : 1u);
-    EXPECT_EQ(orderer.counters().repaired_nodes > 0, expect_repair);
-  }
-}
-
-TEST(DegeneracyOrderer, ResetNetworkFallsBackViaJournal) {
+TEST(DegeneracyOrderer, ReusedAcrossNetworkResetMatchesReference) {
   minim::util::Rng rng(33);
   AdhocNetwork net;
   DegeneracyOrderer orderer;
@@ -157,7 +90,6 @@ TEST(DegeneracyOrderer, ResetNetworkFallsBackViaJournal) {
   vertices = net.nodes();
   orderer.order(net, vertices, out);
   EXPECT_EQ(out, reference_order(net, vertices));
-  EXPECT_GE(orderer.counters().journal_fallbacks, 1u);
 }
 
 }  // namespace

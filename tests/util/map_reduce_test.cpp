@@ -1,11 +1,14 @@
 // Tests for the deterministic map-reduce primitive (util/map_reduce.hpp):
-// in-order reduction, per-item stream derivation, stream offset/override
-// (the sharding hooks), thread-count invariance, and exception propagation.
+// in-order reduction, per-item stream derivation, the stream override (the
+// sharding hook), thread-count invariance, the thread count itself, and
+// exception propagation.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/map_reduce.hpp"
@@ -45,26 +48,12 @@ TEST(MapReduce, ItemStreamsAreForStreamOfSeed) {
   }
 }
 
-TEST(MapReduce, StreamOffsetShiftsTheStreamSpace) {
-  // A shard running items [0, 4) of a larger space still draws the global
-  // streams [10, 14) — the property trial-range sharding rests on.
-  util::MapReduceOptions options;
-  options.seed = 7;
-  options.stream_offset = 10;
-  std::vector<std::uint64_t> draws(4);
-  util::map_reduce(
-      4, options, [](std::size_t, util::Rng& rng) { return rng(); },
-      [&](std::size_t i, std::uint64_t&& draw) { draws[i] = draw; });
-  for (std::size_t i = 0; i < draws.size(); ++i) {
-    util::Rng expected = util::Rng::for_stream(7, 10 + i);
-    EXPECT_EQ(draws[i], expected()) << i;
-  }
-}
-
 TEST(MapReduce, StreamOfOverridesTheOffset) {
+  // stream_of replaces the default item i -> stream i: a shard running items
+  // [0, 5) of a larger space still draws the global streams it maps them
+  // to, the property sharding rests on.
   util::MapReduceOptions options;
   options.seed = 7;
-  options.stream_offset = 1000;  // must be ignored when stream_of is set
   options.stream_of = [](std::size_t i) { return 5 * i + 2; };
   std::vector<std::uint64_t> draws(5);
   util::map_reduce(
@@ -128,6 +117,54 @@ TEST(MapReduce, PropagatesMapExceptions) {
             [](std::size_t, int&&) {}),
         std::runtime_error);
   }
+}
+
+TEST(MapReduce, RethrowsAnExceptionThrownAfterOtherItemsFinished) {
+  // Items start in index order, so items 0..14 have all started before the
+  // last one; it throws only once they have finished.
+  util::MapReduceOptions options;
+  options.threads = 4;
+  std::atomic<int> finished{0};
+  bool reduced = false;
+  EXPECT_THROW(
+      util::map_reduce(
+          16, options,
+          [&](std::size_t i, util::Rng&) -> int {
+            if (i < 15) return ++finished;
+            while (finished.load() < 15) std::this_thread::yield();
+            throw std::runtime_error("late boom");
+          },
+          [&](std::size_t, int&&) { reduced = true; }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 15);
+  EXPECT_FALSE(reduced);
+}
+
+TEST(MapReduce, MapsEveryItemOnceWhenThreadsOutnumberItems) {
+  util::MapReduceOptions options;
+  options.threads = 8;
+  std::vector<std::atomic<int>> mapped(3);
+  std::vector<std::size_t> order;
+  util::map_reduce(
+      3, options,
+      [&](std::size_t i, util::Rng&) { return mapped[i].fetch_add(1) + 1; },
+      [&](std::size_t i, int&& times) {
+        EXPECT_EQ(times, 1) << i;
+        order.push_back(i);
+      });
+  for (std::size_t i = 0; i < mapped.size(); ++i)
+    EXPECT_EQ(mapped[i].load(), 1) << i;
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(MapReduce, ZeroThreadsMeansHardwareConcurrency) {
+  util::MapReduceOptions options;
+  options.threads = 0;
+  std::size_t sum = 0;
+  util::map_reduce(
+      32, options, [](std::size_t i, util::Rng&) { return i; },
+      [&](std::size_t, std::size_t&& value) { sum += value; });
+  EXPECT_EQ(sum, 32u * 31u / 2u);
 }
 
 TEST(MapReduce, ZeroItemsIsANoOp) {
