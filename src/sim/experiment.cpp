@@ -1,6 +1,8 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -58,13 +60,30 @@ namespace {
 /// Sets the spec field an axis names to one of its values.
 using AxisSetter = void (*)(ScenarioSpec&, double);
 
+/// The value of count axis `axis`: throws std::invalid_argument, naming the
+/// axis and the value, unless `x` is a whole number from `min` to
+/// 4,294,967,294.
+std::size_t count_axis(const char* axis, double x, std::size_t min) {
+  constexpr std::size_t kMaxCount = 4'294'967'294;
+  if (!(x >= static_cast<double>(min) && x <= static_cast<double>(kMaxCount) &&
+        x == std::floor(x))) {
+    char value[32];
+    const auto written = std::to_chars(value, value + sizeof value, x);
+    throw std::invalid_argument(
+        std::string("axis ") + axis + " wants a whole number from " +
+        std::to_string(min) + " to " + std::to_string(kMaxCount) + ", got " +
+        std::string(value, written.ptr));
+  }
+  return static_cast<std::size_t>(x);
+}
+
 /// The axis vocabulary: every name a `GridAxis` may carry.
 constexpr std::pair<const char*, AxisSetter> kAxes[] = {
-    {"n", [](ScenarioSpec& s, double x) { s.workload.n = static_cast<std::size_t>(x); }},
+    {"n", [](ScenarioSpec& s, double x) { s.workload.n = count_axis("n", x, 0); }},
     {"raise_factor", [](ScenarioSpec& s, double x) { s.raise_factor = x; }},
     {"max_displacement", [](ScenarioSpec& s, double x) { s.max_displacement = x; }},
     {"move_rounds",
-     [](ScenarioSpec& s, double x) { s.move_rounds = static_cast<std::size_t>(x); }},
+     [](ScenarioSpec& s, double x) { s.move_rounds = count_axis("move_rounds", x, 0); }},
     {"min_range", [](ScenarioSpec& s, double x) { s.workload.min_range = x; }},
     {"max_range", [](ScenarioSpec& s, double x) { s.workload.max_range = x; }},
     // The paper's Fig 10(d-f) parameterization: a 5-unit spread around x.
@@ -76,7 +95,7 @@ constexpr std::pair<const char*, AxisSetter> kAxes[] = {
     {"clusters",
      [](ScenarioSpec& s, double x) {
        s.workload.placement = Placement::kClustered;
-       s.workload.cluster_count = std::max<std::size_t>(1, static_cast<std::size_t>(x));
+       s.workload.cluster_count = count_axis("clusters", x, 1);
      }},
     {"cluster_sigma",
      [](ScenarioSpec& s, double x) {

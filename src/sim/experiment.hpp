@@ -75,7 +75,9 @@ Workload make_scenario_workload(const ScenarioSpec& spec, util::Rng& rng);
 ///   raise_factor                   kPower's range multiplier
 ///   max_displacement, move_rounds  kMove's displacement bound and rounds
 ///   churn_duration, arrival_rate, mean_lifetime: kChurn's parameters
-/// `Experiment` throws std::invalid_argument on any other name.
+/// `Experiment` throws std::invalid_argument on any other name, and when a
+/// value of a count axis (`n`, `move_rounds`, `clusters`) is not a whole
+/// number from 0 (from 1 for `clusters`) to 4,294,967,294.
 struct GridAxis {
   std::string name;
   std::vector<double> values;

@@ -42,47 +42,62 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
                                   std::span<const net::NodeId> joiners,
                                   std::span<const net::NodeId> reborn) {
   const net::ConflictGraph& cg = net.conflict_graph();
-  if (last_net_ != &net) return false;
   std::span<const net::NodeId> window;
-  if (!cg.dirty_window_since(last_revision_, window)) return false;
-
-  dirty_.assign(window.begin(), window.end());
-  std::sort(dirty_.begin(), dirty_.end());
-  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-  const std::size_t live = net.node_count();
-  if (static_cast<double>(dirty_.size()) >
-      params_.full_recolor_fraction * static_cast<double>(live))
+  if (last_net_ != &net || !cg.dirty_window_since(last_revision_, window)) {
+    ++counters_.refused_unsynced;
     return false;
+  }
+
+  // Dedupe the window in journal order through the id-indexed mark, and
+  // refuse as soon as more than `full_recolor_fraction` of the live nodes
+  // are dirty.  Journaled ids are the network's ids, so id_bound covers
+  // them; the mark is zero again before anything below runs.
+  const std::size_t bound = net.id_bound();
+  if (dirty_mark_.size() < bound) dirty_mark_.resize(bound, 0);
+  const std::size_t live = net.node_count();
+  const double dirty_cap =
+      params_.full_recolor_fraction * static_cast<double>(live);
+  bool half_dirty = false;
+  dirty_.clear();
+  for (net::NodeId v : window) {
+    if (dirty_mark_[v]) continue;
+    dirty_mark_[v] = 1;
+    dirty_.push_back(v);
+    if (static_cast<double>(dirty_.size()) > dirty_cap) {
+      half_dirty = true;
+      break;
+    }
+  }
+  for (net::NodeId v : dirty_) dirty_mark_[v] = 0;
+  if (half_dirty) {
+    ++counters_.refused_half_dirty;
+    return false;
+  }
+  if (last_colors_.size() < bound) last_colors_.resize(bound, net::kNoColor);
 
   // Foreign-mutation guard.  Sweeping every live node would be exactly the
   // O(n) this mode removes, so only the dirty region is checked — an
   // out-of-band recolor of an untouched node is *not* detected by the
   // bounded path (bench/sim drive one strategy per assignment, which is the
   // supported regime).
-  for (net::NodeId v : dirty_)
-    if (net.contains(v) && snapshot_color(v) != assignment.color(v))
+  for (net::NodeId v : dirty_) {
+    if (net.contains(v) && last_colors_[v] != assignment.color(v)) {
+      ++counters_.refused_foreign;
       return false;
+    }
+  }
 
   // Absorb the event(s) into the maintained rank order: departures
   // tombstone, joiners append in the batch's join order, reborn ids
   // tombstone-then-append.  A refusal (drift over threshold, or no order
   // yet) sends the event to the from-scratch path, which reseeds via
   // rebuild_ranks.
-  if (!orderer_.try_maintain_ranks(net, dirty_, joiners, reborn)) return false;
+  if (!orderer_.try_maintain_ranks(net, dirty_, joiners, reborn)) {
+    ++counters_.refused_drift;
+    return false;
+  }
 
   // Rank-ordered propagation from the live dirty nodes (see propagate()).
-  if (++epoch_ == 0) {
-    // Stamp wraparound: invalidate every slot once per 2^32 events.
-    std::fill(event_color_epoch_.begin(), event_color_epoch_.end(), 0);
-    epoch_ = 1;
-  }
-  const std::size_t bound = net.id_bound();
-  if (event_color_epoch_.size() < bound) {
-    event_color_epoch_.resize(bound, 0);
-    event_colors_.resize(bound, net::kNoColor);
-  }
-  if (last_colors_.size() < bound) last_colors_.resize(bound, net::kNoColor);
-
   live_dirty_.clear();
   for (net::NodeId v : dirty_) {
     if (!net.contains(v)) continue;
@@ -102,26 +117,24 @@ bool BbbStrategy::bounded_recolor(const net::AdhocNetwork& net,
   const bool absorbed = propagate(cg, budget);
   counters_.processed_ranks += frontier_.processed;
   if (!absorbed) {
-    // Clean bailout: nothing below mutated the assignment or snapshot.
     ++counters_.slack_bailouts;
     return false;
   }
 
   // Apply + report in ascending node order — the order the from-scratch
-  // path emits — and roll the snapshot forward incrementally: departures
-  // blank out, changed nodes take their propagated color, everyone else is
-  // untouched (their greedy color provably equals the snapshot).
-  std::vector<net::NodeId>& changed = frontier_.changed;
-  std::sort(changed.begin(), changed.end());
-  for (net::NodeId v : changed) {
-    const net::Color fresh = event_colors_[v];
-    assignment.set_color(v, fresh);
-    report.changes.push_back(core::Recode{v, snapshot_color(v), fresh});
-    last_colors_[v] = fresh;
-  }
+  // path emits.  The snapshot already holds every changed node's fresh
+  // color; departures blank out, and everyone else is untouched (their
+  // greedy color provably equals the snapshot).
+  std::vector<core::Recode>& changed = frontier_.changed;
+  std::sort(changed.begin(), changed.end(),
+            [](const core::Recode& a, const core::Recode& b) {
+              return a.node < b.node;
+            });
+  for (const core::Recode& change : changed)
+    assignment.set_color(change.node, change.new_color);
+  report.changes.insert(report.changes.end(), changed.begin(), changed.end());
   for (net::NodeId v : dirty_)
-    if (!net.contains(v) && v < last_colors_.size())
-      last_colors_[v] = net::kNoColor;
+    if (!net.contains(v)) last_colors_[v] = net::kNoColor;
   last_revision_ = cg.revision();
   return true;
 }
@@ -196,25 +209,29 @@ bool BbbStrategy::propagate(const net::ConflictGraph& cg, std::size_t budget) {
   std::uint32_t ru = 0;
   while (frontier.pop(ru)) {
     if (frontier.processed == budget) {
+      // Slack bailout.  The colors already written into `last_colors_` stay:
+      // the from-scratch pass that follows every bailout in the same
+      // `global_recolor` call rewrites the whole snapshot.
       frontier.clear();
       return false;
     }
     ++frontier.processed;
     const net::NodeId u = by_rank[ru];
 
+    // Every partner marks its snapshot color; only earlier-ranked ones keep
+    // the bit (kNoRank sorts past every rank).  An earlier-ranked partner's
+    // snapshot color is final: popped this repair, or provably unchanged.
     const auto neighbors = cg.neighbors(u);
-    frontier.scratch.reset();
-    for (net::NodeId w : neighbors) {
-      if (orderer_.rank(w) >= ru) continue;  // kNoRank sorts past every rank
-      const net::Color c = event_color(w);
-      if (c != net::kNoColor) frontier.scratch.mark(c);
-    }
-    const net::Color fresh = frontier.scratch.lowest_free();
-    event_colors_[u] = fresh;
-    event_color_epoch_[u] = epoch_;
-    if (fresh == snapshot_color(u)) continue;
+    ColorScratch& scratch = frontier.scratch;
+    scratch.reset();
+    for (net::NodeId w : neighbors)
+      scratch.mark(last_colors_[w], orderer_.rank(w) < ru);
+    const net::Color fresh = scratch.lowest_free();
+    const net::Color previous = last_colors_[u];
+    if (fresh == previous) continue;
 
-    frontier.changed.push_back(u);
+    last_colors_[u] = fresh;
+    frontier.changed.push_back(core::Recode{u, previous, fresh});
     for (net::NodeId w : neighbors) {
       const std::uint32_t rw = orderer_.rank(w);
       if (rw != DegeneracyOrderer::kNoRank && rw > ru) frontier.push(rw);

@@ -48,7 +48,8 @@
 /// gated metric — not silent.  Work per event is O(popped ranks · degree),
 /// capped at `Params::propagation_slack` × live nodes; exceeding the cap —
 /// or any journal/drift fallback — runs the from-scratch path, which
-/// reseeds the rank index.
+/// reseeds the rank index and the color snapshot, and `Counters` records
+/// which of the five reasons sent it there.
 ///
 /// A batch (`on_batch`) repairs once: every dirty node of the batch seeds
 /// the one frontier, and the budget is the sum of the batch's per-event
@@ -79,7 +80,9 @@ class BbbStrategy final : public core::RecodingStrategy {
     double rank_rebuild_fraction = 0.25;
   };
 
-  /// Where bounded-mode events went (all zero unless `bounded_propagation`).
+  /// Where bounded-mode events went (all zero but `events` unless
+  /// `bounded_propagation`).  Every fallback has exactly one reason, so
+  /// the four `refused_*` counts plus `slack_bailouts` sum to `full_events`.
   struct Counters {
     std::uint64_t events = 0;          ///< recolor events served (any mode)
     std::uint64_t bounded_events = 0;  ///< absorbed by rank-bounded propagation
@@ -87,6 +90,16 @@ class BbbStrategy final : public core::RecodingStrategy {
     std::uint64_t processed_ranks = 0; ///< frontier pops across bounded events
     std::uint64_t full_ranks = 0;      ///< live nodes walked by full events
     std::uint64_t slack_bailouts = 0;  ///< budget exceeded mid-propagation
+    /// No snapshot of this network, or its journal window was trimmed or
+    /// cleared.
+    std::uint64_t refused_unsynced = 0;
+    /// More than `full_recolor_fraction` of the live nodes were dirty.
+    std::uint64_t refused_half_dirty = 0;
+    /// A dirty node's color differed from the snapshot (foreign mutation).
+    std::uint64_t refused_foreign = 0;
+    /// `DegeneracyOrderer::try_maintain_ranks` refused (no maintained order,
+    /// or rank drift past `rank_rebuild_fraction`).
+    std::uint64_t refused_drift = 0;
     // Always 0.  perfbench/src/main.cpp is their only reader; they go with
     // perfbench's `kRecolorThreads` in the next benchmark change (ROADMAP
     // item 1).
@@ -159,7 +172,8 @@ class BbbStrategy final : public core::RecodingStrategy {
                                     std::span<const net::NodeId> reborn = {});
 
   /// The bounded path's propagation state: the pending ranks, the nodes
-  /// whose color changed, the free-color scratch, and the pop count.
+  /// whose color changed (each with its previous and fresh color), the
+  /// free-color scratch, and the pop count.
   ///
   /// Pending ranks live in a two-level bitmap over the ranks from `base` on:
   /// one bit per rank in `words`, and one bit per word in `summary`, set
@@ -174,7 +188,7 @@ class BbbStrategy final : public core::RecodingStrategy {
     std::size_t pending = 0;  ///< set bits
     std::vector<std::uint64_t> words;
     std::vector<std::uint64_t> summary;
-    std::vector<net::NodeId> changed;
+    std::vector<core::Recode> changed;  ///< in pop order; at most one per node
     ColorScratch scratch;
     std::size_t processed = 0;
 
@@ -188,34 +202,28 @@ class BbbStrategy final : public core::RecodingStrategy {
     void clear();
   };
 
-  /// Propagation from `live_dirty_` over the maintained ranks, writing
-  /// event colors into the epoch-stamped overlays and the changed nodes into
-  /// `frontier_.changed`.  Returns false when the pop count would exceed
-  /// `budget` (the frontier then reflects exactly `budget` completed pops
-  /// and no pending rank; the overlays carry partial writes the caller must
-  /// treat as abandoned).
+  /// Propagation from `live_dirty_` over the maintained ranks, writing each
+  /// recomputed color that differs straight into the snapshot
+  /// (`last_colors_`) and recording the change in `frontier_.changed`.
+  /// Returns false when the pop count would exceed `budget` (the frontier
+  /// then reflects exactly `budget` completed pops and no pending rank; the
+  /// snapshot carries partial writes, which the from-scratch pass that
+  /// follows overwrites).
   bool propagate(const net::ConflictGraph& cg, std::size_t budget);
 
   /// The rank-bounded path (`Params::bounded_propagation`).  Returns false
-  /// — without touching `assignment` — when the event can't be absorbed
-  /// (unknown network, trimmed journal, mutated assignment, dirty set or
-  /// propagation budget exceeded, rank drift demanding a rebuild); the
-  /// caller then runs the from-scratch path, which reseeds the rank index.
-  /// Never touches the full node set: per-event work is O(dirty + popped
-  /// ranks · degree).
+  /// — without touching `assignment`, and after counting the reason in
+  /// `counters_` — when the event can't be absorbed (unknown network,
+  /// trimmed journal, dirty set too large, mutated assignment, rank drift
+  /// demanding a rebuild, propagation budget exceeded); the caller then runs
+  /// the from-scratch path, which reseeds the rank index and the snapshot.
+  /// Never touches the full node set: per-event work is O(journal window +
+  /// popped ranks · degree).
   bool bounded_recolor(const net::AdhocNetwork& net,
                        net::CodeAssignment& assignment,
                        core::RecodeReport& report, std::size_t batch_events,
                        std::span<const net::NodeId> joiners,
                        std::span<const net::NodeId> reborn);
-
-  /// This event's working color of `v`: the propagation result when `v` was
-  /// recomputed this event, the snapshot color otherwise.
-  net::Color event_color(net::NodeId v) const {
-    return v < event_color_epoch_.size() && event_color_epoch_[v] == epoch_
-               ? event_colors_[v]
-               : snapshot_color(v);
-  }
 
   /// Records a bounded-mode from-scratch pass's output (colors + journal
   /// revision) as the base of the next event's bounded propagation.
@@ -223,32 +231,26 @@ class BbbStrategy final : public core::RecodingStrategy {
                 const std::vector<net::NodeId>& sequence,
                 const net::CodeAssignment& assignment);
 
-  net::Color snapshot_color(net::NodeId v) const {
-    return v < last_colors_.size() ? last_colors_[v] : net::kNoColor;
-  }
-
   ColoringOrder order_;
   Params params_;
   Counters counters_;
 
   // Bounded mode's previous output (valid when last_net_ != nullptr):
   // id-indexed colors plus the conflict-journal revision they correspond to.
+  // Propagation rolls the colors forward in place.
   const net::AdhocNetwork* last_net_ = nullptr;
   std::uint64_t last_revision_ = 0;
   std::vector<net::Color> last_colors_;
 
   // Per-event scratch (reused across events; no per-node allocation).
-  std::vector<net::NodeId> dirty_;
+  std::vector<net::NodeId> dirty_;        ///< the journal window, deduped
+  std::vector<std::uint8_t> dirty_mark_;  ///< id-indexed; zero between repairs
   std::vector<net::NodeId> nodes_;
   std::vector<net::NodeId> seq_;
   std::vector<net::Color> old_colors_;
   DegeneracyOrderer orderer_;
 
-  // Rank-bounded propagation scratch.  The epoch stamp makes per-event
-  // resets O(1): a slot belongs to this event iff its stamp equals epoch_.
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> event_color_epoch_;  ///< event_colors_[v] valid
-  std::vector<net::Color> event_colors_;
+  // Rank-bounded propagation scratch.
   std::vector<net::NodeId> live_dirty_;  ///< this event's live, ranked seeds
   Frontier frontier_;
 };

@@ -29,15 +29,13 @@ std::vector<std::vector<net::NodeId>> conflict_adjacency(const net::AdhocNetwork
 
 namespace {
 
-/// Marks the colors of v's colored conflict neighbors into `scratch`.
+/// Marks the colors of v's colored conflict neighbors into `scratch` (an
+/// uncolored neighbor marks `kNoColor`, which the scratch never counts).
 void mark_neighbor_colors(const net::ConflictGraph& adj, net::NodeId v,
                           const net::CodeAssignment& assignment,
                           ColorScratch& scratch) {
   scratch.reset();
-  for (net::NodeId w : adj[v]) {
-    const net::Color c = assignment.color(w);
-    if (c != net::kNoColor) scratch.mark(c);
-  }
+  for (net::NodeId w : adj[v]) scratch.mark(assignment.color(w));
 }
 
 /// Colors `sequence` in order; each node takes the lowest color not used by

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +22,7 @@
 ///
 /// All loops read the network's cached `net::ConflictGraph` rows directly
 /// (no per-node partner enumeration) and compute each node's lowest free
-/// color with a reusable occupancy bitmap, so coloring an event is
+/// color with a reusable occupancy bitset, so coloring an event is
 /// allocation-free per node — O(V + E) on the conflict graph.
 
 namespace minim::strategies {
@@ -35,39 +37,58 @@ enum class ColoringOrder {
 
 const char* to_string(ColoringOrder order);
 
-/// Reusable color-occupancy bitmap: mark the colors of a node's colored
-/// conflict neighbors, read the saturation / lowest free color, unmark.
-/// Replaces the per-node collect-sort-unique pattern — no allocation after
-/// warmup, O(deg) per node.  Shared by the greedy/DSATUR loops and BBB's
-/// rank-bounded propagation, which must stay bit-identical to them.
+/// Reusable color-occupancy bitset: mark the colors of a node's conflict
+/// partners, read the saturation or the lowest free color, reset.  A mark
+/// ORs one bit into a 64-color word and tests nothing, so a scan over a
+/// node's partners has no data-dependent branch: a `kNoColor` partner lands
+/// in bit 0, which neither read counts, and `mark(c, false)` ORs a zero
+/// bit, which lets BBB's propagation mark every partner and let the rank
+/// decide.  No allocation after warmup, O(deg) per node.  Shared by the
+/// greedy/DSATUR loops and BBB's rank-bounded propagation, which must stay
+/// bit-identical to them.
 class ColorScratch {
  public:
-  void mark(net::Color c) {
-    if (c >= marks_.size()) marks_.resize(c + 1, 0);
-    if (!marks_[c]) {
-      marks_[c] = 1;
-      marked_.push_back(c);
-    }
+  /// Marks color `c` when `keep` is true.
+  void mark(net::Color c, bool keep = true) {
+    const std::size_t w = c >> 6;
+    if (w >= used_) grow(w);
+    words_[w] |= std::uint64_t{keep} << (c & 63);
   }
 
   /// Number of distinct colors marked (DSATUR's saturation degree).
-  std::size_t saturation() const { return marked_.size(); }
+  std::size_t saturation() const {
+    std::size_t count =
+        static_cast<std::size_t>(std::popcount(words_[0] & ~std::uint64_t{1}));
+    for (std::size_t w = 1; w < used_; ++w)
+      count += static_cast<std::size_t>(std::popcount(words_[w]));
+    return count;
+  }
 
   /// Smallest positive color not marked.
   net::Color lowest_free() const {
-    net::Color candidate = 1;
-    while (candidate < marks_.size() && marks_[candidate]) ++candidate;
-    return candidate;
+    std::uint64_t taken = words_[0] | 1;  // color 0 is never free
+    std::size_t w = 0;
+    while (taken == ~std::uint64_t{0} && ++w < used_) taken = words_[w];
+    if (w == used_) taken = 0;  // every word in use is full; the next is clear
+    return static_cast<net::Color>((w << 6) + static_cast<std::size_t>(
+                                                  std::countr_zero(~taken)));
   }
 
+  /// Clears every mark; zeroes only the words marked since the last reset.
   void reset() {
-    for (net::Color c : marked_) marks_[c] = 0;
-    marked_.clear();
+    std::fill_n(words_.begin(), used_, std::uint64_t{0});
+    used_ = 1;
   }
 
  private:
-  std::vector<std::uint8_t> marks_;  // indexed by color
-  std::vector<net::Color> marked_;   // undo list
+  /// Puts word `w` in use (the words past `used_` are already zero).
+  void grow(std::size_t w) {
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    used_ = w + 1;
+  }
+
+  std::vector<std::uint64_t> words_ = std::vector<std::uint64_t>(1, 0);
+  std::size_t used_ = 1;  ///< words [0, used_) may hold marks
 };
 
 /// Conflict-graph adjacency for all live nodes: `adj[v]` lists every node

@@ -91,8 +91,10 @@ class DegeneracyOrderer {
 
   // ---------------------------------------------------- maintained ranks
 
-  /// Absorbs one event's deduped dirty set (raw conflict-journal ids; the
-  /// caller sorts/uniques but does NOT filter liveness — departures are
+  /// Absorbs one event's deduped dirty set (raw conflict-journal ids, each
+  /// once, in any order — appends are sorted by a total order, join
+  /// position then conflict degree then id, so the caller passes them in
+  /// journal order; it does NOT filter liveness — departures are
   /// recognized here) into the maintained order.  Returns false — leaving
   /// the maintained state unmodified — when no order is maintained for this
   /// network yet or the accumulated drift demands a rebuild; the caller must

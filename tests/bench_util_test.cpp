@@ -403,7 +403,11 @@ TEST(BenchHarnesses, DegenerateSizesAndRatesExitTwoBeforeAnyRun) {
   // size, a mean degree below 0, a zero churn duration), to run something
   // else (--ns=1000.5 ran 1,000 nodes, a negative rate meant "never"), or
   // to never return: a zero lifetime or an infinite arrival rate repeats
-  // arrivals at one instant forever.  Each now names the flag or the parameter and exits 2 before
+  // arrivals at one instant forever.  A count axis of bench_cdma_drive
+  // reached static_cast<std::size_t>: a negative value ended in
+  // std::length_error and 1e12 in std::bad_alloc (exit 134), n:2.5 ran 2
+  // nodes under a row labelled 2.50 and clusters:0 one cluster under 0.00.
+  // Each now names the flag, the parameter or the axis and exits 2 before
   // any stage or trial runs, so stdout stays empty.
   const std::pair<const char*, const char*> cases[] = {
       {"large_n --ns=0", "--ns wants whole node counts from 1"},
@@ -424,7 +428,22 @@ TEST(BenchHarnesses, DegenerateSizesAndRatesExitTwoBeforeAnyRun) {
        "--strategies=minim",
        "churn duration must be positive"},
       {"steady_state_churn --runs=1 --arrival-rate=inf",
-       "churn arrival_rate must be finite and >= 0"}};
+       "churn arrival_rate must be finite and >= 0"},
+      {"cdma_drive --axes=n:-5 --trials=1 --strategies=minim --threads=1",
+       "axis n wants a whole number from 0"},
+      {"cdma_drive --scenario=move --axes=n:20,move_rounds:-1 --trials=1 "
+       "--strategies=minim --threads=1",
+       "axis move_rounds wants a whole number from 0"},
+      {"cdma_drive --axes=n:20,clusters:-3 --trials=1 --strategies=minim "
+       "--threads=1",
+       "axis clusters wants a whole number from 1"},
+      {"cdma_drive --axes=n:1e12 --trials=1 --strategies=minim --threads=1",
+       "axis n wants a whole number from 0"},
+      {"cdma_drive --axes=n:2.5 --trials=1 --strategies=minim --threads=1",
+       "axis n wants a whole number from 0"},
+      {"cdma_drive --axes=n:20,clusters:0 --trials=1 --strategies=minim "
+       "--threads=1",
+       "axis clusters wants a whole number from 1"}};
   for (const auto& [args, reason] : cases) {
     const HarnessRun run = run_harness(args);
     ASSERT_TRUE(WIFEXITED(run.status)) << args;

@@ -67,12 +67,21 @@ struct LargeBatchSoakOutcome {
   strategies::BbbStrategy::Counters counters;
 };
 
-/// Replays `cfg`'s stream in 64-event batches (sparse-churn's burst)
-/// through a batched engine running bounded BBB with `params`, checking the
-/// oracle after every batch.
+/// The bounded-mode fallbacks the four refusal reasons and the slack
+/// bailouts account for; each fallback has exactly one reason, so this
+/// equals `full_events`.
+inline std::uint64_t fallback_reasons(
+    const strategies::BbbStrategy::Counters& c) {
+  return c.refused_unsynced + c.refused_half_dirty + c.refused_foreign +
+         c.refused_drift + c.slack_bailouts;
+}
+
+/// Replays `cfg`'s stream in `batch`-event batches (64 is sparse-churn's
+/// burst, 8 dense-churn's) through a batched engine running bounded BBB
+/// with `params`, checking the oracle after every batch.
 inline LargeBatchSoakOutcome run_large_batch_soak(
-    const FuzzConfig& cfg, const strategies::BbbStrategy::Params& params) {
-  constexpr std::size_t kBatch = 64;
+    const FuzzConfig& cfg, const strategies::BbbStrategy::Params& params,
+    std::size_t batch = 64) {
   const sim::Trace trace = to_trace(generate_events(cfg));
   strategies::BbbStrategy bbb(strategies::ColoringOrder::kSmallestLast, params);
   serve::AssignmentEngine::Params engine_params;
@@ -84,8 +93,8 @@ inline LargeBatchSoakOutcome run_large_batch_soak(
   std::vector<net::NodeId> sequence;
   net::CodeAssignment oracle;
   bool bailed = false;
-  for (std::size_t at = 0; at < trace.size(); at += kBatch) {
-    const std::size_t take = std::min(kBatch, trace.size() - at);
+  for (std::size_t at = 0; at < trace.size(); at += batch) {
+    const std::size_t take = std::min(batch, trace.size() - at);
     const strategies::BbbStrategy::Counters before = bbb.counters();
     engine.apply_batch({trace.data() + at, take});
     ++outcome.batches;
@@ -118,6 +127,7 @@ inline LargeBatchSoakOutcome run_large_batch_soak(
     }
   }
   outcome.counters = bbb.counters();
+  EXPECT_EQ(fallback_reasons(outcome.counters), outcome.counters.full_events);
   return outcome;
 }
 
@@ -130,6 +140,10 @@ inline strategies::BbbStrategy::Counters large_soak_production_counters() {
   c.processed_ranks = 1782411;
   c.full_ranks = 97444;
   c.slack_bailouts = 0;
+  c.refused_unsynced = 1;
+  c.refused_half_dirty = 1;
+  c.refused_foreign = 0;
+  c.refused_drift = 35;
   return c;
 }
 
@@ -141,6 +155,10 @@ inline void expect_counters_eq(const strategies::BbbStrategy::Counters& got,
   EXPECT_EQ(got.processed_ranks, want.processed_ranks);
   EXPECT_EQ(got.full_ranks, want.full_ranks);
   EXPECT_EQ(got.slack_bailouts, want.slack_bailouts);
+  EXPECT_EQ(got.refused_unsynced, want.refused_unsynced);
+  EXPECT_EQ(got.refused_half_dirty, want.refused_half_dirty);
+  EXPECT_EQ(got.refused_foreign, want.refused_foreign);
+  EXPECT_EQ(got.refused_drift, want.refused_drift);
 }
 
 }  // namespace minim::test

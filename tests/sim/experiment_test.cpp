@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/recode_report.hpp"
@@ -121,15 +123,44 @@ TEST(Experiment, EveryAxisNameSetsItsSpecField) {
   const sim::ScenarioSpec avg = spec_with("avg_range", 27.5);
   EXPECT_EQ(avg.workload.min_range, 25.0);
   EXPECT_EQ(avg.workload.max_range, 30.0);
-  const sim::ScenarioSpec clusters = spec_with("clusters", 0.5);
+  const sim::ScenarioSpec clusters = spec_with("clusters", 3);
   EXPECT_EQ(clusters.workload.placement, sim::Placement::kClustered);
-  EXPECT_EQ(clusters.workload.cluster_count, 1u);  // never below one parent
+  EXPECT_EQ(clusters.workload.cluster_count, 3u);
   const sim::ScenarioSpec sigma = spec_with("cluster_sigma", 3);
   EXPECT_EQ(sigma.workload.placement, sim::Placement::kClustered);
   EXPECT_EQ(sigma.workload.cluster_sigma, 3.0);
   EXPECT_EQ(spec_with("churn_duration", 400).churn.duration, 400.0);
   EXPECT_EQ(spec_with("arrival_rate", 0.5).churn.arrival_rate, 0.5);
   EXPECT_EQ(spec_with("mean_lifetime", 90).churn.mean_lifetime, 90.0);
+}
+
+TEST(Experiment, RejectsCountAxisValuesThatAreNotWholeCounts) {
+  // These used to reach static_cast<std::size_t>: a negative value threw
+  // std::length_error from a reserve, 1e12 std::bad_alloc, 2.5 ran 2 nodes,
+  // and clusters 0 ran one cluster.
+  const std::pair<const char*, double> cases[] = {
+      {"n", -5},           {"n", 2.5},
+      {"n", 1e12},         {"n", 4294967295.0},
+      {"move_rounds", -1}, {"clusters", -3},
+      {"clusters", 0},     {"clusters", 0.5},
+      {"n", std::nan("")}};
+  for (const auto& [name, value] : cases) {
+    sim::ExperimentGrid grid;
+    grid.axes.push_back({name, {value}});
+    try {
+      sim::Experiment{grid};
+      ADD_FAILURE() << name << " " << value << " must throw";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(std::string("axis ") + name + " wants a whole number"),
+                std::string::npos)
+          << what;
+    }
+  }
+  sim::ExperimentGrid largest;
+  largest.axes.push_back({"move_rounds", {0, 4294967294.0}});
+  const sim::Experiment accepted(largest);
+  EXPECT_EQ(accepted.spec_for_point(1).move_rounds, 4294967294u);
 }
 
 TEST(Experiment, RejectsAnEmptyAxisNoStrategiesAndAnUnknownAxis) {

@@ -194,6 +194,9 @@ void soak(const FuzzConfig& cfg,
               << " full=" << outcome.counters.full_events
               << " bailouts=" << outcome.counters.slack_bailouts
               << " max_gap=" << outcome.max_gap << "\n";
+    // Every fallback counts exactly one reason.
+    EXPECT_EQ(minim::test::fallback_reasons(outcome.counters),
+              outcome.counters.full_events);
     // The soak must actually exercise the bounded path, not just fall back.
     if (require_bounded_majority) {
       EXPECT_GT(outcome.counters.bounded_events, outcome.counters.full_events)
@@ -306,8 +309,38 @@ TEST(BbbBoundedFuzz, TenThousandNodeBatchesBailAndRecover) {
   want.processed_ranks = 1820041;
   want.full_ranks = 1071679;
   want.slack_bailouts = 97;
+  want.refused_unsynced = 1;
+  want.refused_half_dirty = 1;
+  want.refused_drift = 32;
   minim::test::expect_counters_eq(outcome.counters, want);
   EXPECT_EQ(outcome.absorbed_after_bailout, 54u);
+}
+
+TEST(BbbBoundedFuzz, DenseChurnBatchesRefuseAsHalfDirty) {
+  // dense-churn's shape at production params: ~300 nodes on 100x100 with
+  // ranges 10-25, repaired in 8-event batches.  An 8-event burst usually
+  // dirties more than half of the conflict graph, so the half-dirty check
+  // refuses nearly every repair.
+  minim::test::FuzzConfig cfg;
+  cfg.seed = 16002;
+  cfg.events = 6000;
+  cfg.target_live = 300;
+  cfg.min_range = 10.0;
+  cfg.max_range = 25.0;
+  const minim::test::LargeBatchSoakOutcome outcome =
+      minim::test::run_large_batch_soak(cfg, strict_params(), 8);
+  ASSERT_EQ(outcome.message, "");
+  // 750 batches: the first repair has no snapshot, 25 absorb, and the
+  // other 724 are refused as half-dirty, before any rank or color work.
+  BbbStrategy::Counters want;
+  want.events = 6000;
+  want.bounded_events = 200;
+  want.full_events = 725;
+  want.processed_ranks = 3258;
+  want.full_ranks = 200019;
+  want.refused_unsynced = 1;
+  want.refused_half_dirty = 724;
+  minim::test::expect_counters_eq(outcome.counters, want);
 }
 
 // --------------------------------------------------------------- harness

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "../helpers.hpp"
 #include "net/constraints.hpp"
 #include "strategies/bbb.hpp"
@@ -124,6 +129,80 @@ TEST(Coloring, SmallestLastNotWorseThanIdentityOnAverage) {
     id_total += color_network(net, ColoringOrder::kIdentity, a2);
   }
   EXPECT_LE(sl_total, id_total + 2);
+}
+
+/// DSATUR from its definition, on `std::set`s of neighbor colors: color
+/// every node in turn, picking the uncolored node with the most distinct
+/// neighbor colors, ties by conflict degree, then by lowest id, and give it
+/// the lowest color no neighbor holds.  Returns the largest saturation a
+/// pick had.
+std::size_t reference_dsatur(const AdhocNetwork& net, CodeAssignment& out) {
+  const auto adj = conflict_adjacency(net);
+  const auto neighbor_colors = [&adj, &out](NodeId v) {
+    std::set<Color> colors;
+    for (NodeId w : adj[v])
+      if (out.has_color(w)) colors.insert(out.color(w));
+    return colors;
+  };
+  std::vector<NodeId> pending = net.nodes();  // ascending
+  std::size_t max_saturation = 0;
+  while (!pending.empty()) {
+    std::size_t pick = 0;
+    std::size_t pick_saturation = 0;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const std::size_t saturation = neighbor_colors(pending[i]).size();
+      const std::size_t degree = adj[pending[i]].size();
+      if (i == 0 || saturation > pick_saturation ||
+          (saturation == pick_saturation && degree > adj[pending[pick]].size())) {
+        pick = i;
+        pick_saturation = saturation;
+      }
+    }
+    const std::set<Color> taken = neighbor_colors(pending[pick]);
+    Color color = 1;
+    while (taken.count(color) != 0) ++color;
+    out.set_color(pending[pick], color);
+    max_saturation = std::max(max_saturation, pick_saturation);
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return max_saturation;
+}
+
+/// Holds `color_network(kDSatur)` to `reference_dsatur` on every node of
+/// `net`; returns the largest saturation a pick had.
+std::size_t expect_dsatur_matches_definition(const AdhocNetwork& net,
+                                             const std::string& field) {
+  CodeAssignment want;
+  const std::size_t max_saturation = reference_dsatur(net, want);
+  CodeAssignment got;
+  color_network(net, ColoringOrder::kDSatur, got);
+  std::vector<Color> got_colors;
+  std::vector<Color> want_colors;
+  for (NodeId v : net.nodes()) {
+    got_colors.push_back(got.color(v));
+    want_colors.push_back(want.color(v));
+  }
+  EXPECT_EQ(got_colors, want_colors) << field;
+  return max_saturation;
+}
+
+TEST(Coloring, DSaturMatchesItsDefinition) {
+  // ColoringOrderTest's fields.
+  Rng rng(81);
+  for (int trial = 0; trial < 5; ++trial)
+    expect_dsatur_matches_definition(random_network(rng, 40),
+                                     "seed 81, trial " + std::to_string(trial));
+  Rng rng82(82);
+  expect_dsatur_matches_definition(random_network(rng82, 50), "seed 82");
+
+  // A dense field whose saturation passes 64 colors, so the picks read past
+  // the scratch's first 64-color word.
+  Rng dense_rng(87);
+  AdhocNetwork dense;
+  for (int i = 0; i < 160; ++i)
+    dense.add_node({{dense_rng.uniform(0, 100), dense_rng.uniform(0, 100)},
+                    dense_rng.uniform(30, 45)});
+  EXPECT_GT(expect_dsatur_matches_definition(dense, "dense field"), 64u);
 }
 
 // ------------------------------------------------------------ BBB strategy
