@@ -23,9 +23,9 @@ RecodeProblem build_recode_problem(const net::AdhocNetwork& net,
   // Per-member forbidden color sets (colors of conflict partners outside V1)
   // and the pool bound `max`.  Inlined rather than routed through
   // `net::forbidden_colors`' std::function filter, with V1 membership served
-  // from an epoch-stamped array: this loop runs once per conflict partner of
-  // every V1 member of every join, and both the indirect call and the
-  // per-partner binary search dominated the join profile.  The scratch is
+  // from an epoch-stamped array: the two passes below visit every conflict
+  // partner of every V1 member of every join, and both the indirect call and
+  // the per-partner binary search dominated the join profile.  The scratch is
   // thread_local because strategies run one per worker thread.
   thread_local std::vector<std::uint64_t> member_epoch;
   thread_local std::uint64_t epoch = 0;
@@ -33,48 +33,44 @@ RecodeProblem build_recode_problem(const net::AdhocNetwork& net,
   ++epoch;
   for (net::NodeId v : set) member_epoch[v] = epoch;
 
-  // Pass 1: every member's outside-partner colors, unsorted and with
-  // repeats, into one flat list (member i owns [ends[i-1], ends[i])).  The
-  // pool bound is only known once every member has been seen.
-  thread_local std::vector<net::Color> partner_colors;
-  thread_local std::vector<std::size_t> ends;
-  partner_colors.clear();
-  ends.clear();
+  // Pass 1: the pool bound `max`, over the members' old colors and their
+  // outside partners' colors.  A member partner counts as color 0 through a
+  // 0/1 factor rather than a branch.
+  const auto& conflicts = net.conflict_graph();
   net::Color max_color = net::kNoColor;
   for (net::NodeId u : set) {
-    for (net::NodeId v : net.conflict_graph().neighbors(u)) {
-      if (member_epoch[v] == epoch) continue;
-      const net::Color c = assignment.color(v);
-      if (c == net::kNoColor) continue;
-      partner_colors.push_back(c);
-      max_color = std::max(max_color, c);
+    for (net::NodeId v : conflicts.neighbors(u)) {
+      const net::Color outside = member_epoch[v] != epoch;
+      max_color = std::max(max_color, outside * assignment.color(v));
     }
-    ends.push_back(partner_colors.size());
     max_color = std::max(max_color, assignment.color(u));
   }
   problem.max_color = max_color;
 
   // Pass 2: one forbidden bitset row per member, bit c standing for color
-  // c.  Rows span this set's own pool 0..max, never the network-wide
-  // maximum, so a far-away high color costs nothing here.
+  // c.  Every partner ORs its color's bit in, with "outside V1" as the bit's
+  // value, so the scan has no data-dependent branch; an uncolored partner
+  // lands in bit 0, which emission masks off.  A member's color is at most
+  // `max` too, so every bit lands inside the row.  Rows span this set's own
+  // pool 0..max, never the network-wide maximum, so a far-away high color
+  // costs nothing here.
   constexpr std::size_t kBits = 64;
   const std::size_t words = max_color / kBits + 1;
   thread_local std::vector<std::uint64_t> forbidden;
   forbidden.assign(set.size() * words, 0);
-  std::size_t begin = 0;
   for (std::size_t i = 0; i < set.size(); ++i) {
     std::uint64_t* row = forbidden.data() + i * words;
-    for (std::size_t k = begin; k < ends[i]; ++k) {
-      const net::Color c = partner_colors[k];
-      row[c / kBits] |= std::uint64_t{1} << (c % kBits);
+    for (net::NodeId v : conflicts.neighbors(set[i])) {
+      const net::Color c = assignment.color(v);
+      const std::uint64_t outside = member_epoch[v] != epoch;
+      row[c / kBits] |= outside << (c % kBits);
     }
-    begin = ends[i];
   }
 
   // Pass 3: each member's edges are the complement of its row over
-  // 1..max, walked word by word in ascending color — the order, endpoints
-  // and weights of a per-color scan, so the matcher's input is unchanged.
-  // Bit 0 (kNoColor) and the bits above max are masked off.
+  // 1..max, walked word by word in ascending color into the member's row of
+  // the weight matrix.  Bit 0 (kNoColor) and the bits above max are masked
+  // off.
   const std::size_t top_bit = max_color % kBits;
   const std::uint64_t last_mask = top_bit == kBits - 1
                                       ? ~std::uint64_t{0}

@@ -9,30 +9,27 @@ namespace minim::matching {
 BipartiteGraph::BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size)
     : left_size_(left_size),
       right_size_(right_size),
-      left_adj_(left_size),
-      right_end_(left_size, 0) {}
+      cells_(static_cast<std::size_t>(left_size) * right_size, 0) {}
 
 void BipartiteGraph::add_edge(std::uint32_t l, std::uint32_t r, Weight w) {
   MINIM_REQUIRE(l < left_size_, "bipartite edge: left vertex out of range");
   MINIM_REQUIRE(r < right_size_, "bipartite edge: right vertex out of range");
   MINIM_REQUIRE(w > 0, "bipartite edge weights must be positive");
-  MINIM_REQUIRE(r >= right_end_[l] || !has_edge(l, r),
-                "bipartite edge added twice");
-  left_adj_[l].push_back(static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(BipartiteEdge{l, r, w});
-  right_end_[l] = std::max(right_end_[l], r + 1);
+  Weight& cell = cells_[static_cast<std::size_t>(l) * right_size_ + r];
+  MINIM_REQUIRE(cell == 0, "bipartite edge added twice");
+  cell = w;
+  ++edge_count_;
+  max_weight_ = std::max(max_weight_, w);
 }
 
-const std::vector<std::uint32_t>& BipartiteGraph::edges_of_left(std::uint32_t l) const {
-  MINIM_REQUIRE(l < left_size_, "edges_of_left: out of range");
-  return left_adj_[l];
+std::span<const Weight> BipartiteGraph::row(std::uint32_t l) const {
+  MINIM_REQUIRE(l < left_size_, "row: left vertex out of range");
+  return {cells_.data() + static_cast<std::size_t>(l) * right_size_, right_size_};
 }
 
 Weight BipartiteGraph::weight(std::uint32_t l, std::uint32_t r) const {
   MINIM_REQUIRE(l < left_size_ && r < right_size_, "weight: vertex out of range");
-  for (std::uint32_t e : left_adj_[l])
-    if (edges_[e].right == r) return edges_[e].weight;
-  return 0;
+  return cells_[static_cast<std::size_t>(l) * right_size_ + r];
 }
 
 bool is_valid_matching(const BipartiteGraph& g, const MatchingResult& m) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 /// \file bipartite_graph.hpp
@@ -12,37 +13,33 @@
 /// nodes *outside* V1.  Edge weights are 3 for "u's old color" and 1
 /// otherwise (paper, Section 4.1); the weight type is integral because the
 /// optimality proofs are exact-arithmetic arguments.
+///
+/// G' is dense — a recode set's members may take most of its pool — so the
+/// graph is a row-major |left| × |right| weight matrix in which 0 means "no
+/// edge".  The matchers read a left vertex's row in ascending right order,
+/// and the Hungarian takes its costs straight from the rows.
 
 namespace minim::matching {
 
 using Weight = std::int64_t;
 
-/// One weighted left->right edge.
-struct BipartiteEdge {
-  std::uint32_t left;
-  std::uint32_t right;
-  Weight weight;
-};
-
-/// Adjacency-list bipartite graph with `left_size` x `right_size` vertices.
+/// Dense weighted bipartite graph with `left_size` x `right_size` vertices.
 class BipartiteGraph {
  public:
   BipartiteGraph(std::uint32_t left_size, std::uint32_t right_size);
 
-  /// Adds edge (l, r, w).  Requires valid endpoints and w > 0.
-  /// Parallel edges are rejected: in O(1) when `r` exceeds every right
-  /// endpoint `l` already has (ascending insertion, the recode builder's
-  /// order), by a scan of l's edges otherwise.
+  /// Adds edge (l, r, w).  Requires valid endpoints and w > 0; a parallel
+  /// edge (a nonzero cell) is rejected in O(1), in any insertion order.
   void add_edge(std::uint32_t l, std::uint32_t r, Weight w);
 
   std::uint32_t left_size() const { return left_size_; }
   std::uint32_t right_size() const { return right_size_; }
-  std::size_t edge_count() const { return edges_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
+  /// Largest edge weight; 0 when the graph has no edge.
+  Weight max_weight() const { return max_weight_; }
 
-  const std::vector<BipartiteEdge>& edges() const { return edges_; }
-
-  /// Edges incident to left vertex `l` (indices into `edges()`).
-  const std::vector<std::uint32_t>& edges_of_left(std::uint32_t l) const;
+  /// Left vertex `l`'s row: entry r is the weight of (l, r), 0 when absent.
+  std::span<const Weight> row(std::uint32_t l) const;
 
   /// Weight of (l, r); 0 when absent.
   Weight weight(std::uint32_t l, std::uint32_t r) const;
@@ -52,11 +49,9 @@ class BipartiteGraph {
  private:
   std::uint32_t left_size_;
   std::uint32_t right_size_;
-  std::vector<BipartiteEdge> edges_;
-  std::vector<std::vector<std::uint32_t>> left_adj_;
-  /// Per left vertex: one past its largest right endpoint (0 when it has no
-  /// edges), so an edge at or above it is provably new.
-  std::vector<std::uint32_t> right_end_;
+  std::vector<Weight> cells_;  ///< row-major, left_size_ x right_size_
+  std::size_t edge_count_ = 0;
+  Weight max_weight_ = 0;
 };
 
 /// A matching: `left_to_right[l]` is the matched right vertex or `kUnmatched`.

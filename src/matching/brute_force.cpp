@@ -33,17 +33,18 @@ struct Search {
     }
     // Option 1: leave l unmatched.
     run(l + 1);
-    // Option 2: match l along each free incident edge.
-    for (std::uint32_t e : g.edges_of_left(l)) {
-      const auto& edge = g.edges()[e];
-      if (right_used[edge.right]) continue;
-      right_used[edge.right] = 1;
-      current[l] = edge.right;
-      current_weight += edge.weight;
+    // Option 2: match l along each free incident edge, in ascending right
+    // order.
+    const auto row = g.row(l);
+    for (std::uint32_t r = 0; r < row.size(); ++r) {
+      if (row[r] == 0 || right_used[r]) continue;
+      right_used[r] = 1;
+      current[l] = r;
+      current_weight += row[r];
       run(l + 1);
-      current_weight -= edge.weight;
+      current_weight -= row[r];
       current[l] = MatchingResult::kUnmatched;
-      right_used[edge.right] = 0;
+      right_used[r] = 0;
     }
   }
 };

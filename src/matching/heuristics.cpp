@@ -5,8 +5,19 @@
 namespace minim::matching {
 
 MatchingResult greedy_matching(const BipartiteGraph& g) {
-  std::vector<BipartiteEdge> edges(g.edges());
-  std::sort(edges.begin(), edges.end(), [](const BipartiteEdge& a, const BipartiteEdge& b) {
+  struct Edge {
+    std::uint32_t left;
+    std::uint32_t right;
+    Weight weight;
+  };
+  std::vector<Edge> edges;
+  edges.reserve(g.edge_count());
+  for (std::uint32_t l = 0; l < g.left_size(); ++l) {
+    const auto row = g.row(l);
+    for (std::uint32_t r = 0; r < row.size(); ++r)
+      if (row[r] > 0) edges.push_back(Edge{l, r, row[r]});
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.left != b.left) return a.left < b.left;
     return a.right < b.right;

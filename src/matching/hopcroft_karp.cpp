@@ -36,8 +36,9 @@ struct HopcroftKarp {
     while (!q.empty()) {
       const std::uint32_t l = q.front();
       q.pop();
-      for (std::uint32_t e : g.edges_of_left(l)) {
-        const std::uint32_t r = g.edges()[e].right;
+      const auto row = g.row(l);
+      for (std::uint32_t r = 0; r < row.size(); ++r) {
+        if (row[r] == 0) continue;
         const std::uint32_t next = match_r[r];
         if (next == kNil) {
           reachable_free = true;
@@ -51,8 +52,9 @@ struct HopcroftKarp {
   }
 
   bool dfs(std::uint32_t l) {
-    for (std::uint32_t e : g.edges_of_left(l)) {
-      const std::uint32_t r = g.edges()[e].right;
+    const auto row = g.row(l);
+    for (std::uint32_t r = 0; r < row.size(); ++r) {
+      if (row[r] == 0) continue;
       const std::uint32_t next = match_r[r];
       if (next == kNil || (dist[next] == dist[l] + 1 && dfs(next))) {
         match_l[l] = r;

@@ -129,7 +129,9 @@ TEST(BipartiteBuilder, EmptyRecodeSet) {
 struct ReferenceProblem {
   std::vector<NodeId> v1;
   Color max_color = minim::net::kNoColor;
-  std::vector<minim::matching::BipartiteEdge> edges;
+  /// weights[i][c - 1]: the weight of (v1[i], c), 0 when c is forbidden.
+  std::vector<std::vector<minim::matching::Weight>> weights;
+  std::size_t edge_count = 0;
 };
 
 ReferenceProblem reference_recode_problem(const AdhocNetwork& net,
@@ -161,11 +163,12 @@ ReferenceProblem reference_recode_problem(const AdhocNetwork& net,
     forbidden.push_back(std::move(colors));
   }
   for (std::uint32_t i = 0; i < v1.size(); ++i) {
+    ref.weights.emplace_back(ref.max_color, 0);
     for (Color c = 1; c <= ref.max_color; ++c) {
       if (std::binary_search(forbidden[i].begin(), forbidden[i].end(), c)) continue;
-      const auto w = c == asg.color(v1[i]) ? weights.old_color_weight
-                                           : weights.other_weight;
-      ref.edges.push_back({i, c - 1, w});
+      ref.weights[i][c - 1] = c == asg.color(v1[i]) ? weights.old_color_weight
+                                                    : weights.other_weight;
+      ++ref.edge_count;
     }
   }
   return ref;
@@ -180,13 +183,12 @@ void expect_matches_reference(const AdhocNetwork& net, const CodeAssignment& asg
   ASSERT_EQ(built.max_color, ref.max_color);
   ASSERT_EQ(built.graph.left_size(), ref.v1.size());
   ASSERT_EQ(built.graph.right_size(), ref.max_color);
-  const auto& edges = built.graph.edges();
-  ASSERT_EQ(edges.size(), ref.edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    ASSERT_EQ(edges[e].left, ref.edges[e].left) << "edge " << e;
-    ASSERT_EQ(edges[e].right, ref.edges[e].right) << "edge " << e;
-    ASSERT_EQ(edges[e].weight, ref.edges[e].weight) << "edge " << e;
-  }
+  ASSERT_EQ(built.graph.edge_count(), ref.edge_count);
+  // Every cell, the zero (forbidden) ones included.
+  for (std::uint32_t i = 0; i < ref.v1.size(); ++i)
+    for (std::uint32_t r = 0; r < ref.max_color; ++r)
+      ASSERT_EQ(built.graph.weight(i, r), ref.weights[i][r])
+          << "member " << i << " color " << r + 1;
 }
 
 TEST(BipartiteBuilder, MatchesDefinitionAcrossBitsetWordBoundaries) {

@@ -110,7 +110,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MinimJoinTheorems,
     ::testing::Values(JoinSweep{101, 40, 20.5, 30.5}, JoinSweep{102, 60, 20.5, 30.5},
                       JoinSweep{103, 40, 10.0, 15.0}, JoinSweep{104, 40, 35.0, 45.0},
-                      JoinSweep{105, 25, 50.0, 60.0}, JoinSweep{106, 80, 12.0, 18.0}));
+                      JoinSweep{105, 25, 50.0, 60.0}, JoinSweep{106, 80, 12.0, 18.0},
+                      // perfbench dense-churn's ramp: 300 joins at ranges 10-25.
+                      JoinSweep{107, 300, 10.0, 25.0}));
 
 // ------------------------------------------- optimality among minimal (join)
 

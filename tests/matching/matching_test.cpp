@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "core/bipartite_builder.hpp"
+#include "core/minim.hpp"
 #include "matching/bipartite_graph.hpp"
 #include "matching/brute_force.hpp"
 #include "matching/heuristics.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/hungarian.hpp"
+#include "net/constraints.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -22,6 +28,7 @@ using minim::matching::is_valid_matching;
 using minim::matching::MatchingResult;
 using minim::matching::max_cardinality_matching;
 using minim::matching::max_weight_matching;
+using minim::matching::Weight;
 using minim::util::Rng;
 
 // -------------------------------------------------------- BipartiteGraph
@@ -49,19 +56,33 @@ TEST(BipartiteGraph, RejectsBadEdges) {
 }
 
 TEST(BipartiteGraph, RejectsDuplicatesInAnyInsertionOrder) {
-  // Ascending insertion takes the O(1) absence proof; every other order
-  // falls back to the scan, so a duplicate is caught either way.
   BipartiteGraph g(2, 8);
   g.add_edge(0, 5, 1);
   g.add_edge(0, 2, 1);  // below the row's largest right endpoint
   EXPECT_THROW(g.add_edge(0, 5, 1), std::invalid_argument);
   EXPECT_THROW(g.add_edge(0, 2, 1), std::invalid_argument);
   g.add_edge(0, 3, 1);  // a gap below the maximum is still free
-  g.add_edge(0, 7, 1);  // above it: proven new in O(1)
-  g.add_edge(1, 5, 1);  // another left vertex has its own bound
+  g.add_edge(0, 7, 1);  // above it
+  g.add_edge(1, 5, 1);  // another left vertex has its own row
   EXPECT_THROW(g.add_edge(1, 5, 1), std::invalid_argument);
   EXPECT_EQ(g.edge_count(), 5u);
   EXPECT_EQ(g.weight(0, 3), 1);
+  EXPECT_EQ(g.max_weight(), 1);
+}
+
+TEST(BipartiteGraph, RowsReadEveryCell) {
+  BipartiteGraph g(2, 3);
+  EXPECT_EQ(g.max_weight(), 0);
+  g.add_edge(1, 2, 3);
+  g.add_edge(1, 0, 1);
+  const auto row = g.row(1);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0], 1);
+  EXPECT_EQ(row[1], 0);
+  EXPECT_EQ(row[2], 3);
+  for (const auto w : g.row(0)) EXPECT_EQ(w, 0);
+  EXPECT_EQ(g.max_weight(), 3);
+  EXPECT_THROW(g.row(2), std::invalid_argument);
 }
 
 TEST(BipartiteGraph, ValidMatchingChecker) {
@@ -222,6 +243,215 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomInstanceParams{4, 4, 0.5, false},
                       RandomInstanceParams{6, 5, 0.4, false},
                       RandomInstanceParams{5, 9, 0.7, false}));
+
+// ------------------------------------ Hungarian vs the reference Hungarian
+
+/// The reference: the plain e-maxx Kuhn–Munkres that `max_weight_matching`
+/// must reproduce exactly.  It builds the padded n x (R + n) cost matrix,
+/// keeps per-row `minv`/`used`, runs two column loops per step and finds
+/// each matched weight by lookup.  Weight alone cannot tell apart the
+/// optimal matchings a tie-break chooses between; this can.
+MatchingResult reference_max_weight_matching(const BipartiteGraph& g) {
+  const std::size_t n = g.left_size();
+  MatchingResult result;
+  result.left_to_right.assign(n, MatchingResult::kUnmatched);
+  if (n == 0) return result;
+  const std::size_t r_real = g.right_size();
+  const std::size_t m = r_real + n;
+  Weight w_max = 0;
+  for (std::uint32_t l = 0; l < n; ++l)
+    for (std::uint32_t r = 0; r < r_real; ++r) w_max = std::max(w_max, g.weight(l, r));
+  if (w_max == 0) return result;
+
+  std::vector<Weight> cost(n * m, w_max);
+  for (std::uint32_t l = 0; l < n; ++l)
+    for (std::uint32_t r = 0; r < r_real; ++r) cost[l * m + r] = w_max - g.weight(l, r);
+
+  constexpr Weight kInf = std::numeric_limits<Weight>::max() / 4;
+  std::vector<Weight> u(n + 1, 0);
+  std::vector<Weight> v(m + 1, 0);
+  std::vector<std::size_t> p(m + 1, 0);
+  std::vector<std::size_t> way(m + 1, 0);
+  for (std::size_t i = 1; i <= n; ++i) {
+    p[0] = i;
+    std::size_t j0 = 0;
+    std::vector<Weight> minv(m + 1, kInf);
+    std::vector<char> used(m + 1, 0);
+    do {
+      used[j0] = 1;
+      const std::size_t i0 = p[j0];
+      Weight delta = kInf;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= m; ++j) {
+        if (used[j]) continue;
+        const Weight cur = cost[(i0 - 1) * m + j - 1] - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
+      for (std::size_t j = 0; j <= m; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const std::size_t j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  for (std::size_t j = 1; j <= r_real; ++j) {
+    if (p[j] == 0) continue;
+    const auto l = static_cast<std::uint32_t>(p[j] - 1);
+    const Weight w = g.weight(l, static_cast<std::uint32_t>(j - 1));
+    if (w <= 0) continue;
+    result.left_to_right[l] = static_cast<std::uint32_t>(j - 1);
+    result.total_weight += w;
+  }
+  return result;
+}
+
+void expect_same_as_reference(const BipartiteGraph& g) {
+  const MatchingResult fast = max_weight_matching(g);
+  const MatchingResult ref = reference_max_weight_matching(g);
+  ASSERT_EQ(fast.left_to_right, ref.left_to_right);
+  ASSERT_EQ(fast.total_weight, ref.total_weight);
+}
+
+struct WeightPair {
+  Weight heavy;
+  Weight light;
+};
+
+void PrintTo(const WeightPair& pair, std::ostream* os) {
+  *os << "weights" << pair.heavy << "-" << pair.light;
+}
+
+class HungarianReferenceTest : public ::testing::TestWithParam<WeightPair> {};
+
+TEST_P(HungarianReferenceTest, RandomGraphsMatchExactly) {
+  // Up to 40 x 160 at densities 0.2-0.95, with whole rows left empty.
+  const auto [heavy, light] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(900 + heavy * 10 + light));
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto l = static_cast<std::uint32_t>(1 + rng.below(40));
+    const auto r = static_cast<std::uint32_t>(1 + rng.below(160));
+    const double density = rng.uniform(0.2, 0.95);
+    BipartiteGraph g(l, r);
+    for (std::uint32_t i = 0; i < l; ++i) {
+      if (rng.chance(0.1)) continue;  // a row with no edge
+      for (std::uint32_t j = 0; j < r; ++j)
+        if (rng.chance(density)) g.add_edge(i, j, rng.chance(0.3) ? heavy : light);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_reference(g))
+        << "trial " << trial << " l=" << l << " r=" << r << " density=" << density;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WeightPairs, HungarianReferenceTest,
+                         ::testing::Values(WeightPair{3, 1}, WeightPair{2, 1},
+                                           WeightPair{1, 1}, WeightPair{5, 2}));
+
+TEST(HungarianReference, ServingScaleRecodeGraphsMatchExactly) {
+  // Every G' Minim builds on a dense-churn-shaped stream: 300 joins on the
+  // 100 x 100 field at ranges 10-25, then 1,200 moves with a 3x raise every
+  // 100 events (the previous one restored).  Each join and move rebuilds
+  // G' exactly as MinimStrategy does, on the post-event network, before
+  // Minim applies the event.
+  namespace net = minim::net;
+  Rng rng(29);
+  net::AdhocNetwork network;
+  net::CodeAssignment assignment;
+  minim::core::MinimStrategy minim;
+  std::size_t graphs = 0;
+  std::size_t max_members = 0;
+  net::Color max_pool = 0;
+  const auto check = [&](net::NodeId n) {
+    std::vector<net::NodeId> v1(network.heard_by(n).begin(), network.heard_by(n).end());
+    v1.push_back(n);
+    const auto problem = minim::core::build_recode_problem(network, assignment, v1);
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_reference(problem.graph)) << "graph " << graphs;
+    ++graphs;
+    max_members = std::max(max_members, problem.v1.size());
+    max_pool = std::max(max_pool, problem.max_color);
+  };
+  std::vector<net::NodeId> ids;
+  for (int i = 0; i < 300; ++i) {
+    const net::NodeId id = network.add_node(
+        {{rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(10, 25)});
+    ids.push_back(id);
+    ASSERT_NO_FATAL_FAILURE(check(id));
+    minim.on_join(network, assignment, id);
+  }
+  net::NodeId raised = ids.front();
+  double raised_from = 0;
+  for (int event = 0; event < 1200; ++event) {
+    if (event % 100 == 0) {
+      if (raised_from > 0) {
+        network.set_range(raised, raised_from);
+        minim.on_power_change(network, assignment, raised, 3 * raised_from);
+      }
+      raised = ids[rng.below(ids.size())];
+      raised_from = network.config(raised).range;
+      network.set_range(raised, 3 * raised_from);
+      minim.on_power_change(network, assignment, raised, raised_from);
+    }
+    const net::NodeId mover = ids[rng.below(ids.size())];
+    network.set_position(mover, {rng.uniform(0, 100), rng.uniform(0, 100)});
+    ASSERT_NO_FATAL_FAILURE(check(mover));
+    minim.on_move(network, assignment, mover);
+  }
+  ASSERT_TRUE(net::is_valid(network, assignment));
+  EXPECT_EQ(graphs, 1500u);
+  // The stream reaches the serving regime's G' sizes: a mean of 23.7
+  // members x 61.0 colors, the largest 49 members and 72 colors.
+  EXPECT_GE(max_members, 40u);
+  EXPECT_GE(max_pool, 60u);
+}
+
+// ------------------------------------------------- matchers, all four
+
+TEST(Matchers, IgnoreInsertionOrder) {
+  // One edge set, added in ascending and in descending order, gives every
+  // matcher the same result: each reads rows in ascending right order.
+  Rng rng(61);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto l = static_cast<std::uint32_t>(1 + rng.below(8));
+    const auto r = static_cast<std::uint32_t>(1 + rng.below(10));
+    struct Edge {
+      std::uint32_t left;
+      std::uint32_t right;
+      Weight weight;
+    };
+    std::vector<Edge> edges;
+    for (std::uint32_t i = 0; i < l; ++i)
+      for (std::uint32_t j = 0; j < r; ++j)
+        if (rng.chance(0.5)) edges.push_back({i, j, rng.chance(0.3) ? 3 : 1});
+    BipartiteGraph ascending(l, r);
+    for (const Edge& e : edges) ascending.add_edge(e.left, e.right, e.weight);
+    BipartiteGraph descending(l, r);
+    for (auto e = edges.rbegin(); e != edges.rend(); ++e)
+      descending.add_edge(e->left, e->right, e->weight);
+    for (const auto matcher : {&max_weight_matching, &greedy_matching,
+                               &max_cardinality_matching,
+                               &brute_force_max_weight_matching}) {
+      const MatchingResult a = matcher(ascending);
+      const MatchingResult d = matcher(descending);
+      ASSERT_EQ(a.left_to_right, d.left_to_right) << "trial " << trial;
+      ASSERT_EQ(a.total_weight, d.total_weight) << "trial " << trial;
+    }
+  }
+}
 
 // -------------------------------------------------------- Hopcroft-Karp
 
