@@ -173,6 +173,10 @@ bool TcpServerTransport::read_line(std::string& line) {
   while (true) {
     if (buffer_.next_line(line, eof_)) return true;
     if (eof_) return false;
+    if (buffer_.unread() > kMaxLineBytes) {
+      disconnect();  // delivers the replies to every earlier request
+      return false;
+    }
     char chunk[4096];
     const ssize_t got = ::recv(client_fd_, chunk, sizeof chunk, 0);
     if (got > 0) {
@@ -189,8 +193,10 @@ std::size_t TcpServerTransport::read_available(std::vector<std::string>& lines,
                                                std::size_t max) {
   if (client_fd_ < 0) return 0;
   // Top the buffer up with whatever the kernel already received, without
-  // blocking: a client that pipelined a burst lands in one batch.
-  while (!eof_) {
+  // blocking: a client that pipelined a burst lands in one batch.  Past
+  // kMaxLineBytes unread, stop: disconnecting here would drop the replies
+  // to the lines returned now, so read_line ends an over-long line.
+  while (!eof_ && buffer_.unread() <= kMaxLineBytes) {
     char chunk[4096];
     const ssize_t got = ::recv(client_fd_, chunk, sizeof chunk, MSG_DONTWAIT);
     if (got > 0) {

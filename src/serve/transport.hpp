@@ -49,6 +49,10 @@ class LineBuffer {
   std::size_t next_lines(std::vector<std::string>& lines, std::size_t max,
                          bool at_end = false);
 
+  /// Bytes appended but not yet returned as lines.  Right after `next_line`
+  /// returns false they are one unterminated partial line.
+  std::size_t unread() const { return bytes_.size() - head_; }
+
  private:
   std::string bytes_;
   std::size_t head_ = 0;     ///< first unread byte
@@ -87,7 +91,9 @@ class Transport {
   virtual std::string describe() const = 0;
 };
 
-/// Requests from `in`, responses to `out`.  Borrows both streams.
+/// Requests from `in`, responses to `out`.  Borrows both streams.  Unlike
+/// `TcpServerTransport` it bounds no line: its input is the operator's own
+/// stdin or file, not a peer.
 /// `read_available` serves lines out of the characters the istream reports
 /// as available without blocking (`in_avail`): a piped burst, or the whole
 /// rest of a redirected file, batches without ever blocking past it.  A
@@ -117,10 +123,17 @@ class StreamTransport final : public Transport {
 /// One-shot localhost TCP server.  The constructor binds and listens on
 /// 127.0.0.1 (`port` 0 = kernel-assigned, read back via `port()`); the
 /// first `read_line` blocks in accept() for the single client.  A final
-/// line without a newline is served once the client closes.  Throws
+/// line without a newline is served once the client closes.  A client that
+/// sends more than `kMaxLineBytes` without a newline is disconnected, after
+/// the replies to its earlier requests are delivered.  Throws
 /// std::runtime_error on socket errors at setup.
 class TcpServerTransport final : public Transport {
  public:
+  /// The longest partial line buffered for a client.  Every protocol line
+  /// is under 100 bytes, so only a broken or hostile client reaches it, and
+  /// without it the receive buffer would grow for as long as one sends.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   explicit TcpServerTransport(std::uint16_t port = 0);
   ~TcpServerTransport() override;
 
@@ -134,10 +147,14 @@ class TcpServerTransport final : public Transport {
   /// listening state but accepts no replacement — one session, one client.
   void disconnect();
 
+  /// Disconnects the client, ending the session, when the buffered partial
+  /// line has passed `kMaxLineBytes`.
   bool read_line(std::string& line) override;
   /// Serves lines from the receive buffer, topped up with whatever the
   /// kernel already holds (non-blocking recv) — a client that pipelined a
-  /// burst of requests gets them coalesced into one batch.
+  /// burst of requests gets them coalesced into one batch.  Topping up stops
+  /// once `kMaxLineBytes` are unread; the lines served now still get their
+  /// replies, and the next `read_line` disconnects if no newline came.
   std::size_t read_available(std::vector<std::string>& lines,
                              std::size_t max) override;
   void write_line(std::string_view line) override;

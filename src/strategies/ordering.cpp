@@ -16,16 +16,12 @@ void DegeneracyOrderer::order(const net::AdhocNetwork& net,
 
   // The conflict rows list live nodes only, so for the full vertex set the
   // restricted degree |adj[v] ∩ vertices| is exactly the row size.
-  const std::size_t bound = net.id_bound();
-  arena_.in_set.assign(bound, 0);
-  arena_.degree.assign(bound, 0);
+  arena_.reset(net.id_bound());
   for (net::NodeId v : vertices) {
-    arena_.in_set[v] = 1;
-    arena_.degree[v] = cg.degree(v);
+    arena_.gone[v] = 0;
+    arena_.degree[v] = static_cast<std::uint32_t>(cg.degree(v));
   }
-
-  smallest_last_eliminate(cg, vertices, arena_);
-  out = arena_.out;
+  graph::smallest_last_eliminate(cg, vertices, arena_, out);
 }
 
 bool DegeneracyOrderer::ranks_maintained_for(const net::AdhocNetwork& net) const {

@@ -13,17 +13,24 @@
 /// BBB recolors from scratch at every event in smallest-last order.
 /// `DegeneracyOrderer::order` takes each node's starting degree from its
 /// conflict row — for the full live vertex set the restricted degree is
-/// exactly the row size, so no adjacency scan is needed — and replays the
-/// elimination through a persistent `graph::EliminationArena`, so a
-/// steady-state event performs no allocation.  The elimination itself visits
-/// every vertex and edge, so each order costs O(V + E).
+/// exactly the row size, so no adjacency scan is needed — and runs
+/// `graph::smallest_last_eliminate` through a persistent
+/// `graph::EliminationArena`, writing the order straight into the caller's
+/// vector, so a steady-state event performs no allocation.  The elimination
+/// visits every vertex and edge, so each order costs O(V + E).
 ///
-/// The produced order is bit-identical to from-scratch
-/// `graph::smallest_last_order` on the current graph — both run the same
-/// `smallest_last_eliminate` core on equal inputs, and the randomized event
-/// soaks in tests/strategies/ordering_test.cpp hold it to that.  BBB's
-/// colors, and with them the committed figure CSVs, depend on exactly this
-/// equivalence.
+/// The order is exactly the one algorithms.hpp states: the lowest non-empty
+/// degree class gives up its most recent entrant, initial entries go in
+/// `vertices` order, and each live neighbor, lowered in row order, becomes
+/// the newest entrant of its new class.  Conflict rows are symmetric sets,
+/// so each elimination lowers a neighbor by exactly one: every live node's
+/// current entry sits at or above the cursor, and a stale entry the cursor
+/// pops is an eliminated node's.  BBB's colors, and with them the committed
+/// figure CSVs, depend on this order.  The oracle is not the library's own
+/// `graph::smallest_last_order`, which runs the same core: the randomized
+/// event soaks in tests/strategies/ordering_test.cpp compare every order
+/// with the earlier lazy-bucket core kept in
+/// tests/helpers/smallest_last_reference.hpp.
 ///
 /// ## Maintained ranks (rank-bounded BBB)
 ///

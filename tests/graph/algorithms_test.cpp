@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "../helpers/smallest_last_reference.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -139,6 +142,102 @@ TEST(SmallestLast, SubsetRestrictsDegrees) {
 
 TEST(SmallestLast, EmptyVertexSet) {
   EXPECT_TRUE(smallest_last_order(path_adjacency(3), {}).empty());
+}
+
+// ------------------------------------------ exact order against the oracle
+
+/// `smallest_last_order` equals the reference core's sequence exactly.
+void expect_reference_order(const Adjacency& adj,
+                            const std::vector<NodeId>& vertices) {
+  ASSERT_EQ(smallest_last_order(adj, vertices),
+            minim::test::reference::smallest_last_order(adj, vertices));
+}
+
+TEST(SmallestLast, StarTieBreakIsNewestEntrantFirst) {
+  // Leaves 1..6 enter class 1 in id order, so 6 goes first; each leaf lowers
+  // the hub by one, and at class 1 the hub, the newest entrant, goes before
+  // leaf 1.  Elimination 6 5 4 3 2 0 1, colored in reverse.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId leaf = 1; leaf <= 6; ++leaf) edges.emplace_back(0, leaf);
+  EXPECT_EQ(smallest_last_order(undirected(7, edges), first_ids(7)),
+            (std::vector<NodeId>{1, 0, 2, 3, 4, 5, 6}));
+}
+
+TEST(SmallestLast, MatchesReferenceOnStarsCliquesAndPaths) {
+  for (NodeId n = 1; n <= 24; ++n) {
+    std::vector<std::pair<NodeId, NodeId>> star;
+    std::vector<std::pair<NodeId, NodeId>> clique;
+    for (NodeId v = 0; v < n; ++v)
+      if (v != n / 2) star.emplace_back(n / 2, v);  // hub mid-range
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = u + 1; v < n; ++v) clique.emplace_back(u, v);
+    std::vector<NodeId> reversed = first_ids(n);
+    std::reverse(reversed.begin(), reversed.end());
+    for (const Adjacency& adj :
+         {undirected(n, star), undirected(n, clique), path_adjacency(n)}) {
+      SCOPED_TRACE("n = " + std::to_string(n));
+      expect_reference_order(adj, first_ids(n));
+      expect_reference_order(adj, reversed);
+    }
+  }
+}
+
+TEST(SmallestLast, MatchesReferenceOnRandomSimpleGraphs) {
+  // Random simple graphs at densities 0 to 1 over up to 45 ids.  The vertex
+  // set is a random subset in shuffled order, so rows name ids past the
+  // vertex bound; rows also name phantom ids past every vertex, and each
+  // row is shuffled.
+  minim::util::Rng rng(2024);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const NodeId n = 1 + static_cast<NodeId>(rng.below(45));
+    const double density = trial % 10 == 0 ? 1.0 : rng.uniform01();
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = u + 1; v < n; ++v)
+        if (rng.chance(density)) edges.emplace_back(u, v);
+    Adjacency adj = undirected(n, edges);
+    for (auto& row : adj) {
+      if (rng.chance(0.3)) row.push_back(n + static_cast<NodeId>(rng.below(8)));
+      if (rng.chance(0.1)) row.push_back(NodeId{1} << 30);
+      rng.shuffle(row);
+    }
+    const double keep = rng.uniform(0.2, 1.0);
+    std::vector<NodeId> vertices;
+    for (NodeId v = 0; v < n; ++v)
+      if (rng.chance(keep)) vertices.push_back(v);
+    rng.shuffle(vertices);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_reference_order(adj, vertices);
+  }
+}
+
+// ------------------------------------------------------- input contract
+
+TEST(SmallestLast, RepeatedVertexFailsRequire) {
+  // Vertex 0 enters its class twice; once it is eliminated, the cursor runs
+  // through the stale copy and off the top of the classes.
+  EXPECT_THROW(smallest_last_order(path_adjacency(3), {0, 0, 1}),
+               std::invalid_argument);
+}
+
+TEST(SmallestLast, RowListingANeighborTwiceFailsRequire) {
+  // Symmetric, but edge {1, 2} is listed twice in both rows: eliminating one
+  // end would lower the other's degree by two.
+  Adjacency adj = path_adjacency(3);
+  adj[1].push_back(2);
+  adj[2].push_back(1);
+  EXPECT_THROW(smallest_last_order(adj, first_ids(3)), std::invalid_argument);
+}
+
+TEST(SmallestLast, AsymmetricAdjacencyFailsRequire) {
+  // A directed 3-cycle.  Its degrees sum to 3, room in the pool for one
+  // edge's push, but two of its eliminations each lower a live vertex.
+  EXPECT_THROW(smallest_last_order(Adjacency{{1}, {2}, {0}}, first_ids(3)),
+               std::invalid_argument);
+  // One arc without its reverse, in an otherwise symmetric path.
+  Adjacency adj = path_adjacency(3);
+  adj[0].push_back(2);
+  EXPECT_THROW(smallest_last_order(adj, first_ids(3)), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // The two line transports.  TcpServerTransport end to end: a real localhost
 // socket client drives a session on a server thread, and the transcript must
-// be byte-identical to the same requests served over a stream transport.
+// be byte-identical to the same requests served over a stream transport,
+// and a client that sends an over-long line without a newline is cut off
+// once its earlier requests have their replies.
 // Then request-line reading without a session: one LineBuffer cuts lines for
 // StreamTransport and TcpServerTransport alike, so each ServeLineReader case
 // runs against both.  Those cases are the ones that separate a line reader
@@ -24,6 +26,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "serve/engine.hpp"
@@ -64,6 +67,12 @@ class Client {
   }
 
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
+
+  /// A read that waits longer than `seconds` ends `read_to_eof`.
+  void set_receive_timeout(int seconds) {
+    const timeval timeout{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
 
   std::string read_to_eof() {
     std::string all;
@@ -165,6 +174,40 @@ TEST(TcpServerTransport, StripsCarriageReturnsFromClients) {
             "ok 1 join node=0 recoded=1 maxc=1 live=1 fallback=0\n"
             "stats live=1 joined=1 maxc=1 colors=1 events=1 recodings=1\n"
             "bye\n");
+}
+
+TEST(TcpServerTransport, DisconnectsAClientWhoseLineOutgrowsTheBound) {
+  TcpServerTransport transport(0);
+  AssignmentEngine engine{std::string("minim")};
+  SessionStats stats;
+  std::thread server([&] {
+    stats = serve_session(engine, transport);
+    transport.disconnect();
+  });
+
+  std::string responses;
+  {
+    Client client(transport.port());
+    if (!client.connected()) {
+      server.detach();
+      FAIL() << "connect: " << std::strerror(errno);
+    }
+    // The client never closes its side, so only the bound can end the
+    // session; it stops waiting after 30 s, so a missing bound fails here
+    // instead of hanging.
+    client.set_receive_timeout(30);
+    client.send_all("join 10 10 20\nstats\n" +
+                    std::string(TcpServerTransport::kMaxLineBytes + 1, 'x'));
+    responses = client.read_to_eof();
+  }
+  server.join();
+
+  // The requests before the over-long line keep their replies.
+  EXPECT_EQ(responses,
+            "ok 1 join node=0 recoded=1 maxc=1 live=1 fallback=0\n"
+            "stats live=1 joined=1 maxc=1 colors=1 events=1 recodings=1\n");
+  EXPECT_EQ(stats.lines, 2u);
+  EXPECT_EQ(stats.errors, 0u);
 }
 
 // ---------------------------------------------------------- line reading
